@@ -29,15 +29,15 @@ from .formulas import (
     two_reducible_lattices,
 )
 from .oracle import (
-    CensusReport,
     OracleCensus,
     SizeLimitExceeded,
+    VerifyRecord,
     census,
     enumerate_all_lattices,
     enumerate_by_reducible,
     verify,
 )
-from .partitions import PartitionTable, enumerate_partitions, partition_count
+from .partitions import enumerate_partitions, partition_count
 from .poset import (
     CoverDigraph,
     CycleDetected,

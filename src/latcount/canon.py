@@ -48,16 +48,6 @@ def canonical_digraph(p: CoverDigraph) -> CoverDigraph:
     return CoverDigraph(p.n, covers)
 
 
-def certificate_key(n: int, up_adjacency: tuple[int, ...]) -> tuple[int, ...]:
-    """Raw canonical row masks, cheap to use as a dedup key: (n, row0, row1, ...)."""
-    rows, _ = _canonical(n, up_adjacency)
-    return (n, *rows)
-
-
-def certificate_from_key(key: tuple[int, ...]) -> Certificate:
-    return Certificate(_encode(key[0], key[1:]))
-
-
 def _encode(n: int, rows) -> bytes:
     width = (n + 7) // 8
     return n.to_bytes(2, "big") + b"".join(r.to_bytes(width, "big") for r in rows)

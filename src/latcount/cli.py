@@ -12,8 +12,8 @@ import sys
 from dataclasses import asdict
 
 from . import formulas, oracle
-from .canon import canonical_digraph
-from .poset import Lattice, as_lattice, build_poset, classify_elements, nullity, _bits
+from .canon import _longest_paths, canonical_digraph
+from .poset import Lattice, as_lattice, build_poset, classify_elements, nullity
 from .reduction import classify_fbb
 
 EXIT_OK = 0
@@ -53,18 +53,7 @@ def document_to_lattice(doc: dict) -> Lattice:
 
 def dot_digraph(l: Lattice, name: str) -> str:
     """A DOT digraph whose ranks follow element height, covers drawn upward."""
-    up = l.digraph.up_adjacency()
-    dn = l.digraph.down_adjacency()
-    indeg = [bin(dn[v]).count("1") for v in range(l.n)]
-    queue = [v for v in range(l.n) if indeg[v] == 0]
-    height = [0] * l.n
-    while queue:
-        v = queue.pop()
-        for w in _bits(up[v]):
-            height[w] = max(height[w], height[v] + 1)
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
+    height = _longest_paths(l.n, l.digraph.up_adjacency(), l.digraph.down_adjacency())
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for h in range(max(height) + 1 if l.n else 0):
         level = [str(v) for v in range(l.n) if height[v] == h]
@@ -179,29 +168,33 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    reports = oracle.verify(args.n_max, workers=args.workers)
-    pairs = list(zip(reports[0::2], reports[1::2]))
+    records = oracle.verify(args.n_max, workers=args.workers)
     mismatched = 0
-    for formula_report, oracle_report in pairs:
-        for name, agree in formula_report.agreement.items():
-            f_val = formula_report.per_class.get(
-                name, formula_report.block_strata.get(name, "-")
-            )
-            o_val = oracle_report.per_class.get(
-                name, oracle_report.block_strata.get(name, "-")
-            )
-            status = "OK" if agree else "MISMATCH"
-            print(f"n={formula_report.n} {name}: formula={f_val} oracle={o_val} {status}")
-            if not agree:
-                mismatched += 1
-                for covers in formula_report.witnesses.get(name, []):
-                    print(f"  witness covers: {covers}")
+    for rec in records:
+        if rec.ok is None:  # recorded only, no closed form to compare
+            continue
+        f_val = "-" if rec.formula is None else rec.formula
+        o_val = "-" if rec.oracle is None else rec.oracle
+        status = "OK" if rec.ok else "MISMATCH"
+        print(f"n={rec.n} {rec.name}: formula={f_val} oracle={o_val} {status}")
+        if not rec.ok:
+            mismatched += 1
+            if rec.witness:
+                print(f"  witness covers: {rec.witness}")
     ok = mismatched == 0
     print(f"verify: {'all cells agree' if ok else f'{mismatched} cells disagree'}")
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump([asdict(r) for r in reports], fh)
+            json.dump([asdict(r) for r in records], fh)
     return EXIT_OK if ok else EXIT_MISMATCH
+
+
+def _worker_count(text: str) -> int:
+    """``--workers`` value: an integer of at least 1 (else a usage error)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -244,13 +237,13 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--reducible", type=int, choices=(2, 3), required=True)
     enum.add_argument("--format", choices=("json", "dot", "edges"), default="json")
     enum.add_argument("--out", default=None, help="write documents to a file")
-    enum.add_argument("--workers", type=int, default=1)
+    enum.add_argument("--workers", type=_worker_count, default=1)
     enum.set_defaults(func=_cmd_enumerate)
 
     verify = sub.add_parser("verify", help="check every formula against the oracle")
     verify.add_argument("--n-max", type=int, required=True)
     verify.add_argument("--json", default=None, help="also write a JSON report")
-    verify.add_argument("--workers", type=int, default=1)
+    verify.add_argument("--workers", type=_worker_count, default=1)
     verify.set_defaults(func=_cmd_verify)
     return parser
 

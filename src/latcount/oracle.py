@@ -19,11 +19,12 @@ any disagreement.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 from . import formulas
 from .adjunct import AdjunctPair, AdjunctRep, direct_sum, realize
-from .canon import Certificate, certificate_from_key, _canonical
+from .canon import Certificate, canonical_certificate
 from .partitions import enumerate_partitions
 from .poset import (
     CoverDigraph,
@@ -58,19 +59,19 @@ class SizeLimitExceeded(LatticeError):
 # bounds can never be repaired; pruning on the invariant loses nothing.
 # ---------------------------------------------------------------------------
 
-_LEVELS: dict[int, dict[tuple[int, ...], tuple]] = {
-    1: {(1, 0): ((0,), (0,), (-1,))}
+_LEVELS: dict[int, dict[Certificate, tuple]] = {
+    1: {canonical_certificate(CoverDigraph(1, ())): ((0,), (0,), (-1,))}
 }
 
 
-def _level(n: int) -> dict[tuple[int, ...], tuple]:
+def _level(n: int) -> dict[Certificate, tuple]:
     if n > FULL_SEARCH_LIMIT:
         raise SizeLimitExceeded(
             f"full lattice search capped at {FULL_SEARCH_LIMIT} elements"
         )
     top = max(_LEVELS)
     while top < n:
-        nxt: dict[tuple[int, ...], tuple] = {}
+        nxt: dict[Certificate, tuple] = {}
         for downs, ups, joins in _LEVELS[top].values():
             _expand(downs, ups, joins, nxt)
         top += 1
@@ -146,28 +147,14 @@ def _expand(downs, ups, joins, out: dict) -> None:
                 if nj[x * (k + 1) + y] < 0:
                     nj[x * (k + 1) + y] = k
                     nj[y * (k + 1) + x] = k
-        key = _canon_key_of_state(nd, nu)
-        if key not in out:
-            out[key] = (nd, nu, tuple(nj))
+        cert = canonical_certificate(CoverDigraph(k + 1, _state_covers(nd, nu)))
+        if cert not in out:
+            out[cert] = (nd, nu, tuple(nj))
 
 
-def _canon_key_of_state(downs, ups) -> tuple[int, ...]:
-    n = len(downs)
-    upadj = [0] * n
-    for i in range(n):
-        di = downs[i]
-        m = di
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            if ups[j] & di == 0:  # j is maximal below i: a lower cover
-                upadj[j] |= 1 << i
-            m ^= low
-    rows, _ = _canonical(n, tuple(upadj))
-    return (n, *rows)
-
-
-def _state_covers(downs, ups) -> list[tuple[int, int]]:
+def _state_covers(downs, ups) -> tuple[tuple[int, int], ...]:
+    """Sorted cover pairs of a search state: ``j`` is a lower cover of ``i``
+    when ``j`` is maximal in the strict down-set of ``i``."""
     covers = []
     for i in range(len(downs)):
         di = downs[i]
@@ -178,34 +165,31 @@ def _state_covers(downs, ups) -> list[tuple[int, int]]:
             if ups[j] & di == 0:
                 covers.append((j, i))
             m ^= low
-    return covers
+    return tuple(sorted(covers))
 
 
-def _lattice_states(n: int) -> list[tuple[tuple[int, ...], tuple]]:
-    """(certificate key, state) for every n-element state with a unique top."""
+def _lattice_states(n: int) -> list[tuple[Certificate, tuple]]:
+    """(certificate, state) for every n-element state with a unique top."""
     out = []
-    for key, state in _level(n).items():
+    for cert, state in _level(n).items():
         ups = state[1]
         if sum(1 for u in ups if u == 0) == 1:
-            out.append((key, state))
+            out.append((cert, state))
     out.sort(key=lambda item: item[0])
     return out
 
 
 def enumerate_all_lattices(n: int) -> frozenset[Certificate]:
     """Certificates of all unlabeled lattices on ``n`` elements (n <= 8)."""
-    return frozenset(
-        certificate_from_key(key) for key, _ in _lattice_states(n)
-    )
+    return frozenset(cert for cert, _ in _lattice_states(n))
 
 
 def all_lattices(n: int) -> dict[Certificate, Lattice]:
     """The full census with validated Lattice values (n <= 8)."""
-    out: dict[Certificate, Lattice] = {}
-    for key, (downs, ups, _) in _lattice_states(n):
-        lat = as_lattice(build_poset(n, _state_covers(downs, ups)))
-        out[certificate_from_key(key)] = lat
-    return out
+    return {
+        cert: as_lattice(build_poset(n, _state_covers(downs, ups)))
+        for cert, (downs, ups, _) in _lattice_states(n)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +301,7 @@ def _padding_slice(args: tuple[int, int, int]) -> list[tuple[Certificate, Lattic
             lat = _pad(block, below, j - below)
             if len(classify_elements(lat).red) != r:
                 continue
-            key = _canon_key_of_lattice(lat)
-            found.setdefault(certificate_from_key(key), lat)
+            found.setdefault(canonical_certificate(lat.digraph), lat)
     return sorted(found.items(), key=lambda kv: kv[0])
 
 
@@ -335,16 +318,12 @@ def _chain_digraph(k: int) -> CoverDigraph:
     return build_poset(k, [(i, i + 1) for i in range(k - 1)])
 
 
-def _canon_key_of_lattice(lat: Lattice) -> tuple[int, ...]:
-    rows, _ = _canonical(lat.n, lat.digraph.up_adjacency())
-    return (lat.n, *rows)
-
-
 def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Lattice]:
     """All unlabeled n-element lattices with exactly r in {2, 3} reducibles.
 
-    ``workers`` > 1 fans the padding slices out over processes; the merged
-    result does not depend on the worker count.
+    ``workers`` > 1 fans the padding slices out over processes, no more than
+    there are slices or CPUs; the merged result does not depend on the worker
+    count.
     """
     if r not in (2, 3):
         raise ValueError(f"reducible count must be 2 or 3, got {r}")
@@ -354,15 +333,22 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Latti
         )
     if n < 1:
         return {}
-    if workers <= 1:
-        return _padded_members(n, r)
     args = [(n, r, j) for j in range(0, n)]
+    workers = _pool_size(workers, len(args))
+    if workers == 1:
+        return _padded_members(n, r)
     out: dict[Certificate, Lattice] = {}
     with multiprocessing.get_context("fork").Pool(workers) as pool:
         for slice_result in pool.map(_padding_slice, args):
             for cert, lat in slice_result:
                 out.setdefault(cert, lat)
     return out
+
+
+def _pool_size(requested: int, slices: int) -> int:
+    """Worker processes to start: at least one, and no more than the slices
+    or the CPUs of this machine."""
+    return max(1, min(requested, slices, os.cpu_count() or 1))
 
 
 def enumerate_by_reducible(n: int, r: int, workers: int = 1) -> frozenset[Certificate]:
@@ -387,7 +373,7 @@ def block_census(m: int, r: int) -> dict[int, dict[Certificate, Lattice]]:
         if len(classify_elements(block).red) != r:
             continue
         k = len(block.covers) - m
-        cert = certificate_from_key(_canon_key_of_lattice(block))
+        cert = canonical_certificate(block.digraph)
         out.setdefault(k, {}).setdefault(cert, block)
     return out
 
@@ -437,41 +423,45 @@ def census(n: int) -> OracleCensus:
 
 
 @dataclass(frozen=True)
-class CensusReport:
-    """One size's exact counts from one source, with agreement flags.
+class VerifyRecord:
+    """One verification cell of one size.
 
-    ``agreement`` and ``witnesses`` are shared between the paired formula and
-    oracle reports; a witness is the sorted cover list of one oracle member
-    of a disagreeing cell, when the cell has members.
+    ``formula`` and ``oracle`` are the two counts; both are None for a cell
+    that compares certificate sets instead.  ``ok`` is None for a cell that
+    is recorded only (``other``, ``total``: no closed form).  ``witness`` is
+    the sorted cover list of one oracle member of a disagreeing cell, when
+    the cell has members.
     """
 
     n: int
-    source: str
-    per_class: dict[str, int] = field(default_factory=dict)
-    block_strata: dict[str, int] = field(default_factory=dict)
-    agreement: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, list[list[int]]] = field(default_factory=dict)
+    name: str
+    formula: int | None
+    oracle: int | None
+    ok: bool | None
+    witness: list[list[int]] | None = None
 
 
-def verify(n_max: int, workers: int = 1) -> list[CensusReport]:
+def verify(n_max: int, workers: int = 1) -> list[VerifyRecord]:
     """Compare every formula cell against the oracle for all n <= n_max."""
     if n_max > CLASS_SEARCH_LIMIT:
         raise SizeLimitExceeded(
             f"verification capped at {CLASS_SEARCH_LIMIT} elements"
         )
-    reports: list[CensusReport] = []
+    records: list[VerifyRecord] = []
     for n in range(1, n_max + 1):
-        reports.extend(_verify_one(n, workers))
-    return reports
+        records.extend(_verify_one(n, workers))
+    return records
 
 
-def _verify_one(n: int, workers: int) -> list[CensusReport]:
-    formula_classes: dict[str, int] = {}
-    oracle_classes: dict[str, int] = {}
-    formula_blocks: dict[str, int] = {}
-    oracle_blocks: dict[str, int] = {}
-    agreement: dict[str, bool] = {}
-    witnesses: dict[str, list[list[int]]] = {}
+def _verify_one(n: int, workers: int) -> list[VerifyRecord]:
+    records: list[VerifyRecord] = []
+
+    def cell(name, formula_value, members):
+        """Compare a formula value with the number of oracle ``members``."""
+        ok = formula_value == len(members)
+        first = next(iter(members), None)
+        witness = None if ok or first is None else [list(c) for c in first.covers]
+        records.append(VerifyRecord(n, name, formula_value, len(members), ok, witness))
 
     two = reducible_class(n, 2, workers=workers)
     three = reducible_class(n, 3, workers=workers)
@@ -479,75 +469,47 @@ def _verify_one(n: int, workers: int) -> list[CensusReport]:
     for lat in three.values():
         fibers.setdefault(classify_fbb(lat), []).append(lat)
 
-    def cell(name, formula_value, oracle_value, members=()):
-        formula_classes[name] = formula_value
-        oracle_classes[name] = oracle_value
-        agreement[name] = formula_value == oracle_value
-        if not agreement[name]:
-            witnesses[name] = [
-                [list(c) for c in lat.covers] for lat in list(members)[:1]
-            ]
-
-    cell("two_reducible", formulas.two_reducible_lattices(n), len(two), two.values())
+    cell("two_reducible", formulas.two_reducible_lattices(n), two.values())
     cell(
         "two_reducible_thakare",
         formulas.two_reducible_lattices(n, "thakare"),
-        len(two),
         two.values(),
     )
-    cell(
-        "three_reducible",
-        formulas.three_reducible_lattices(n),
-        len(three),
-        three.values(),
-    )
+    cell("three_reducible", formulas.three_reducible_lattices(n), three.values())
     for name, func, tag in (
         ("f1", formulas.l1_lattices, FbbClass.F1),
         ("f2", formulas.l2_lattices, FbbClass.F2),
         ("f3", formulas.l3_lattices, FbbClass.F3),
         ("f4", formulas.l4_lattices, FbbClass.F4),
     ):
-        members = fibers.get(tag, [])
-        cell(name, func(n), len(members), members)
+        cell(name, func(n), fibers.get(tag, []))
 
     if n <= FULL_SEARCH_LIMIT:
         full = census(n)
-        cell("chains", 1, len(full.classes.get(0, ())))
+        chains = len(full.classes.get(0, ()))
+        records.append(VerifyRecord(n, "chains", 1, chains, chains == 1))
         other = sum(len(v) for r, v in full.classes.items() if r not in (0, 2, 3))
-        formula_classes["other"] = other  # no closed form; recorded only
-        oracle_classes["other"] = other
-        formula_classes["total"] = full.total()
-        oracle_classes["total"] = full.total()
-        agreement["search_two_reducible"] = full.classes.get(
-            2, frozenset()
-        ) == frozenset(two)
-        agreement["search_three_reducible"] = full.classes.get(
-            3, frozenset()
-        ) == frozenset(three)
-
-    def block_cell(name, formula_value, oracle_members):
-        formula_blocks[name] = formula_value
-        oracle_blocks[name] = len(oracle_members)
-        agreement[name] = formula_value == len(oracle_members)
-        if not agreement[name]:
-            witnesses[name] = [
-                [list(c) for c in lat.covers]
-                for lat in list(oracle_members.values())[:1]
-            ]
+        records.append(VerifyRecord(n, "other", other, other, None))
+        records.append(VerifyRecord(n, "total", full.total(), full.total(), None))
+        for name, r, members in (
+            ("search_two_reducible", 2, two),
+            ("search_three_reducible", 3, three),
+        ):
+            same = full.classes.get(r, frozenset()) == frozenset(members)
+            records.append(VerifyRecord(n, name, None, None, same))
 
     strata2 = block_census(n, 2) if n >= 4 else {}
     for k in range(0, max(n - 3, 1)):
-        block_cell(
+        cell(
             f"two_reducible_blocks[k={k}]",
             formulas.two_reducible_blocks(n, k),
-            strata2.get(k, {}),
+            strata2.get(k, {}).values(),
         )
     if n >= 6:
-        strata3 = block_census(n, 3)
-        split: dict[tuple[FbbClass, int], dict[Certificate, Lattice]] = {}
-        for k, members in strata3.items():
-            for cert, lat in members.items():
-                split.setdefault((classify_fbb(lat), k), {})[cert] = lat
+        split: dict[tuple[FbbClass, int], list[Lattice]] = {}
+        for k, members in block_census(n, 3).items():
+            for lat in members.values():
+                split.setdefault((classify_fbb(lat), k), []).append(lat)
         for name, func, tag in (
             ("b1", formulas.b1_blocks, FbbClass.F1),
             ("b2", formulas.b2_blocks, FbbClass.F2),
@@ -555,17 +517,11 @@ def _verify_one(n: int, workers: int) -> list[CensusReport]:
             ("b4", formulas.b4_blocks, FbbClass.F4),
         ):
             for k in range(0, max(n - 3, 1)):
-                block_cell(
-                    f"{name}_blocks[k={k}]",
-                    func(n, k),
-                    split.get((tag, k), {}),
-                )
+                cell(f"{name}_blocks[k={k}]", func(n, k), split.get((tag, k), []))
 
-    return [
-        CensusReport(n, "formula", formula_classes, formula_blocks, agreement, witnesses),
-        CensusReport(n, "oracle", oracle_classes, oracle_blocks, agreement, witnesses),
-    ]
+    return records
 
 
-def verification_ok(reports: list[CensusReport]) -> bool:
-    return all(all(r.agreement.values()) for r in reports)
+def verification_ok(records: list[VerifyRecord]) -> bool:
+    """Whether no compared cell disagrees; recorded-only cells do not count."""
+    return all(r.ok is not False for r in records)

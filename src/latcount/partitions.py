@@ -2,69 +2,30 @@
 
 Counts are exact Python integers and come from the recurrence
 ``count(n, k) = count(n - 1, k - 1) + count(n - k, k)`` (split on whether the
-smallest part equals 1).  A shared memo table backs the module-level
-functions; workers that want isolation can hold their own
-:class:`PartitionTable`.
+smallest part equals 1).  One shared table of rows backs the counts: row ``n``
+holds ``count(n, k)`` for ``k = 0..n`` and is built from the rows below it, so
+the table grows one row at a time up to the largest ``n`` asked for.
 """
 
 from __future__ import annotations
 
-
-class PartitionTable:
-    """Memoized partition counts; read-only sharing is safe once warmed."""
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, int], int] = {(0, 0): 1}
-
-    def count(self, n: int, k: int) -> int:
-        if n < 0 or k < 0 or k > n or (k == 0 and n > 0):
-            return 0
-        memo = self._memo
-        key = (n, k)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        # iterative fill along the recurrence to keep recursion depth flat
-        stack = [key]
-        while stack:
-            top_n, top_k = stack[-1]
-            if (top_n, top_k) in memo:
-                stack.pop()
-                continue
-            if top_k <= 0 or top_k > top_n:
-                memo[(top_n, top_k)] = 1 if top_n == top_k == 0 else 0
-                stack.pop()
-                continue
-            left = (top_n - 1, top_k - 1)
-            right = (top_n - top_k, top_k) if top_n - top_k >= top_k else None
-            missing = [p for p in (left, right) if p is not None and p not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            total = memo[left]
-            if right is not None:
-                total += memo[right]
-            memo[(top_n, top_k)] = total
-            stack.pop()
-        return memo[key]
-
-    def warm(self, n_max: int) -> None:
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                self.count(n, k)
-
-
-_TABLE = PartitionTable()
+_TABLE: list[list[int]] = [[1]]
 
 
 def partition_count(n: int, k: int) -> int:
     """Number of non-decreasing positive k-tuples summing to n (0 out of range)."""
-    return _TABLE.count(n, k)
-
-
-def warm(n_max: int) -> None:
-    """Pre-fill the shared table for all arguments up to ``n_max``."""
-    _TABLE.warm(n_max)
+    if not 0 <= k <= n:
+        return 0
+    while len(_TABLE) <= n:
+        m = len(_TABLE)
+        _TABLE.append(
+            [0]
+            + [
+                _TABLE[m - 1][j - 1] + (_TABLE[m - j][j] if 2 * j <= m else 0)
+                for j in range(1, m + 1)
+            ]
+        )
+    return _TABLE[n][k]
 
 
 def enumerate_partitions(n: int, k: int) -> list[tuple[int, ...]]:

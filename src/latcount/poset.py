@@ -78,23 +78,19 @@ class CoverDigraph:
             rows[b] |= 1 << a
         return tuple(rows)
 
-    def degree(self, x: int) -> int:
-        """Total cover-graph degree of ``x``."""
-        up = self.up_adjacency()
-        dn = self.down_adjacency()
-        return bin(up[x]).count("1") + bin(dn[x]).count("1")
-
 
 @dataclass(frozen=True)
 class Lattice:
     """A validated lattice: cover digraph plus order matrix and bounds.
 
-    ``leq`` holds reflexive up-set bitmasks: bit ``j`` of ``leq[i]`` iff
-    ``i <= j``.
+    ``up`` and ``down`` hold the reflexive up-set and down-set bitmasks: bit
+    ``j`` of ``up[i]`` iff ``i <= j``, and bit ``j`` of ``down[i]`` iff
+    ``j <= i``.
     """
 
     digraph: CoverDigraph
-    leq: tuple[int, ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
     bottom: int
     top: int
 
@@ -107,19 +103,7 @@ class Lattice:
         return self.digraph.covers
 
     def le(self, x: int, y: int) -> bool:
-        return bool(self.leq[x] >> y & 1)
-
-    def geq_mask(self, x: int) -> int:
-        """Reflexive up-set of ``x`` as a bitmask."""
-        return self.leq[x]
-
-    def leq_mask(self, x: int) -> int:
-        """Reflexive down-set of ``x`` as a bitmask."""
-        mask = 0
-        for i in range(self.n):
-            if self.leq[i] >> x & 1:
-                mask |= 1 << i
-        return mask
+        return bool(self.up[x] >> y & 1)
 
 
 @dataclass(frozen=True)
@@ -192,32 +176,32 @@ def as_lattice(p: CoverDigraph) -> Lattice:
     Raises :class:`NotALattice` with a witness pair otherwise.
     """
     n = p.n
-    up = list(p.up_adjacency())
-    strict = _strict_up_order(n, up)
+    strict = _strict_up_order(n, p.up_adjacency())
     assert strict is not None  # p is validated
-    geq = [strict[i] | (1 << i) for i in range(n)]
-    leqm = [0] * n  # reflexive down-sets
+    up = tuple(strict[i] | (1 << i) for i in range(n))
+    down = [0] * n
     for i in range(n):
-        for j in _bits(geq[i]):
-            leqm[j] |= 1 << i
-    strict_dn = [leqm[i] & ~(1 << i) for i in range(n)]
+        for j in _bits(up[i]):
+            down[j] |= 1 << i
     for x, y in combinations(range(n), 2):
-        ub = geq[x] & geq[y]
-        if _unique_extreme(ub, strict_dn) is None:
+        if _unique_extreme(up[x] & up[y], down) is None:
             raise NotALattice((x, y), "join")
-        lb = leqm[x] & leqm[y]
-        if _unique_extreme(lb, strict) is None:
+        if _unique_extreme(down[x] & down[y], up) is None:
             raise NotALattice((x, y), "meet")
-    bottom = next(i for i in range(n) if leqm[i] == 1 << i)
-    top = next(i for i in range(n) if geq[i] == 1 << i)
-    return Lattice(p, tuple(geq), bottom, top)
+    bottom = next(i for i in range(n) if down[i] == 1 << i)
+    top = next(i for i in range(n) if up[i] == 1 << i)
+    return Lattice(p, up, tuple(down), bottom, top)
 
 
-def _unique_extreme(mask: int, strict_below: list[int] | tuple[int, ...]) -> int | None:
-    """The unique element of ``mask`` with nothing of ``mask`` below it, if any."""
+def _unique_extreme(mask: int, reflexive: list[int] | tuple[int, ...]) -> int | None:
+    """The unique ``v`` in ``mask`` whose ``reflexive[v]`` meets ``mask`` only in ``v``.
+
+    With down-set masks that is the unique minimal element of ``mask``, with
+    up-set masks the unique maximal one; None when there is none or several.
+    """
     found = None
     for v in _bits(mask):
-        if strict_below[v] & mask == 0:
+        if reflexive[v] & mask == 1 << v:
             if found is not None:
                 return None
             found = v
@@ -226,14 +210,8 @@ def _unique_extreme(mask: int, strict_below: list[int] | tuple[int, ...]) -> int
 
 def meet_join(l: Lattice, x: int, y: int) -> tuple[int, int]:
     """Return ``(x meet y, x join y)``; total on a lattice."""
-    n = l.n
-    geq = l.leq
-    strict_dn = [l.leq_mask(i) & ~(1 << i) for i in range(n)]
-    strict_up = [geq[i] & ~(1 << i) for i in range(n)]
-    ub = geq[x] & geq[y]
-    lb = l.leq_mask(x) & l.leq_mask(y)
-    join = _unique_extreme(ub, strict_dn)
-    meet = _unique_extreme(lb, strict_up)
+    join = _unique_extreme(l.up[x] & l.up[y], l.down)
+    meet = _unique_extreme(l.down[x] & l.down[y], l.up)
     assert join is not None and meet is not None
     return meet, join
 
@@ -395,7 +373,7 @@ def maximal_chains_in_interval(l: Lattice, a: int, b: int) -> list[tuple[int, ..
     if a == b or not l.le(a, b):
         raise NotComparable(f"{a} < {b} required")
     up = l.digraph.up_adjacency()
-    below_b = l.leq_mask(b)
+    below_b = l.down[b]
     chains: list[tuple[int, ...]] = []
     stack: list[int] = [a]
 

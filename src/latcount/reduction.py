@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 
 from .adjunct import spine_and_components
-from .canon import Certificate, canonical_certificate, canonical_rank
+from .canon import Certificate, canonical_certificate
 from .poset import (
     CoverDigraph,
     Lattice,
@@ -153,22 +153,25 @@ def _retract_pass(p: CoverDigraph, labels: tuple[int, ...]):
     changed = False
     while True:
         cls = poset_classification(p)
-        eligible = [x for x in cls.irr_star if is_retractible(p, x)]
-        if not eligible:
+        victim = next((x for x in sorted(cls.irr_star) if is_retractible(p, x)), None)
+        if victim is None:
             return p, labels, changed
-        rank = canonical_rank(p)
-        p, labels = _remove(p, labels, min(eligible, key=lambda x: rank[x]))
+        p, labels = _remove(p, labels, victim)
         changed = True
 
 
 def _prune_pass(p: CoverDigraph, labels: tuple[int, ...]):
     changed = False
     while p.n > 1:
-        pendants = [v for v in range(p.n) if p.degree(v) == 1]
-        if not pendants:
+        up = p.up_adjacency()
+        dn = p.down_adjacency()
+        victim = next(
+            (v for v in range(p.n) if bin(up[v]).count("1") + bin(dn[v]).count("1") == 1),
+            None,
+        )
+        if victim is None:
             return p, labels, changed
-        rank = canonical_rank(p)
-        p, labels = _remove(p, labels, min(pendants, key=lambda v: rank[v]))
+        p, labels = _remove(p, labels, victim)
         changed = True
     return p, labels, changed
 

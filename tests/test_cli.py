@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from latcount.cli import (
     main,
 )
 from latcount.reduction import f3, m2
+
+VERIFY_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-n9.txt"
 
 
 class TestCount:
@@ -141,13 +144,27 @@ class TestEnumerate:
 
     def test_dot_output(self, capsys):
         assert main(["enumerate", "--n", "4", "--reducible", "2", "--format", "dot"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph lattice_0 {")
-        assert "rankdir=BT;" in out
-        assert "0 -> 1;" in out
+        assert capsys.readouterr().out == (
+            "digraph lattice_0 {\n"
+            "  rankdir=BT;\n"
+            "  { rank=same; 0; }\n"
+            "  { rank=same; 1; 2; }\n"
+            "  { rank=same; 3; }\n"
+            "  0 -> 1;\n"
+            "  0 -> 2;\n"
+            "  1 -> 3;\n"
+            "  2 -> 3;\n"
+            "}\n"
+        )
 
     def test_scale_guard_exit_3(self, capsys):
         assert main(["enumerate", "--n", "13", "--reducible", "2"]) == 3
+
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    def test_bad_workers_exit_2(self, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "6", "--reducible", "3", "--workers", workers])
+        assert exc.value.code == 2
 
 
 class TestVerify:
@@ -160,8 +177,16 @@ class TestVerify:
     def test_json_report(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         assert main(["verify", "--n-max", "4", "--json", str(target)]) == 0
-        reports = json.loads(target.read_text())
-        assert {r["source"] for r in reports} == {"formula", "oracle"}
+        records = json.loads(target.read_text())
+        fields = {"n", "name", "formula", "oracle", "ok", "witness"}
+        assert all(set(r) == fields for r in records)
+        two = next(r for r in records if r["n"] == 4 and r["name"] == "two_reducible")
+        assert two == {
+            "n": 4, "name": "two_reducible", "formula": 1, "oracle": 1,
+            "ok": True, "witness": None,
+        }
+        total = next(r for r in records if r["n"] == 4 and r["name"] == "total")
+        assert total["ok"] is None and total["oracle"] == 2
 
     def test_injected_fault_exit_1(self, capsys, monkeypatch):
         healthy = formulas.three_reducible_lattices
@@ -178,6 +203,22 @@ class TestVerify:
     def test_scale_guard_exit_3(self, capsys):
         assert main(["verify", "--n-max", "13"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_workers_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-max", "4", "--workers", "0"])
+        assert exc.value.code == 2
+
+    def test_stdout_matches_recorded_lines(self, capsys):
+        expected = [
+            line
+            for line in VERIFY_EXPECTED.read_text().splitlines()
+            if line.startswith("n=") and int(line[2:].split(" ", 1)[0]) <= 7
+        ]
+        assert main(["verify", "--n-max", "7"]) == 0
+        assert capsys.readouterr().out == "\n".join(
+            expected + ["verify: all cells agree"]
+        ) + "\n"
 
 
 class TestDocuments:

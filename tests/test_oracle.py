@@ -11,6 +11,7 @@ from latcount.oracle import (
     enumerate_by_reducible,
     reducible_class,
     three_block_fibers,
+    _pool_size,
     verification_ok,
     verify,
 )
@@ -63,6 +64,19 @@ class TestClassSearch:
             assert mirror_cert in certs
             tag = classify_fbb(lat)
             assert classify_fbb(mirrored) is swap.get(tag, tag)
+
+    def test_pool_size_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        assert _pool_size(10**9, 12) == 2
+        assert _pool_size(8, 1) == 1
+        assert _pool_size(1, 12) == 1
+        assert _pool_size(0, 12) == 1
+        assert _pool_size(-3, 12) == 1
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+        assert _pool_size(4, 12) == 1
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+        assert _pool_size(10**9, 5) == 5
+        assert _pool_size(3, 5) == 3
 
     def test_worker_count_does_not_change_output(self):
         solo = enumerate_by_reducible(8, 3, workers=1)
@@ -128,32 +142,40 @@ class TestBlockCensus:
         assert fibers[(FbbClass.F4, 2)] == formulas.b4_blocks(8, 2) == 1
 
 
+def _by_cell(records):
+    return {(r.n, r.name): r for r in records}
+
+
 class TestVerify:
     def test_small_run_agrees(self):
-        reports = verify(6)
-        assert verification_ok(reports)
-        assert len(reports) == 12  # one formula + one oracle report per size
-        by_source = {(r.n, r.source) for r in reports}
-        assert (6, "formula") in by_source and (6, "oracle") in by_source
+        records = verify(6)
+        assert verification_ok(records)
+        cells = _by_cell(records)
+        assert len(cells) == len(records)  # one record per (n, cell)
+        assert [n for n in range(1, 7) if (n, "two_reducible") in cells] == list(
+            range(1, 7)
+        )
+        assert [r.n for r in records] == sorted(r.n for r in records)
 
     def test_report_cells(self):
-        reports = verify(6)
-        formula6 = next(r for r in reports if r.n == 6 and r.source == "formula")
-        oracle6 = next(r for r in reports if r.n == 6 and r.source == "oracle")
-        assert formula6.per_class["two_reducible"] == 11
-        assert oracle6.per_class["three_reducible"] == 2
-        assert oracle6.per_class["total"] == 15
-        assert formula6.block_strata["two_reducible_blocks[k=0]"] == 2
-        assert formula6.agreement["search_three_reducible"]
+        cells = _by_cell(verify(6))
+        assert cells[6, "two_reducible"].formula == 11
+        assert cells[6, "three_reducible"].oracle == 2
+        assert cells[6, "total"].oracle == 15
+        assert cells[6, "total"].ok is None
+        assert cells[6, "other"].ok is None
+        assert cells[6, "two_reducible_blocks[k=0]"].formula == 2
+        search = cells[6, "search_three_reducible"]
+        assert search.ok is True
+        assert search.formula is None and search.oracle is None
+        assert all(r.witness is None for r in cells.values())
 
     def test_oracle_class_cells_sum_to_total(self):
-        for report in verify(7):
-            if report.source == "oracle" and "total" in report.per_class:
-                cells = ("chains", "two_reducible", "three_reducible", "other")
-                assert all(report.per_class[c] >= 0 for c in cells)
-                assert sum(report.per_class[c] for c in cells) == report.per_class[
-                    "total"
-                ]
+        cells = _by_cell(verify(7))
+        for n in range(1, 8):
+            parts = ("chains", "two_reducible", "three_reducible", "other")
+            assert all(cells[n, c].oracle >= 0 for c in parts)
+            assert sum(cells[n, c].oracle for c in parts) == cells[n, "total"].oracle
 
     def test_injected_fault_is_flagged_with_witness(self, monkeypatch):
         healthy = formulas.two_reducible_lattices
@@ -163,11 +185,14 @@ class TestVerify:
             return value + 1 if n == 5 else value
 
         monkeypatch.setattr(formulas, "two_reducible_lattices", wrong)
-        reports = verify(5)
-        assert not verification_ok(reports)
-        bad = next(r for r in reports if r.n == 5 and r.source == "formula")
-        assert not bad.agreement["two_reducible"]
-        assert bad.witnesses["two_reducible"]  # a cover list is attached
+        records = verify(5)
+        assert not verification_ok(records)
+        bad = _by_cell(records)[5, "two_reducible"]
+        assert bad.ok is False
+        assert (bad.formula, bad.oracle) == (5, 4)
+        assert bad.witness  # a cover list is attached
+        flagged = {(r.n, r.name) for r in records if r.ok is False}
+        assert flagged == {(5, "two_reducible"), (5, "two_reducible_thakare")}
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):

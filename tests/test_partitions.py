@@ -1,10 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from latcount.partitions import (
-    PartitionTable,
-    enumerate_partitions,
-    partition_count,
-)
+from latcount.partitions import enumerate_partitions, partition_count
 
 
 def euler_partition_numbers(n_max: int) -> list[int]:
@@ -74,15 +70,8 @@ def test_row_sums_match_euler_recurrence():
 
 
 def test_recurrence_holds_on_stored_entries():
-    table = PartitionTable()
-    table.warm(30)
     for n in range(1, 31):
         for k in range(1, n + 1):
-            assert table.count(n, k) == table.count(n - 1, k - 1) + table.count(
-                n - k, k
-            )
-
-
-def test_isolated_tables_agree():
-    table = PartitionTable()
-    assert table.count(24, 5) == partition_count(24, 5)
+            assert partition_count(n, k) == partition_count(
+                n - 1, k - 1
+            ) + partition_count(n - k, k)

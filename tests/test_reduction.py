@@ -1,9 +1,12 @@
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latcount.adjunct import AdjunctPair, AdjunctRep, direct_sum, realize
 from latcount.canon import canonical_certificate as cert
+from latcount.oracle import reducible_class
 from latcount.poset import (
     as_lattice,
     build_poset,
@@ -165,3 +168,21 @@ class TestClassify:
                 perm = list(range(lat.n))
                 rng.shuffle(perm)
                 assert classify_fbb(as_lattice(relabel(lat.digraph, perm))) is tag
+
+
+@cache
+def three_reducible_members(n):
+    return [lat for _, lat in sorted(reducible_class(n, 3).items())]
+
+
+@settings(deadline=None, max_examples=250)
+@given(st.data())
+def test_reduction_invariant_under_relabeling_of_class_members(data):
+    # victims are picked by smallest label, so the result must not depend on
+    # which labels the input happens to carry
+    n = data.draw(st.integers(6, 8), label="n")
+    lat = data.draw(st.sampled_from(three_reducible_members(n)), label="member")
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    shuffled = as_lattice(relabel(lat.digraph, perm))
+    assert classify_fbb(shuffled) is classify_fbb(lat)
+    assert cert(basic_block_of(shuffled.digraph)) == cert(basic_block_of(lat.digraph))
