@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import formulas, oracle
+from . import formulas, oracle, series
 from .canon import _longest_paths, canonical_digraph
 from .poset import Lattice, as_lattice, build_poset, classify_elements, nullity
 from .reduction import classify_fbb
@@ -72,32 +72,24 @@ def dot_digraph(l: Lattice, name: str) -> str:
 
 def _cmd_count(args, parser) -> int:
     if args.reducible == 2:
+        series.check_size(args.n)
         value = formulas.two_reducible_lattices(args.n, args.form)
     else:
         if args.form != "block_first":
             parser.error("--form applies only to --reducible 2")
-        value = formulas.three_reducible_lattices(args.n)
+        totals = series.lattice_counts(3, args.n)["total"]
+        value = totals[args.n] if args.n >= 0 else 0
     print(value)
     return EXIT_OK
 
 
-def _table_rows(reducible: int, n_from: int, n_to: int) -> list[dict]:
-    rows = []
-    for n in range(n_from, n_to + 1):
-        if reducible == 2:
-            rows.append({"n": n, "total": formulas.two_reducible_lattices(n)})
-        else:
-            rows.append(
-                {
-                    "n": n,
-                    "l1": formulas.l1_lattices(n),
-                    "l2": formulas.l2_lattices(n),
-                    "l3": formulas.l3_lattices(n),
-                    "l4": formulas.l4_lattices(n),
-                    "total": formulas.three_reducible_lattices(n),
-                }
-            )
-    return rows
+def _sized_rows(key: str, lo: int, hi: int, columns: dict[str, list[int]]) -> list[dict]:
+    """One row per size lo..hi from series indexed by size; sizes below zero
+    have no members."""
+    return [
+        {key: n, **{name: (values[n] if n >= 0 else 0) for name, values in columns.items()}}
+        for n in range(lo, hi + 1)
+    ]
 
 
 def _print_rows(rows: list[dict], fmt: str) -> None:
@@ -113,27 +105,16 @@ def _print_rows(rows: list[dict], fmt: str) -> None:
 def _cmd_table(args, parser) -> int:
     if args.n_from > args.n_to:
         parser.error("--n-from must not exceed --n-to")
-    _print_rows(_table_rows(args.reducible, args.n_from, args.n_to), args.format)
+    columns = series.lattice_counts(args.reducible, args.n_to)
+    _print_rows(_sized_rows("n", args.n_from, args.n_to, columns), args.format)
     return EXIT_OK
 
 
 def _cmd_blocks(args, parser) -> int:
     if args.m_from > args.m_to:
         parser.error("--m-from must not exceed --m-to")
-    rows = []
-    for m in range(args.m_from, args.m_to + 1):
-        ks = [args.k] if args.k is not None else range(0, max(m - 3, 1))
-        rows.append(
-            {
-                "m": m,
-                "two_reducible": sum(formulas.two_reducible_blocks(m, k) for k in ks),
-                "b1": sum(formulas.b1_blocks(m, k) for k in ks),
-                "b2": sum(formulas.b2_blocks(m, k) for k in ks),
-                "b3": sum(formulas.b3_blocks(m, k) for k in ks),
-                "b4": sum(formulas.b4_blocks(m, k) for k in ks),
-            }
-        )
-    _print_rows(rows, args.format)
+    columns = series.block_counts(args.m_to, args.k)
+    _print_rows(_sized_rows("m", args.m_from, args.m_to, columns), args.format)
     return EXIT_OK
 
 

@@ -7,6 +7,11 @@ transcription.  The inner sums repeat across cells, so they are split into
 cached helpers (pure regrouping; the tests compare against flat one-shot
 transcriptions).  All arithmetic is exact.
 
+These published sums are the "formula" column of ``verify`` and the
+reference the tests hold ``series`` to; the CLI's ``count --reducible 3``,
+``table`` and ``blocks`` read the generating functions in ``series``, and
+``count --reducible 2`` evaluates the sum its ``--form`` names.
+
 Conventions: blocks on ``m`` elements with ``m + k`` edges form the
 ``k``-stratum; ``j`` counts chain padding below/above a maximal block.
 """

@@ -1,9 +1,12 @@
+import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from latcount import cli, formulas
+from latcount import cli, formulas, series
 from latcount.canon import canonical_certificate
 from latcount.cli import (
     document_json,
@@ -15,6 +18,17 @@ from latcount.cli import (
 from latcount.reduction import f3, m2
 
 VERIFY_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-n9.txt"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+OVER_LIMIT = str(series.LIMIT + 1)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while being built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestCount:
@@ -78,6 +92,22 @@ class TestTable:
             main(["table", "--reducible", "2", "--n-from", "8", "--n-to", "4"])
         assert exc.value.code == 2
 
+    def test_edge_rows(self, capsys):
+        assert main(["table", "--reducible", "3", "--n-from", "-2", "--n-to", "7"]) == 0
+        assert capsys.readouterr().out == (
+            "n,l1,l2,l3,l4,total\n"
+            "-2,0,0,0,0,0\n"
+            "-1,0,0,0,0,0\n"
+            "0,0,0,0,0,0\n"
+            "1,0,0,0,0,0\n"
+            "2,0,0,0,0,0\n"
+            "3,0,0,0,0,0\n"
+            "4,0,0,0,0,0\n"
+            "5,0,0,0,0,0\n"
+            "6,1,1,0,0,2\n"
+            "7,7,7,1,0,15\n"
+        )
+
 
 class TestBlocks:
     def test_totals(self, capsys):
@@ -92,6 +122,52 @@ class TestBlocks:
         lines = capsys.readouterr().out.splitlines()
         b1 = formulas.b1_blocks(8, 2)
         assert lines[1] == f"8,{formulas.two_reducible_blocks(8, 2)},{b1},{b1},{formulas.b3_blocks(8, 2)},1"
+
+    def test_stratum_edge_rows(self, capsys):
+        assert main(["blocks", "--m-from", "0", "--m-to", "8", "--k", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "m,two_reducible,b1,b2,b3,b4\n"
+            "0,0,0,0,0,0\n"
+            "1,0,0,0,0,0\n"
+            "2,0,0,0,0,0\n"
+            "3,0,0,0,0,0\n"
+            "4,0,0,0,0,0\n"
+            "5,0,0,0,0,0\n"
+            "6,1,0,0,0,0\n"
+            "7,1,2,2,0,0\n"
+            "8,2,6,6,2,1\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--reducible", "2", "--n", OVER_LIMIT],
+        ["count", "--reducible", "3", "--n", OVER_LIMIT],
+        ["table", "--reducible", "2", "--n-from", "1", "--n-to", OVER_LIMIT],
+        ["table", "--reducible", "3", "--n-from", "1", "--n-to", OVER_LIMIT],
+        ["blocks", "--m-from", "6", "--m-to", OVER_LIMIT],
+        ["blocks", "--m-from", "6", "--m-to", OVER_LIMIT, "--k", "2"],
+    ],
+)
+def test_series_size_limit_exit_3(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_count_workload_digests(capsys):
+    """The benchmark's ``count`` commands print the outputs whose digests
+    ``perfbench/workloads.py`` records."""
+    workloads = load_workloads()
+    calls = workloads.WORKLOADS["count"].calls
+    assert len(calls) == len(workloads.COUNT_DIGESTS)
+    for call, digest in zip(calls, workloads.COUNT_DIGESTS):
+        assert call.kind == "cli"
+        assert main(list(call.args)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, call.args
 
 
 class TestEnumerate:
