@@ -83,6 +83,13 @@ def _cmd_count(args, parser) -> int:
     return EXIT_OK
 
 
+def _check_lowest(lo: int) -> None:
+    """Sizes below zero print zero rows; a range may start no lower than
+    ``-series.LIMIT``."""
+    if lo < -series.LIMIT:
+        raise oracle.SizeLimitExceeded(f"ranges start at -{series.LIMIT} or above")
+
+
 def _sized_rows(key: str, lo: int, hi: int, columns: dict[str, list[int]]) -> list[dict]:
     """One row per size lo..hi from series indexed by size; sizes below zero
     have no members."""
@@ -105,6 +112,7 @@ def _print_rows(rows: list[dict], fmt: str) -> None:
 def _cmd_table(args, parser) -> int:
     if args.n_from > args.n_to:
         parser.error("--n-from must not exceed --n-to")
+    _check_lowest(args.n_from)
     columns = series.lattice_counts(args.reducible, args.n_to)
     _print_rows(_sized_rows("n", args.n_from, args.n_to, columns), args.format)
     return EXIT_OK
@@ -113,6 +121,7 @@ def _cmd_table(args, parser) -> int:
 def _cmd_blocks(args, parser) -> int:
     if args.m_from > args.m_to:
         parser.error("--m-from must not exceed --m-to")
+    _check_lowest(args.m_from)
     columns = series.block_counts(args.m_to, args.k)
     _print_rows(_sized_rows("m", args.m_from, args.m_to, columns), args.format)
     return EXIT_OK

@@ -1,15 +1,14 @@
 """Closed-form counts of lattices and maximal blocks with 2 or 3 reducible
 elements, stratified by edge surplus and by fundamental basic block.
 
-Every sum keeps its published index bounds and factors, so a disagreement
-with the enumeration oracle would implicate the formula cell itself, not the
-transcription.  The inner sums repeat across cells, so they are split into
-cached helpers (pure regrouping; the tests compare against flat one-shot
-transcriptions).  All arithmetic is exact.
+The module holds one flat transcription of each published sum, with its
+published index bounds and factors, so a disagreement with the enumeration
+oracle would implicate the formula cell itself, not the transcription.  All
+arithmetic is exact.
 
-These published sums are the "formula" column of ``verify`` and the
-reference the tests hold ``series`` to; the CLI's ``count --reducible 3``,
-``table`` and ``blocks`` read the generating functions in ``series``, and
+These sums are the "formula" column of ``verify`` and the reference the
+tests hold ``series`` to.  The CLI's ``count --reducible 3``, ``table`` and
+``blocks`` read the generating functions in ``series``, and
 ``count --reducible 2`` evaluates the sum its ``--form`` names.
 
 Conventions: blocks on ``m`` elements with ``m + k`` edges form the
@@ -17,8 +16,6 @@ Conventions: blocks on ``m`` elements with ``m + k`` edges form the
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .partitions import partition_count as P
 
@@ -54,53 +51,28 @@ def two_reducible_lattices(n: int, form: str = "block_first") -> int:
     raise ValueError(f"unknown form {form!r}")
 
 
-# -- shared inner sums -------------------------------------------------------
-
-
-@cache
-def _one_bundle_cell(m: int, k: int) -> int:
-    """Sum(l=1..m-5) Sum(i=1..m-l-4) P(m-l-i-2, k+1)."""
-    return sum(
-        P(m - l - i - 2, k + 1)
-        for l in range(1, m - 4)
-        for i in range(1, m - l - 3)
-    )
-
-
-@cache
-def _upper_part_choices(r: int, s: int) -> int:
-    """Sum(i=1..r-4) P(r-i-2, s+1)."""
-    return sum(P(r - i - 2, s + 1) for i in range(1, r - 3))
-
-
-@cache
-def _two_bundle_cell(m: int, k: int) -> int:
-    """Sum(r=5..m-2) Sum(s=1..k-1) [Sum(i=1..r-4) P(r-i-2, s+1)] P(m-r, k-s+1)."""
-    return sum(
-        _upper_part_choices(r, s) * P(m - r, k - s + 1)
-        for r in range(5, m - 1)
-        for s in range(1, k)
-    )
-
-
-@cache
-def _stacked_bundles_cell(w: int, q: int) -> int:
-    """Sum(l=4..w-3) Sum(t=1..q) P(l-2, t+1) P(w-l-1, q-t+2)."""
-    return sum(
-        P(l - 2, t + 1) * P(w - l - 1, q - t + 2)
-        for l in range(4, w - 2)
-        for t in range(1, q + 1)
-    )
-
-
 # -- block strata ------------------------------------------------------------
 
 
 def b1_blocks(m: int, k: int) -> int:
-    """k-stratum of 3-reducible blocks whose fundamental basic block is F1."""
+    """k-stratum of 3-reducible blocks whose fundamental basic block is F1.
+
+    The two addends are the published one-bundle and two-bundle sums.
+    """
     if m < 6 or k < 1 or k > m - 5:
         return 0
-    return _one_bundle_cell(m, k) + _two_bundle_cell(m, k)
+    first = sum(
+        P(m - l - i - 2, k + 1)
+        for l in range(1, m - 4)
+        for i in range(1, m - l - 3)
+    )
+    second = sum(
+        P(r - i - 2, s + 1) * P(m - r, k - s + 1)
+        for r in range(5, m - 1)
+        for s in range(1, k)
+        for i in range(1, r - 3)
+    )
+    return first + second
 
 
 def b2_blocks(m: int, k: int) -> int:
@@ -112,7 +84,11 @@ def b3_blocks(m: int, k: int) -> int:
     """k-stratum of 3-reducible blocks whose fundamental basic block is F3."""
     if m < 7 or k < 1 or k > m - 6:
         return 0
-    return _stacked_bundles_cell(m, k)
+    return sum(
+        P(l - 2, t + 1) * P(m - l - 1, k - t + 2)
+        for l in range(4, m - 2)
+        for t in range(1, k + 1)
+    )
 
 
 def b4_blocks(m: int, k: int) -> int:
@@ -124,55 +100,20 @@ def b4_blocks(m: int, k: int) -> int:
     """
     if m < 8 or k < 2 or k > m - 6:
         return 0
-    one_outer = sum(_stacked_bundles_cell(m - r, k - 1) for r in range(1, m - 6))
-    more_outer = sum(
-        _stacked_bundles_cell(m - r, k - s) * P(r, s)
-        for r in range(2, m - 6)
-        for s in range(2, k)
-    )
-    return one_outer + more_outer
-
-
-# -- per-block-size totals, reused by the lattice-level sums -----------------
-
-
-@cache
-def _f1_family_total(m: int) -> int:
-    """Sum(k=1..m-5) of the F1 one-bundle cells."""
-    return sum(_one_bundle_cell(m, k) for k in range(1, m - 4))
-
-
-@cache
-def _f1_split_total(m: int) -> int:
-    """Sum(k=2..m-5) of the F1 two-bundle cells."""
-    return sum(_two_bundle_cell(m, k) for k in range(2, m - 4))
-
-
-@cache
-def _f3_family_total(m: int) -> int:
-    """Sum(k=1..m-6) of the F3 cells."""
-    return sum(_stacked_bundles_cell(m, k) for k in range(1, m - 5))
-
-
-@cache
-def _f4_one_outer_total(m: int) -> int:
-    """Sum(k=2..m-6) Sum(r=1..m-7) of the single-outer-chain F4 cells."""
-    return sum(
-        _stacked_bundles_cell(m - r, k - 1)
-        for k in range(2, m - 5)
+    first = sum(
+        P(l - 2, t + 1) * P(m - r - l - 1, k - t + 1)
         for r in range(1, m - 6)
+        for l in range(4, m - r - 2)
+        for t in range(1, k)
     )
-
-
-@cache
-def _f4_more_outer_total(m: int) -> int:
-    """Sum(k=3..m-6) Sum(r=2..m-7) Sum(s=2..k-1) of the multi-outer F4 cells."""
-    return sum(
-        _stacked_bundles_cell(m - r, k - s) * P(r, s)
-        for k in range(3, m - 5)
+    second = sum(
+        P(l - 2, t + 1) * P(m - r - l - 1, k - s - t + 2) * P(r, s)
         for r in range(2, m - 6)
         for s in range(2, k)
+        for l in range(4, m - r - 2)
+        for t in range(1, k - s + 1)
     )
+    return first + second
 
 
 # -- lattice-level counts ----------------------------------------------------
@@ -182,10 +123,22 @@ def l1_lattices(n: int) -> int:
     """Lattices on n elements, 3 reducible elements, fundamental basic block F1."""
     if n < 6:
         return 0
-    return sum(
-        (j + 1) * (_f1_family_total(n - j) + _f1_split_total(n - j))
+    first = sum(
+        (j + 1) * P(n - j - l - i - 2, k + 1)
         for j in range(0, n - 5)
+        for k in range(1, n - j - 4)
+        for l in range(1, n - j - 4)
+        for i in range(1, n - j - l - 3)
     )
+    second = sum(
+        (j + 1) * P(r - i - 2, s + 1) * P(n - j - r, k - s + 1)
+        for j in range(0, n - 5)
+        for k in range(2, n - j - 4)
+        for r in range(5, n - j - 1)
+        for s in range(1, k)
+        for i in range(1, r - 3)
+    )
+    return first + second
 
 
 def l2_lattices(n: int) -> int:
@@ -197,31 +150,44 @@ def l3_lattices(n: int) -> int:
     """Lattices on n elements, 3 reducible elements, fundamental basic block F3."""
     if n < 7:
         return 0
-    return sum((j + 1) * _f3_family_total(n - j) for j in range(0, n - 6))
+    return sum(
+        (j + 1) * P(l - 2, t + 1) * P(n - j - l - 1, k - t + 2)
+        for j in range(0, n - 6)
+        for k in range(1, n - j - 5)
+        for l in range(4, n - j - 2)
+        for t in range(1, k + 1)
+    )
 
 
 def l4_lattices(n: int) -> int:
     """Lattices on n elements, 3 reducible elements, fundamental basic block F4."""
     if n < 8:
         return 0
-    return sum(
-        (j + 1) * (_f4_one_outer_total(n - j) + _f4_more_outer_total(n - j))
+    first = sum(
+        (j + 1) * P(l - 2, t + 1) * P(n - j - r - l - 1, k - t + 1)
         for j in range(0, n - 7)
+        for k in range(2, n - j - 5)
+        for r in range(1, n - j - 6)
+        for l in range(4, n - j - r - 2)
+        for t in range(1, k)
     )
+    second = sum(
+        (j + 1) * P(l - 2, t + 1) * P(n - j - r - l - 1, k - s - t + 2) * P(r, s)
+        for j in range(0, n - 7)
+        for k in range(3, n - j - 5)
+        for r in range(2, n - j - 6)
+        for s in range(2, k)
+        for l in range(4, n - j - r - 2)
+        for t in range(1, k - s + 1)
+    )
+    return first + second
 
 
 def three_reducible_lattices(n: int) -> int:
     """Lattices on n elements with exactly three reducible elements.
 
-    The published five-sum: the two F1 sums doubled (covering F2 by duality)
-    plus the F3 sum and the two F4 sums.
+    The published five-sum is exactly 2·l1 + l3 + l4: the two F1 sums of
+    ``l1_lattices`` doubled (covering F2 by duality), the F3 sum of
+    ``l3_lattices`` and the two F4 sums of ``l4_lattices``.
     """
-    if n < 6:
-        return 0
-    return (
-        sum(2 * (j + 1) * _f1_family_total(n - j) for j in range(0, n - 5))
-        + sum(2 * (j + 1) * _f1_split_total(n - j) for j in range(0, n - 5))
-        + sum((j + 1) * _f3_family_total(n - j) for j in range(0, n - 6))
-        + sum((j + 1) * _f4_one_outer_total(n - j) for j in range(0, n - 7))
-        + sum((j + 1) * _f4_more_outer_total(n - j) for j in range(0, n - 7))
-    )
+    return 2 * l1_lattices(n) + l3_lattices(n) + l4_lattices(n)

@@ -1,0 +1,26 @@
+from functools import cache
+
+import pytest
+
+from latcount import formulas
+
+# One flat F4 lattice sum takes about 2 s at n = 30, and several tests in
+# different modules read the same lattice and block values.  Each memo keeps
+# the values of one sum for the whole test run.
+_MEMOS = {
+    name: cache(getattr(formulas, name))
+    for name in (
+        "b1_blocks", "b3_blocks", "b4_blocks",
+        "l1_lattices", "l3_lattices", "l4_lattices",
+    )
+}
+
+
+@pytest.fixture
+def memoized_sums(monkeypatch):
+    """Route the costly sums of ``formulas`` through the shared memos while
+    one test runs.  The sums that call them by name (``b2_blocks``,
+    ``l2_lattices``, ``three_reducible_lattices``) reuse the values too, so
+    tests must call them as ``formulas.<name>``."""
+    for name, memo in _MEMOS.items():
+        monkeypatch.setattr(formulas, name, memo)

@@ -25,6 +25,9 @@ def test_names_the_benchmark_binds_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
     partitions = importlib.import_module("latcount.partitions")
     assert callable(partitions.partition_count)
+    # the tracer counts partition calls through every module-level binding;
+    # without this alias `partitions.calls` would read 0 on `verify`
+    assert importlib.import_module("latcount.formulas").P is partitions.partition_count
     oracle = importlib.import_module("latcount.oracle")
     assert isinstance(oracle._LEVELS, dict)
     # perfbench/child.py summarizes a census through these

@@ -20,6 +20,7 @@ from latcount.reduction import f3, m2
 VERIFY_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-n9.txt"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 OVER_LIMIT = str(series.LIMIT + 1)
+UNDER_LIMIT = str(-series.LIMIT - 1)
 
 
 def load_workloads():
@@ -148,6 +149,10 @@ class TestBlocks:
         ["table", "--reducible", "3", "--n-from", "1", "--n-to", OVER_LIMIT],
         ["blocks", "--m-from", "6", "--m-to", OVER_LIMIT],
         ["blocks", "--m-from", "6", "--m-to", OVER_LIMIT, "--k", "2"],
+        ["table", "--reducible", "2", "--n-from", UNDER_LIMIT, "--n-to", "0"],
+        ["table", "--reducible", "3", "--n-from", UNDER_LIMIT, "--n-to", "0"],
+        ["blocks", "--m-from", UNDER_LIMIT, "--m-to", "0"],
+        ["blocks", "--m-from", UNDER_LIMIT, "--m-to", "0", "--k", "2"],
     ],
 )
 def test_series_size_limit_exit_3(argv, capsys):
@@ -155,6 +160,15 @@ def test_series_size_limit_exit_3(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_ranges_may_start_at_minus_limit(capsys):
+    lowest = str(-series.LIMIT)
+    assert main(["table", "--reducible", "2", "--n-from", lowest, "--n-to", lowest]) == 0
+    assert main(["blocks", "--m-from", lowest, "--m-to", lowest]) == 0
+    assert capsys.readouterr().out == (
+        f"n,total\n{lowest},0\nm,two_reducible,b1,b2,b3,b4\n{lowest},0,0,0,0,0\n"
+    )
 
 
 def test_count_workload_digests(capsys):

@@ -1,268 +1,151 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from latcount.formulas import (
-    b1_blocks,
-    b2_blocks,
-    b3_blocks,
-    b4_blocks,
-    l1_lattices,
-    l2_lattices,
-    l3_lattices,
-    l4_lattices,
-    three_reducible_lattices,
-    two_reducible_blocks,
-    two_reducible_lattices,
-)
-from latcount.partitions import partition_count as P
+from latcount import formulas
 
-# ---------------------------------------------------------------------------
-# Flat one-shot transcriptions of the published sums, kept independent of the
-# package's cached evaluation so that any regrouping drift shows up.  They are
-# too slow for large n, so the comparisons run on a generous small window.
-# ---------------------------------------------------------------------------
-
-
-def flat_b1(m, k):
-    if m < 6 or k < 1 or k > m - 5:
-        return 0
-    first = sum(
-        P(m - l - i - 2, k + 1)
-        for l in range(1, m - 4)
-        for i in range(1, m - l - 3)
-    )
-    second = sum(
-        P(r - i - 2, s + 1) * P(m - r, k - s + 1)
-        for r in range(5, m - 1)
-        for s in range(1, k)
-        for i in range(1, r - 3)
-    )
-    return first + second
-
-
-def flat_b3(m, k):
-    if m < 7 or k < 1 or k > m - 6:
-        return 0
-    return sum(
-        P(l - 2, t + 1) * P(m - l - 1, k - t + 2)
-        for l in range(4, m - 2)
-        for t in range(1, k + 1)
-    )
-
-
-def flat_b4(m, k):
-    if m < 8 or k < 2 or k > m - 6:
-        return 0
-    first = sum(
-        P(l - 2, t + 1) * P(m - r - l - 1, k - t + 1)
-        for r in range(1, m - 6)
-        for l in range(4, m - r - 2)
-        for t in range(1, k)
-    )
-    second = sum(
-        P(l - 2, t + 1) * P(m - r - l - 1, k - s - t + 2) * P(r, s)
-        for r in range(2, m - 6)
-        for s in range(2, k)
-        for l in range(4, m - r - 2)
-        for t in range(1, k - s + 1)
-    )
-    return first + second
-
-
-def flat_l1(n):
-    if n < 6:
-        return 0
-    first = sum(
-        (j + 1) * P(n - j - l - i - 2, k + 1)
-        for j in range(0, n - 5)
-        for k in range(1, n - j - 4)
-        for l in range(1, n - j - 4)
-        for i in range(1, n - j - l - 3)
-    )
-    second = sum(
-        (j + 1) * P(r - i - 2, s + 1) * P(n - j - r, k - s + 1)
-        for j in range(0, n - 5)
-        for k in range(2, n - j - 4)
-        for r in range(5, n - j - 1)
-        for s in range(1, k)
-        for i in range(1, r - 3)
-    )
-    return first + second
-
-
-def flat_l3(n):
-    if n < 7:
-        return 0
-    return sum(
-        (j + 1) * P(l - 2, t + 1) * P(n - j - l - 1, k - t + 2)
-        for j in range(0, n - 6)
-        for k in range(1, n - j - 5)
-        for l in range(4, n - j - 2)
-        for t in range(1, k + 1)
-    )
-
-
-def flat_l4(n):
-    if n < 8:
-        return 0
-    first = sum(
-        (j + 1) * P(l - 2, t + 1) * P(n - j - r - l - 1, k - t + 1)
-        for j in range(0, n - 7)
-        for k in range(2, n - j - 5)
-        for r in range(1, n - j - 6)
-        for l in range(4, n - j - r - 2)
-        for t in range(1, k)
-    )
-    second = sum(
-        (j + 1) * P(l - 2, t + 1) * P(n - j - r - l - 1, k - s - t + 2) * P(r, s)
-        for j in range(0, n - 7)
-        for k in range(3, n - j - 5)
-        for r in range(2, n - j - 6)
-        for s in range(2, k)
-        for l in range(4, n - j - r - 2)
-        for t in range(1, k - s + 1)
-    )
-    return first + second
-
-
-class TestFlatTranscriptionsAgree:
-    def test_block_cells(self):
-        for m in range(4, 19):
-            for k in range(0, m):
-                assert b1_blocks(m, k) == flat_b1(m, k)
-                assert b3_blocks(m, k) == flat_b3(m, k)
-                assert b4_blocks(m, k) == flat_b4(m, k)
-
-    def test_lattice_counts(self):
-        for n in range(1, 27):
-            assert l1_lattices(n) == flat_l1(n)
-            assert l3_lattices(n) == flat_l3(n)
-            assert l4_lattices(n) == flat_l4(n)
-            assert three_reducible_lattices(n) == (
-                2 * flat_l1(n) + flat_l3(n) + flat_l4(n)
-            )
+VERIFY_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-n9.txt"
 
 
 class TestTwoReducible:
     def test_block_examples(self):
-        assert two_reducible_blocks(4, 0) == 1  # the diamond
-        assert two_reducible_blocks(6, 2) == 1
-        assert two_reducible_blocks(5, 2) == 0  # k beyond m - 4
+        assert formulas.two_reducible_blocks(4, 0) == 1  # the diamond
+        assert formulas.two_reducible_blocks(6, 2) == 1
+        assert formulas.two_reducible_blocks(5, 2) == 0  # k beyond m - 4
 
     def test_lattice_spot_values(self):
-        assert two_reducible_lattices(4) == 1
-        assert two_reducible_lattices(5) == 4
-        assert two_reducible_lattices(6) == 11
+        assert formulas.two_reducible_lattices(4) == 1
+        assert formulas.two_reducible_lattices(5) == 4
+        assert formulas.two_reducible_lattices(6) == 11
 
     def test_below_threshold(self):
         for n in range(0, 4):
-            assert two_reducible_lattices(n) == 0
-            assert two_reducible_lattices(n, "thakare") == 0
+            assert formulas.two_reducible_lattices(n) == 0
+            assert formulas.two_reducible_lattices(n, "thakare") == 0
 
     def test_forms_agree_up_to_60(self):
         for n in range(4, 61):
-            assert two_reducible_lattices(n, "thakare") == two_reducible_lattices(
-                n, "block_first"
-            )
+            assert formulas.two_reducible_lattices(
+                n, "thakare"
+            ) == formulas.two_reducible_lattices(n, "block_first")
 
     def test_unknown_form(self):
         with pytest.raises(ValueError):
-            two_reducible_lattices(6, "fastest")
+            formulas.two_reducible_lattices(6, "fastest")
 
 
 class TestBlockFamilies:
     def test_b1_spot_values(self):
-        assert b1_blocks(6, 1) == 1  # F1 itself
-        assert b1_blocks(7, 1) == 3
-        assert b1_blocks(7, 2) == 2
+        assert formulas.b1_blocks(6, 1) == 1  # F1 itself
+        assert formulas.b1_blocks(7, 1) == 3
+        assert formulas.b1_blocks(7, 2) == 2
 
     def test_b2_mirrors_b1(self):
         for m in range(6, 12):
             for k in range(0, m):
-                assert b2_blocks(m, k) == b1_blocks(m, k)
+                assert formulas.b2_blocks(m, k) == formulas.b1_blocks(m, k)
 
     def test_b3_spot_values(self):
-        assert b3_blocks(7, 1) == 1  # F3 itself
-        assert b3_blocks(7, 2) == 0  # k beyond m - 6
+        assert formulas.b3_blocks(7, 1) == 1  # F3 itself
+        assert formulas.b3_blocks(7, 2) == 0  # k beyond m - 6
 
     def test_b4_spot_values(self):
-        assert b4_blocks(8, 2) == 1  # F4 itself
-        assert b4_blocks(8, 1) == 0  # k below the family minimum
+        assert formulas.b4_blocks(8, 2) == 1  # F4 itself
+        assert formulas.b4_blocks(8, 1) == 0  # k below the family minimum
 
     def test_out_of_range_zero(self):
-        assert b1_blocks(5, 1) == 0
-        assert b3_blocks(6, 1) == 0
-        assert b4_blocks(7, 2) == 0
+        assert formulas.b1_blocks(5, 1) == 0
+        assert formulas.b3_blocks(6, 1) == 0
+        assert formulas.b4_blocks(7, 2) == 0
         for m in range(6, 11):
-            assert b1_blocks(m, 0) == 0
-            assert b1_blocks(m, m - 4) == 0
+            assert formulas.b1_blocks(m, 0) == 0
+            assert formulas.b1_blocks(m, m - 4) == 0
 
 
 class TestThreeReducibleClasses:
     def test_minimality_rows(self):
-        assert l1_lattices(6) == 1
-        assert l1_lattices(7) == 7
-        assert l3_lattices(7) == 1
-        assert l4_lattices(7) == 0
-        assert l4_lattices(8) == 1
+        assert formulas.l1_lattices(6) == 1
+        assert formulas.l1_lattices(7) == 7
+        assert formulas.l3_lattices(7) == 1
+        assert formulas.l4_lattices(7) == 0
+        assert formulas.l4_lattices(8) == 1
 
     def test_zeros_below_thresholds(self):
-        assert l1_lattices(5) == 0
-        assert l3_lattices(6) == 0
-        assert l4_lattices(7) == 0
+        assert formulas.l1_lattices(5) == 0
+        assert formulas.l3_lattices(6) == 0
+        assert formulas.l4_lattices(7) == 0
 
-    def test_duality_pairing(self):
+    def test_duality_pairing(self, memoized_sums):
         for n in range(6, 30):
-            assert l2_lattices(n) == l1_lattices(n)
+            assert formulas.l2_lattices(n) == formulas.l1_lattices(n)
 
     def test_headline_values(self):
-        assert three_reducible_lattices(5) == 0
-        assert three_reducible_lattices(6) == 2
-        assert three_reducible_lattices(7) == 15
-
-    def test_five_sum_matches_class_split_up_to_60(self):
-        for n in range(1, 61):
-            assert three_reducible_lattices(n) == (
-                2 * l1_lattices(n) + l3_lattices(n) + l4_lattices(n)
-            )
+        assert formulas.three_reducible_lattices(5) == 0
+        assert formulas.three_reducible_lattices(6) == 2
+        assert formulas.three_reducible_lattices(7) == 15
 
 
 class TestLatticeFromBlockIdentities:
     """Each lattice count is the padding-weighted sum of its block counts."""
 
-    def test_l1(self):
-        for n in range(6, 31):
-            assert l1_lattices(n) == sum(
-                (j + 1) * b1_blocks(n - j, k)
-                for j in range(0, n - 5)
+    def check(self, lattices, blocks, smallest):
+        for n in range(smallest, 31):
+            assert lattices(n) == sum(
+                (j + 1) * blocks(n - j, k)
+                for j in range(0, n - smallest + 1)
                 for k in range(0, n)
-            )
+            ), n
 
-    def test_l3(self):
-        for n in range(7, 31):
-            assert l3_lattices(n) == sum(
-                (j + 1) * b3_blocks(n - j, k)
-                for j in range(0, n - 6)
-                for k in range(0, n)
-            )
+    def test_l1(self, memoized_sums):
+        self.check(formulas.l1_lattices, formulas.b1_blocks, 6)
 
-    def test_l4(self):
-        for n in range(8, 31):
-            assert l4_lattices(n) == sum(
-                (j + 1) * b4_blocks(n - j, k)
-                for j in range(0, n - 7)
-                for k in range(0, n)
-            )
+    def test_l3(self, memoized_sums):
+        self.check(formulas.l3_lattices, formulas.b3_blocks, 7)
+
+    def test_l4(self, memoized_sums):
+        self.check(formulas.l4_lattices, formulas.b4_blocks, 8)
 
     def test_two_reducible(self):
-        for n in range(4, 31):
-            assert two_reducible_lattices(n) == sum(
-                (j + 1) * two_reducible_blocks(n - j, k)
-                for j in range(0, n - 3)
-                for k in range(0, n)
-            )
+        self.check(formulas.two_reducible_lattices, formulas.two_reducible_blocks, 4)
 
 
-def test_counts_are_nonnegative_and_grow():
-    values = [three_reducible_lattices(n) for n in range(1, 30)]
+def test_counts_are_nonnegative_and_grow(memoized_sums):
+    values = [formulas.three_reducible_lattices(n) for n in range(1, 30)]
     assert all(v >= 0 for v in values)
     assert values == sorted(values)
+
+
+def test_recorded_verify_formula_column():
+    """Every ``formula=`` cell of the recorded ``verify --n-max 9`` stdout is
+    the value of its sum, without running the oracle."""
+    cells = {
+        "two_reducible": formulas.two_reducible_lattices,
+        "two_reducible_thakare": lambda n: formulas.two_reducible_lattices(n, "thakare"),
+        "three_reducible": formulas.three_reducible_lattices,
+        "f1": formulas.l1_lattices,
+        "f2": formulas.l2_lattices,
+        "f3": formulas.l3_lattices,
+        "f4": formulas.l4_lattices,
+        "chains": lambda n: 1,  # one chain on every n
+    }
+    strata = {
+        "two_reducible_blocks": formulas.two_reducible_blocks,
+        "b1_blocks": formulas.b1_blocks,
+        "b2_blocks": formulas.b2_blocks,
+        "b3_blocks": formulas.b3_blocks,
+        "b4_blocks": formulas.b4_blocks,
+    }
+    checked = set()
+    for line in VERIFY_EXPECTED.read_text().splitlines():
+        cell = re.fullmatch(r"n=(\d+) (\w+)(?:\[k=(\d+)\])?: formula=(\d+) .*", line)
+        if cell is None:
+            assert "formula=-" in line or line == "verify: all cells agree", line
+            continue
+        n, name, k, value = cell.groups()
+        if k is None:
+            assert cells[name](int(n)) == int(value), line
+        else:
+            assert strata[name](int(n), int(k)) == int(value), line
+        checked.add(name)
+    assert checked == set(cells) | set(strata)
