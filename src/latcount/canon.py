@@ -3,8 +3,20 @@
 The canonizer refines a vertex colouring seeded with (in-degree, out-degree,
 height, depth), then backtracks over the remaining colour classes by
 individualize-and-refine; the certificate is the lexicographically smallest
-cover-adjacency encoding over all colour-respecting labelings.  Sizes stay at
+cover-adjacency encoding over all colour-respecting labelings, and the
+labeling is the first leaf, in search order, that attains it.  Sizes stay at
 desk scale, so no external dependency is warranted.
+
+Symmetric branches are pruned (McKay and Piperno, "Practical graph
+isomorphism, II", 2014).  Two leaves with equal rows differ by an
+automorphism, which is kept for the rest of the call.  A node that has
+individualized a prefix of vertices skips a target-cell vertex lying in the
+orbit of an earlier vertex of the cell, under the automorphisms found so far
+that fix the prefix pointwise.  Such an automorphism maps the subtree of the
+earlier vertex onto the skipped one, leaf for leaf with equal rows, and every
+leaf it maps to comes later in search order.  So the smallest rows, and the
+first leaf that attains them, lie outside every skipped subtree: certificates
+and canonical labelings are exactly those of the unpruned search.
 """
 
 from __future__ import annotations
@@ -83,6 +95,7 @@ def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
 
     best_rows: tuple[int, ...] | None = None
     best_perm: tuple[int, ...] | None = None
+    automorphisms: list[list[int]] = []
 
     def leaf(order: list[int]) -> None:
         nonlocal best_rows, best_perm
@@ -95,8 +108,15 @@ def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
         if best_rows is None or rows < best_rows:
             best_rows = rows
             best_perm = tuple(order)
+        elif rows == best_rows:
+            # two labelings with equal rows: best_perm[i] -> order[i] is an
+            # automorphism
+            image = [0] * n
+            for a, b in zip(best_perm, order):
+                image[a] = b
+            automorphisms.append(image)
 
-    def descend(colors: list[int]) -> None:
+    def descend(colors: list[int], fixed: tuple[int, ...]) -> None:
         cells: dict[int, list[int]] = {}
         for v in range(n):
             cells.setdefault(colors[v], []).append(v)
@@ -106,13 +126,33 @@ def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
             leaf([cell[0] for cell in ordered])
             return
         for v in target:
+            # re-read per vertex: earlier subtrees may have found more
+            stabilizer = [
+                g for g in automorphisms if all(g[x] == x for x in fixed)
+            ]
+            if _orbit_min(v, stabilizer) < v:
+                continue  # an automorphic image of an earlier subtree
             split = [2 * c for c in colors]
             split[v] -= 1
-            descend(_refine(n, up, dn, split))
+            descend(_refine(n, up, dn, split), fixed + (v,))
 
-    descend(colors)
+    descend(colors, ())
     assert best_rows is not None and best_perm is not None
     return best_rows, best_perm
+
+
+def _orbit_min(v: int, generators: list[list[int]]) -> int:
+    """Smallest vertex in the orbit of ``v`` under the group the
+    ``generators`` generate."""
+    orbit = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for g in generators:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                stack.append(g[x])
+    return min(orbit)
 
 
 def _refine(n: int, up, dn, colors: list[int]) -> list[int]:

@@ -5,8 +5,11 @@ Two deliberately separate generation paths:
 
 * a breadth-first extension search that grows bounded-below posets one
   element at a time (each new element brings its full down-set) and keeps a
-  join-consistency invariant, harvesting every unlabeled lattice on up to 8
-  elements, and
+  join-consistency invariant.  Its states on n - 1 elements are the finite
+  meet-semilattices, one per isomorphism class, and removing the top is a
+  bijection from n-element lattices onto them, so adjoining a top to each
+  state of level n - 1 harvests every unlabeled lattice on n <=
+  ``FULL_SEARCH_LIMIT`` elements without building level n, and
 * a constructive path that realizes adjunct-of-chains recipes for the classes
   with exactly 2 or 3 reducible elements, which stays feasible past the full
   search limit.
@@ -65,10 +68,6 @@ _LEVELS: dict[int, dict[Certificate, tuple]] = {
 
 
 def _level(n: int) -> dict[Certificate, tuple]:
-    if n > FULL_SEARCH_LIMIT:
-        raise SizeLimitExceeded(
-            f"full lattice search capped at {FULL_SEARCH_LIMIT} elements"
-        )
     top = max(_LEVELS)
     while top < n:
         nxt: dict[Certificate, tuple] = {}
@@ -168,27 +167,44 @@ def _state_covers(downs, ups) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(covers))
 
 
-def _lattice_states(n: int) -> list[tuple[Certificate, tuple]]:
-    """(certificate, state) for every n-element state with a unique top."""
+def _lattice_states(n: int) -> list[tuple[Certificate, tuple[tuple[int, int], ...]]]:
+    """(certificate, sorted cover pairs) of every n-element lattice, sorted.
+
+    A lattice minus its top is a finite meet-semilattice, and the states of
+    level n - 1 are those, one per isomorphism class; each becomes a lattice
+    when a top is adjoined above its maximal elements.  The entry point of
+    the census, so the size limit is checked here; sizes below 1 have no
+    lattices.
+    """
+    if n > FULL_SEARCH_LIMIT:
+        raise SizeLimitExceeded(
+            f"full lattice search capped at {FULL_SEARCH_LIMIT} elements"
+        )
+    if n < 1:
+        return []
+    # the one-element lattice is a top over the empty semilattice
+    states = _level(n - 1).values() if n > 1 else [((), (), ())]
+    top = n - 1
     out = []
-    for cert, state in _level(n).items():
-        ups = state[1]
-        if sum(1 for u in ups if u == 0) == 1:
-            out.append((cert, state))
+    for downs, ups, _ in states:
+        maximal = tuple((j, top) for j in range(top) if ups[j] == 0)
+        covers = tuple(sorted(_state_covers(downs, ups) + maximal))
+        out.append((canonical_certificate(CoverDigraph(n, covers)), covers))
     out.sort(key=lambda item: item[0])
     return out
 
 
 def enumerate_all_lattices(n: int) -> frozenset[Certificate]:
-    """Certificates of all unlabeled lattices on ``n`` elements (n <= 8)."""
+    """Certificates of all unlabeled lattices on ``n`` elements
+    (n <= ``FULL_SEARCH_LIMIT``)."""
     return frozenset(cert for cert, _ in _lattice_states(n))
 
 
 def all_lattices(n: int) -> dict[Certificate, Lattice]:
-    """The full census with validated Lattice values (n <= 8)."""
+    """The full census with validated Lattice values
+    (n <= ``FULL_SEARCH_LIMIT``)."""
     return {
-        cert: as_lattice(build_poset(n, _state_covers(downs, ups)))
-        for cert, (downs, ups, _) in _lattice_states(n)
+        cert: as_lattice(build_poset(n, covers)) for cert, covers in _lattice_states(n)
     }
 
 
@@ -407,7 +423,7 @@ class OracleCensus:
 
 
 def census(n: int) -> OracleCensus:
-    """Full census by exhaustive search (n <= 8)."""
+    """Full census by exhaustive search (n <= ``FULL_SEARCH_LIMIT``)."""
     classes: dict[int, set[Certificate]] = {}
     fibers: dict[FbbClass, set[Certificate]] = {}
     for cert, lat in all_lattices(n).items():

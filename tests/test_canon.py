@@ -1,14 +1,27 @@
+import hashlib
 import itertools
+import math
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from latcount import canon, oracle
+from latcount.adjunct import AdjunctPair, AdjunctRep, realize
 from latcount.canon import (
     canonical_certificate,
     canonical_digraph,
     canonical_labeling,
     decode_certificate,
 )
-from latcount.poset import as_lattice, build_poset, chain, dual, relabel
+from latcount.poset import (
+    as_lattice,
+    build_poset,
+    chain,
+    classify_elements,
+    dual,
+    relabel,
+)
 from latcount.reduction import f1, f2, f3, f4, m2
 
 
@@ -34,15 +47,78 @@ def test_same_size_different_shape():
     assert canonical_certificate(five.digraph) != canonical_certificate(bumped)
 
 
-@settings(deadline=None, max_examples=60)
+def atoms(k):
+    """M_k: k atoms between a bottom and a top."""
+    middle = range(1, k + 1)
+    return build_poset(k + 2, [(0, a) for a in middle] + [(a, k + 1) for a in middle])
+
+
+def bundles(low, high, outer):
+    """A 3-reducible block bottom < mid < top (labels 0, low[0] + 1, top)
+    with parallel chains of the given sizes between bottom and mid, mid and
+    top, and bottom and top."""
+    mid = low[0] + 1
+    top = mid + high[0] + 1
+    pairs = (
+        [AdjunctPair(0, mid)] * (len(low) - 1)
+        + [AdjunctPair(mid, top)] * (len(high) - 1)
+        + [AdjunctPair(0, top)] * len(outer)
+    )
+    chains = (top + 1, *low[1:], *high[1:], *outer)
+    block = realize(AdjunctRep(chains, tuple(pairs)))
+    assert len(classify_elements(block).red) == 3
+    return block.digraph
+
+
+# Digraphs with large automorphism groups, so that the canonizer finds equal
+# leaves and skips branches.
+SYMMETRIC = [atoms(k) for k in range(3, 7)] + [
+    bundles((2, 2, 2), (1, 1), ()),  # F3 shape, three equal low chains
+    bundles((1, 1, 1), (0,), (2, 2, 2)),  # F1 shape, three equal outer chains
+    bundles((1, 1, 1), (1, 1, 1), (1, 1, 1)),  # F4 shape, three of each
+    bundles((1, 1, 1, 1), (2, 2, 2), ()),  # F3 shape, four and three equal chains
+]
+
+
+@settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_random_relabeling_invariance(data):
     lat = data.draw(
         st.sampled_from([chain(6).digraph, m2().digraph, f1().digraph,
-                         f3().digraph, f4().digraph])
+                         f3().digraph, f4().digraph, *SYMMETRIC])
     )
     perm = data.draw(st.permutations(range(lat.n)))
-    assert canonical_certificate(relabel(lat, perm)) == canonical_certificate(lat)
+    moved = relabel(lat, perm)
+    assert canonical_certificate(moved) == canonical_certificate(lat)
+    assert canonical_digraph(moved) == canonical_digraph(lat)
+
+
+def crowns(*sizes):
+    """Disjoint crowns: the k-crown has minimal x_i and maximal y_i with
+    x_i < y_i and x_i < y_(i+1 mod k)."""
+    covers = []
+    n = 0
+    for k in sizes:
+        for i in range(k):
+            covers += [(n + i, n + k + i), (n + i, n + k + (i + 1) % k)]
+        n += 2 * k
+    return build_poset(n, covers)
+
+
+def test_crown_unions_relabeling_invariance():
+    """Colour refinement cannot tell the vertices of different crowns apart,
+    so the search meets leaves with unequal rows, and automorphisms that
+    move the individualized prefix; neither may prune a branch."""
+    shuffle = random.Random(0).shuffle
+    for digraph in (crowns(2, 3), crowns(2, 3, 3)):
+        cert = canonical_certificate(digraph)
+        form = canonical_digraph(digraph)
+        for _ in range(40):
+            perm = list(range(digraph.n))
+            shuffle(perm)
+            moved = relabel(digraph, perm)
+            assert canonical_certificate(moved) == cert
+            assert canonical_digraph(moved) == form
 
 
 def test_certificate_decodes_to_isomorphic_digraph():
@@ -62,3 +138,77 @@ def test_canonical_form_is_linear_extension():
         canon = canonical_digraph(lat.digraph)
         assert all(a < b for a, b in canon.covers)
         as_lattice(canon)  # stays a valid lattice
+
+
+def test_pruning_skips_symmetric_branches(monkeypatch):
+    """Without pruning the search on M_6 visits 6! leaves, one per order of
+    its atoms, and more nodes still."""
+    nodes = 0
+    refine = canon._refine
+
+    def counted(*args):
+        nonlocal nodes
+        nodes += 1
+        return refine(*args)
+
+    monkeypatch.setattr(canon, "_refine", counted)
+    canonical_certificate(atoms(6))
+    assert nodes < math.factorial(6)
+
+
+def _certs(certs) -> bytes:
+    return b"".join(c.data for c in sorted(certs))
+
+
+def _block_certs(m, r):
+    return _certs(c for stratum in oracle.block_census(m, r).values() for c in stratum)
+
+
+def _canonical_covers(n):
+    members = sorted(oracle.reducible_class(n, 3).items())
+    text = "".join(repr(canonical_digraph(lat.digraph).covers) for _, lat in members)
+    return text.encode()
+
+
+# name: (bytes for one size, largest size, sha256 of the bytes for sizes
+# 1..largest).  Recorded before the canonizer pruned symmetric branches;
+# pruning must not move a single byte of a certificate or a labeling.
+PINS = {
+    "census": (
+        lambda n: _certs(oracle.enumerate_all_lattices(n)),
+        8,
+        "b0abd87286f3bb9d0f941fff49ba98b0d3e3766eaf78cba161f2ae41218bd64c",
+    ),
+    "class r2": (
+        lambda n: _certs(oracle.reducible_class(n, 2)),
+        9,
+        "a2e4f882aa6f88019759999621f5bcf683b4fdcf206edd485c4fee7d330b6f7e",
+    ),
+    "class r3": (
+        lambda n: _certs(oracle.reducible_class(n, 3)),
+        9,
+        "cf07d6142a386fe07fc4ca3da65dfff8d31372caec7aa34c9cd0c816b45a0aed",
+    ),
+    "blocks r2": (
+        lambda m: _block_certs(m, 2),
+        9,
+        "5b5b2bdbb2a5c4226c4c1f3ec00a8b0b7b7c3dd204862bc60691099151f83287",
+    ),
+    "blocks r3": (
+        lambda m: _block_certs(m, 3),
+        9,
+        "17ee6c378d83cd90cf0da9dcffa9bf209a5324ca5e87f0807211806e55bf86b3",
+    ),
+    "digraphs": (
+        _canonical_covers,
+        9,
+        "c67ef0df1204764a2a66cd77d1074ef0f6dc2bb630081a8bfc399930ced6f7ac",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_certificates_are_pinned(name):
+    part, largest, digest = PINS[name]
+    data = b"".join(part(n) for n in range(1, largest + 1))
+    assert hashlib.sha256(data).hexdigest() == digest

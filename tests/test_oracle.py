@@ -3,6 +3,7 @@ import pytest
 from latcount import formulas, oracle
 from latcount.canon import canonical_certificate, decode_certificate
 from latcount.oracle import (
+    FULL_SEARCH_LIMIT,
     SizeLimitExceeded,
     all_lattices,
     block_census,
@@ -22,9 +23,14 @@ FULL_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 
 
 class TestFullSearch:
-    def test_counts_up_to_seven(self):
-        for n in range(1, 8):
+    def test_counts_up_to_limit(self):
+        for n in range(1, FULL_SEARCH_LIMIT + 1):
             assert len(enumerate_all_lattices(n)) == FULL_COUNTS[n]
+
+    def test_census_stops_one_level_below_limit(self):
+        """n-element lattices are read off the (n - 1)-element states."""
+        assert census(FULL_SEARCH_LIMIT).total() == FULL_COUNTS[FULL_SEARCH_LIMIT]
+        assert max(oracle._LEVELS) == FULL_SEARCH_LIMIT - 1
 
     def test_members_are_valid_lattices(self):
         for cert, lat in all_lattices(6).items():
@@ -34,6 +40,17 @@ class TestFullSearch:
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
             enumerate_all_lattices(9)
+        for entry in (census, all_lattices, enumerate_all_lattices):
+            with pytest.raises(SizeLimitExceeded):
+                entry(FULL_SEARCH_LIMIT + 1)
+
+    def test_sizes_below_one_are_empty(self):
+        for n in (0, -1, -2):
+            assert enumerate_all_lattices(n) == frozenset()
+            assert all_lattices(n) == {}
+            report = census(n)
+            assert report.classes == {} and report.fbb_fibers == {}
+            assert report.total() == 0
 
 
 class TestClassSearch:
