@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 
 from . import formulas, oracle, series
@@ -128,54 +129,47 @@ def _cmd_blocks(args, parser) -> int:
 
 
 def _cmd_enumerate(args, parser) -> int:
-    members = oracle.reducible_class(args.n, args.reducible, workers=args.workers)
-    ordered = [
-        as_lattice(canonical_digraph(lat.digraph))
-        for _, lat in sorted(members.items())
-    ]
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
-        chunks: list[str] = []
+    with args.out or nullcontext(sys.stdout) as sink:
+        members = oracle.reducible_class(args.n, args.reducible, workers=args.workers)
+        ordered = [
+            as_lattice(canonical_digraph(lat.digraph))
+            for _, lat in sorted(members.items())
+        ]
         if args.format == "json":
-            chunks = [document_json(lattice_document(lat)) for lat in ordered]
+            text = "\n".join(document_json(lattice_document(lat)) for lat in ordered)
         elif args.format == "dot":
-            chunks = [
+            text = "\n\n".join(
                 dot_digraph(lat, f"lattice_{i}") for i, lat in enumerate(ordered)
-            ]
+            )
         else:  # edges: one "lo hi" line per cover, blank line between lattices
-            chunks = [
-                "\n".join(f"{a} {b}" for a, b in sorted(lat.covers))
-                for lat in ordered
-            ]
-        if chunks:
-            sink.write("\n\n".join(chunks) if args.format != "json" else "\n".join(chunks))
-            sink.write("\n")
-    finally:
-        if args.out:
-            sink.close()
+            text = "\n\n".join(
+                "\n".join(f"{a} {b}" for a, b in sorted(lat.covers)) for lat in ordered
+            )
+        if ordered:
+            sink.write(text + "\n")
     print(len(ordered), file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_verify(args, parser) -> int:
-    records = oracle.verify(args.n_max, workers=args.workers)
-    mismatched = 0
-    for rec in records:
-        if rec.ok is None:  # recorded only, no closed form to compare
-            continue
-        f_val = "-" if rec.formula is None else rec.formula
-        o_val = "-" if rec.oracle is None else rec.oracle
-        status = "OK" if rec.ok else "MISMATCH"
-        print(f"n={rec.n} {rec.name}: formula={f_val} oracle={o_val} {status}")
-        if not rec.ok:
-            mismatched += 1
-            if rec.witness:
-                print(f"  witness covers: {rec.witness}")
-    ok = mismatched == 0
-    print(f"verify: {'all cells agree' if ok else f'{mismatched} cells disagree'}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump([asdict(r) for r in records], fh)
+    with args.json or nullcontext() as report:
+        records = oracle.verify(args.n_max, workers=args.workers)
+        mismatched = 0
+        for rec in records:
+            if rec.ok is None:  # recorded only, no closed form to compare
+                continue
+            f_val = "-" if rec.formula is None else rec.formula
+            o_val = "-" if rec.oracle is None else rec.oracle
+            status = "OK" if rec.ok else "MISMATCH"
+            print(f"n={rec.n} {rec.name}: formula={f_val} oracle={o_val} {status}")
+            if not rec.ok:
+                mismatched += 1
+                if rec.witness:
+                    print(f"  witness covers: {rec.witness}")
+        ok = mismatched == 0
+        print(f"verify: {'all cells agree' if ok else f'{mismatched} cells disagree'}")
+        if report:
+            json.dump([asdict(r) for r in records], report)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -185,6 +179,15 @@ def _worker_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _output_file(path: str):
+    """``--out`` and ``--json`` value: the file, opened for writing before any
+    work starts (a path that cannot be written is a usage error)."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot write {path}: {exc.strerror}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -226,13 +229,13 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--n", type=int, required=True)
     enum.add_argument("--reducible", type=int, choices=(2, 3), required=True)
     enum.add_argument("--format", choices=("json", "dot", "edges"), default="json")
-    enum.add_argument("--out", default=None, help="write documents to a file")
+    enum.add_argument("--out", type=_output_file, help="write documents to a file")
     enum.add_argument("--workers", type=_worker_count, default=1)
     enum.set_defaults(func=_cmd_enumerate)
 
     verify = sub.add_parser("verify", help="check every formula against the oracle")
     verify.add_argument("--n-max", type=int, required=True)
-    verify.add_argument("--json", default=None, help="also write a JSON report")
+    verify.add_argument("--json", type=_output_file, help="also write a JSON report")
     verify.add_argument("--workers", type=_worker_count, default=1)
     verify.set_defaults(func=_cmd_verify)
     return parser

@@ -293,30 +293,31 @@ def _bundle_rep(low, high, outer) -> AdjunctRep:
     return AdjunctRep(tuple(chains), tuple(pairs))
 
 
-def _padded_members(n: int, r: int) -> dict[Certificate, Lattice]:
-    """All n-element lattices of the r-reducible class from one padding slice
-    per j, merged."""
-    out: dict[Certificate, Lattice] = {}
-    for j in range(0, n):
-        for cert, lat in _padding_slice((n, r, j)):
-            out.setdefault(cert, lat)
-    return out
+def _check_class(n: int, r: int) -> None:
+    if r not in (2, 3):
+        raise ValueError(f"reducible count must be 2 or 3, got {r}")
+    if n > CLASS_SEARCH_LIMIT:
+        raise SizeLimitExceeded(f"class search capped at {CLASS_SEARCH_LIMIT} elements")
+
+
+def _blocks(m: int, r: int):
+    """Realized blocks on m elements with exactly r in {2, 3} reducibles, one
+    per recipe, isomorphic copies included."""
+    reps = {2: _two_reducible_block_reps, 3: _three_reducible_block_reps}[r]
+    for rep in reps(m):
+        block = realize(rep)
+        if len(classify_elements(block).red) == r:
+            yield block
 
 
 def _padding_slice(args: tuple[int, int, int]) -> list[tuple[Certificate, Lattice]]:
-    """Members whose maximal block has n - j elements; one worker unit."""
+    """Members whose maximal block has n - j elements; one worker unit.
+    Padding chains add no reducible element."""
     n, r, j = args
-    m = n - j
-    reps = {2: _two_reducible_block_reps, 3: _three_reducible_block_reps}[r]
-    if m < {2: 4, 3: 6}[r]:
-        return []
     found: dict[Certificate, Lattice] = {}
-    for rep in reps(m):
-        block = realize(rep)
+    for block in _blocks(n - j, r):
         for below in range(j + 1):
             lat = _pad(block, below, j - below)
-            if len(classify_elements(lat).red) != r:
-                continue
             found.setdefault(canonical_certificate(lat.digraph), lat)
     return sorted(found.items(), key=lambda kv: kv[0])
 
@@ -341,23 +342,20 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Latti
     there are slices or CPUs; the merged result does not depend on the worker
     count.
     """
-    if r not in (2, 3):
-        raise ValueError(f"reducible count must be 2 or 3, got {r}")
-    if n > CLASS_SEARCH_LIMIT:
-        raise SizeLimitExceeded(
-            f"class search capped at {CLASS_SEARCH_LIMIT} elements"
-        )
+    _check_class(n, r)
     if n < 1:
         return {}
     args = [(n, r, j) for j in range(0, n)]
     workers = _pool_size(workers, len(args))
     if workers == 1:
-        return _padded_members(n, r)
+        slices = map(_padding_slice, args)
+    else:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            slices = pool.map(_padding_slice, args)
     out: dict[Certificate, Lattice] = {}
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        for slice_result in pool.map(_padding_slice, args):
-            for cert, lat in slice_result:
-                out.setdefault(cert, lat)
+    for slice_result in slices:
+        for cert, lat in slice_result:
+            out.setdefault(cert, lat)
     return out
 
 
@@ -374,23 +372,11 @@ def enumerate_by_reducible(n: int, r: int, workers: int = 1) -> frozenset[Certif
 
 def block_census(m: int, r: int) -> dict[int, dict[Certificate, Lattice]]:
     """Blocks with exactly r reducibles on m elements, keyed by edge surplus k."""
-    if r not in (2, 3):
-        raise ValueError(f"reducible count must be 2 or 3, got {r}")
-    if m > CLASS_SEARCH_LIMIT:
-        raise SizeLimitExceeded(
-            f"class search capped at {CLASS_SEARCH_LIMIT} elements"
-        )
-    reps = {2: _two_reducible_block_reps, 3: _three_reducible_block_reps}[r]
+    _check_class(m, r)
     out: dict[int, dict[Certificate, Lattice]] = {}
-    if m < {2: 4, 3: 6}[r]:
-        return out
-    for rep in reps(m):
-        block = realize(rep)
-        if len(classify_elements(block).red) != r:
-            continue
+    for block in _blocks(m, r):
         k = len(block.covers) - m
-        cert = canonical_certificate(block.digraph)
-        out.setdefault(k, {}).setdefault(cert, block)
+        out.setdefault(k, {}).setdefault(canonical_certificate(block.digraph), block)
     return out
 
 
@@ -481,9 +467,10 @@ def _verify_one(n: int, workers: int) -> list[VerifyRecord]:
 
     two = reducible_class(n, 2, workers=workers)
     three = reducible_class(n, 3, workers=workers)
-    fibers: dict[FbbClass, list[Lattice]] = {}
-    for lat in three.values():
-        fibers.setdefault(classify_fbb(lat), []).append(lat)
+    tags = {cert: classify_fbb(lat) for cert, lat in three.items()}
+
+    def tagged(members, tag):
+        return [lat for cert, lat in members.items() if tags[cert] is tag]
 
     cell("two_reducible", formulas.two_reducible_lattices(n), two.values())
     cell(
@@ -498,7 +485,7 @@ def _verify_one(n: int, workers: int) -> list[VerifyRecord]:
         ("f3", formulas.l3_lattices, FbbClass.F3),
         ("f4", formulas.l4_lattices, FbbClass.F4),
     ):
-        cell(name, func(n), fibers.get(tag, []))
+        cell(name, func(n), tagged(three, tag))
 
     if n <= FULL_SEARCH_LIMIT:
         full = census(n)
@@ -522,10 +509,8 @@ def _verify_one(n: int, workers: int) -> list[VerifyRecord]:
             strata2.get(k, {}).values(),
         )
     if n >= 6:
-        split: dict[tuple[FbbClass, int], list[Lattice]] = {}
-        for k, members in block_census(n, 3).items():
-            for lat in members.values():
-                split.setdefault((classify_fbb(lat), k), []).append(lat)
+        # the blocks on n elements are the unpadded members of ``three``
+        strata3 = block_census(n, 3)
         for name, func, tag in (
             ("b1", formulas.b1_blocks, FbbClass.F1),
             ("b2", formulas.b2_blocks, FbbClass.F2),
@@ -533,7 +518,8 @@ def _verify_one(n: int, workers: int) -> list[VerifyRecord]:
             ("b4", formulas.b4_blocks, FbbClass.F4),
         ):
             for k in range(0, max(n - 3, 1)):
-                cell(f"{name}_blocks[k={k}]", func(n, k), split.get((tag, k), []))
+                members = tagged(strata3.get(k, {}), tag)
+                cell(f"{name}_blocks[k={k}]", func(n, k), members)
 
     return records
 

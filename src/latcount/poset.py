@@ -228,19 +228,10 @@ def classify_elements(l: Lattice) -> ElementClassification:
 
 def poset_classification(p: CoverDigraph) -> ElementClassification:
     """Degree-based Red/Irr split of an arbitrary poset (not only lattices)."""
-    up = p.up_adjacency()
-    dn = p.down_adjacency()
-    red, irr, star = set(), set(), set()
-    for x in range(p.n):
-        nup = bin(up[x]).count("1")
-        ndn = bin(dn[x]).count("1")
-        if nup >= 2 or ndn >= 2:
-            red.add(x)
-        else:
-            irr.add(x)
-            if nup == 1 and ndn == 1:
-                star.add(x)
-    return ElementClassification(frozenset(red), frozenset(irr), frozenset(star))
+    up, down = p.up_adjacency(), p.down_adjacency()
+    irr = frozenset(v for v in range(p.n) if _irreducible(up, down, v))
+    star = frozenset(v for v in irr if up[v] and down[v])
+    return ElementClassification(frozenset(range(p.n)) - irr, irr, star)
 
 
 def nullity(p: CoverDigraph) -> int:
@@ -298,6 +289,62 @@ def induced_subposet(p: CoverDigraph, keep: Iterable[int]) -> CoverDigraph:
     return CoverDigraph(len(kept), tuple(sorted(covers)))
 
 
+def _delete(up: list[int], down: list[int], live: int, x: int) -> int:
+    """Delete ``x`` from the cover rows ``up`` and ``down`` in place and
+    return the mask ``live`` of vertices left, without ``x``.  Each lower
+    cover of ``x`` comes to be covered by each upper cover of ``x`` that no
+    other path joins it to: the covers of the induced subposet.
+    """
+    for y in _bits(down[x]):
+        up[y] ^= 1 << x
+    for z in _bits(up[x]):
+        down[z] ^= 1 << x
+    for y in _bits(down[x]):
+        for z in _bits(up[x]):
+            if not _joined(up, y, z, 0):
+                up[y] |= 1 << z
+                down[z] |= 1 << y
+    up[x] = down[x] = 0
+    return live & ~(1 << x)
+
+
+def _strip(up: list[int], down: list[int], live: int, eligible) -> int:
+    """Delete the smallest live vertex ``v`` with ``eligible(up, down, v)``
+    until there is none or one vertex is left; return the live mask."""
+    while live & (live - 1):
+        victim = next((v for v in _bits(live) if eligible(up, down, v)), None)
+        if victim is None:
+            break
+        live = _delete(up, down, live, victim)
+    return live
+
+
+def _joined(up: list[int] | tuple[int, ...], src: int, dst: int, avoid: int) -> bool:
+    """Whether a path of covers leads from ``src`` to ``dst`` through no
+    vertex of the mask ``avoid``."""
+    seen, stack = avoid, [src]
+    while stack:
+        for w in _bits(up[stack.pop()] & ~seen):
+            if w == dst:
+                return True
+            seen |= 1 << w
+            stack.append(w)
+    return False
+
+
+def _irreducible(up, down, v: int) -> bool:
+    return up[v].bit_count() <= 1 and down[v].bit_count() <= 1
+
+
+def _live_digraph(up: list[int], live: int) -> tuple[CoverDigraph, tuple[int, ...]]:
+    """The cover digraph on the vertices of ``live``, relabeled densely in
+    ascending label order, and the old labels, position = new label."""
+    kept = tuple(_bits(live))
+    index = {v: i for i, v in enumerate(kept)}
+    covers = tuple((index[v], index[w]) for v in kept for w in _bits(up[v]))
+    return CoverDigraph(len(kept), covers), kept
+
+
 def is_dismantlable(l: Lattice) -> bool:
     """Whether ``l`` shrinks to a point by deleting one doubly irreducible
     element at a time.
@@ -306,14 +353,9 @@ def is_dismantlable(l: Lattice) -> bool:
     sublattice, and leaves crown-freeness intact, so a greedy deletion order
     never gets stuck when any order succeeds.
     """
-    current = l.digraph
-    while current.n > 1:
-        cls = poset_classification(current)
-        if not cls.irr:
-            return False
-        victim = min(cls.irr)
-        current = induced_subposet(current, set(range(current.n)) - {victim})
-    return True
+    up, down = list(l.digraph.up_adjacency()), list(l.digraph.down_adjacency())
+    live = _strip(up, down, (1 << l.n) - 1, _irreducible)
+    return live & (live - 1) == 0
 
 
 def contains_crown(l: Lattice) -> bool:

@@ -3,28 +3,36 @@
 A doubly irreducible element sandwiched between two reducible elements is
 *retractible* when the sandwich path is the only route between them; removing
 retractible elements (and then pruning pendant vertices) shrinks a poset to
-its basic block without touching the reducible elements.  Trimming repeated
-ears then yields the fundamental basic block, which for lattices with two or
-three pairwise comparable reducible elements is one of five fixed shapes:
-the diamond M2 and the six-to-eight element blocks F1, F2, F3, F4.
+its basic block without touching the reducible elements.  Every element of a
+basic block that is not reducible is then an *ear*: one element between a
+reducible lower cover and a reducible upper cover that some other path also
+joins.  Trimming repeated ears yields the fundamental basic block, which for
+lattices with two or three pairwise comparable reducible elements is one of
+five fixed shapes: the diamond M2 and the six-to-eight element blocks F1,
+F2, F3, F4.
+
+Every step deletes vertices in place from one pair of cover rows; a cover
+digraph is built once, from the vertices left at the end.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .adjunct import spine_and_components
 from .canon import Certificate, canonical_certificate
 from .poset import (
     CoverDigraph,
     Lattice,
     LatticeError,
     _bits,
+    _delete,
+    _irreducible,
+    _joined,
+    _live_digraph,
+    _strip,
     as_lattice,
     build_poset,
     classify_elements,
-    induced_subposet,
-    poset_classification,
 )
 
 
@@ -113,67 +121,42 @@ def is_retractible(p: CoverDigraph, x: int) -> bool:
     ``x`` survives only when it is sandwiched between two reducible elements
     that are also connected by a second directed path.
     """
-    cls = poset_classification(p)
-    if x not in cls.irr:
+    up, down = p.up_adjacency(), p.down_adjacency()
+    if not _irreducible(up, down, x):
         raise NotDoublyIrreducible(f"element {x} is reducible")
-    up = p.up_adjacency()
-    dn = p.down_adjacency()
-    lows = list(_bits(dn[x]))
-    highs = list(_bits(up[x]))
-    if len(lows) != 1 or len(highs) != 1:
+    return not _sandwiched(up, down, x) or _retract_victim(up, down, x)
+
+
+def _sandwiched(up, down, v: int) -> bool:
+    return up[v].bit_count() == 1 == down[v].bit_count()
+
+
+def _retract_victim(up, down, v: int) -> bool:
+    """Whether ``v`` is sandwiched and no second path joins its two covers
+    where both are reducible."""
+    if not _sandwiched(up, down, v):
+        return False
+    y, z = down[v].bit_length() - 1, up[v].bit_length() - 1
+    if _irreducible(up, down, y) or _irreducible(up, down, z):
         return True
-    y, z = lows[0], highs[0]
-    if y not in cls.red or z not in cls.red:
-        return True
-    return not _path_avoiding(p, y, z, x)
+    return not _joined(up, y, z, 1 << v)
 
 
-def _path_avoiding(p: CoverDigraph, src: int, dst: int, banned: int) -> bool:
-    up = p.up_adjacency()
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        v = frontier.pop()
-        for w in _bits(up[v]):
-            if w == banned or w in seen:
-                continue
-            if w == dst:
-                return True
-            seen.add(w)
-            frontier.append(w)
-    return False
+def _pendant(up, down, v: int) -> bool:
+    return up[v].bit_count() + down[v].bit_count() == 1
 
 
-def _remove(p: CoverDigraph, labels: tuple[int, ...], victim: int):
-    keep = [v for v in range(p.n) if v != victim]
-    return induced_subposet(p, keep), tuple(labels[v] for v in keep)
-
-
-def _retract_pass(p: CoverDigraph, labels: tuple[int, ...]):
-    changed = False
+def _block_rows(p: CoverDigraph) -> tuple[list[int], list[int], int]:
+    """Cover rows and live mask of the basic block of ``p``: retract, then
+    prune, until neither deletes anything."""
+    up, down = list(p.up_adjacency()), list(p.down_adjacency())
+    live = (1 << p.n) - 1
     while True:
-        cls = poset_classification(p)
-        victim = next((x for x in sorted(cls.irr_star) if is_retractible(p, x)), None)
-        if victim is None:
-            return p, labels, changed
-        p, labels = _remove(p, labels, victim)
-        changed = True
-
-
-def _prune_pass(p: CoverDigraph, labels: tuple[int, ...]):
-    changed = False
-    while p.n > 1:
-        up = p.up_adjacency()
-        dn = p.down_adjacency()
-        victim = next(
-            (v for v in range(p.n) if bin(up[v]).count("1") + bin(dn[v]).count("1") == 1),
-            None,
-        )
-        if victim is None:
-            return p, labels, changed
-        p, labels = _remove(p, labels, victim)
-        changed = True
-    return p, labels, changed
+        start = live
+        live = _strip(up, down, live, _retract_victim)
+        live = _strip(up, down, live, _pendant)
+        if live == start:
+            return up, down, live
 
 
 def basic_retract_with_map(p: CoverDigraph) -> tuple[CoverDigraph, tuple[int, ...]]:
@@ -181,8 +164,8 @@ def basic_retract_with_map(p: CoverDigraph) -> tuple[CoverDigraph, tuple[int, ..
 
     Also returns the surviving original labels, position = new label.
     """
-    out, labels, _ = _retract_pass(p, tuple(range(p.n)))
-    return out, labels
+    up, down = list(p.up_adjacency()), list(p.down_adjacency())
+    return _live_digraph(up, _strip(up, down, (1 << p.n) - 1, _retract_victim))
 
 
 def basic_retract(p: CoverDigraph) -> CoverDigraph:
@@ -191,12 +174,8 @@ def basic_retract(p: CoverDigraph) -> CoverDigraph:
 
 def basic_block_with_map(p: CoverDigraph) -> tuple[CoverDigraph, tuple[int, ...]]:
     """Retract and prune pendant vertices to a joint fixed point."""
-    labels = tuple(range(p.n))
-    while True:
-        p, labels, retracted = _retract_pass(p, labels)
-        p, labels, pruned = _prune_pass(p, labels)
-        if not (retracted or pruned):
-            return p, labels
+    up, _, live = _block_rows(p)
+    return _live_digraph(up, live)
 
 
 def basic_block_of(p: CoverDigraph) -> CoverDigraph:
@@ -204,28 +183,27 @@ def basic_block_of(p: CoverDigraph) -> CoverDigraph:
 
 
 def fundamental_basic_block_of(l: Lattice) -> Lattice:
-    """Trim the basic block of ``l`` until all its glue pairs are distinct.
+    """Trim the basic block of ``l`` down to the ears each glue pair needs.
 
-    For each pair glued more than once, all parallel two-step ears but one are
-    removed (the spine route through the pair stays, so a pair whose open
-    interval is free of reducible elements keeps two routes).
+    The ears of a pair (lower, upper) are the block elements between those
+    two reducible elements alone.  Where nothing else joins the pair, its
+    two smallest ears stay, else only the smallest.  The spine decomposition
+    (``adjunct.spine_and_components``) keeps the same vertices: the
+    lexicographically smallest spine runs through the smallest ear between
+    consecutive reducible elements, which nothing else joins, and the
+    smallest off-spine ear stays at each pair.
     """
-    block = basic_block_of(l.digraph)
-    if block.n == 1:
-        return as_lattice(block)
-    block_lat = as_lattice(block)
-    _, components = spine_and_components(block_lat)
-    by_pair: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for a, b, elems in components:
-        by_pair.setdefault((a, b), []).append(elems)
-    drop: set[int] = set()
-    for ears in by_pair.values():
-        kept = min(ears, key=lambda e: (len(e), e))
-        for elems in ears:
-            if elems is not kept:
-                drop.update(elems)
-    keep = [v for v in range(block_lat.n) if v not in drop]
-    return as_lattice(induced_subposet(block, keep))
+    up, down, live = _block_rows(l.digraph)
+    ears: dict[tuple[int, int], list[int]] = {}
+    for v in _bits(live):
+        if _sandwiched(up, down, v):
+            pair = (down[v].bit_length() - 1, up[v].bit_length() - 1)
+            ears.setdefault(pair, []).append(v)
+    for (y, z), group in ears.items():
+        keep = 1 if _joined(up, y, z, sum(1 << v for v in group)) else 2
+        for v in group[keep:]:
+            live = _delete(up, down, live, v)
+    return as_lattice(_live_digraph(up, live)[0])
 
 
 def classify_fbb(l: Lattice) -> FbbClass:

@@ -184,6 +184,10 @@ def test_count_workload_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, call.args
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
 class TestEnumerate:
     def test_diamond_edges(self, capsys):
         assert main(["enumerate", "--n", "4", "--reducible", "2", "--format", "edges"]) == 0
@@ -250,6 +254,16 @@ class TestEnumerate:
     def test_scale_guard_exit_3(self, capsys):
         assert main(["enumerate", "--n", "13", "--reducible", "2"]) == 3
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.oracle, "reducible_class", _no_work)
+        target = tmp_path / "missing" / "class.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "6", "--reducible", "3", "--out", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err and "error" in captured.err
+
     @pytest.mark.parametrize("workers", ["0", "-2", "two"])
     def test_bad_workers_exit_2(self, workers):
         with pytest.raises(SystemExit) as exc:
@@ -293,6 +307,16 @@ class TestVerify:
     def test_scale_guard_exit_3(self, capsys):
         assert main(["verify", "--n-max", "13"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_json_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.oracle, "verify", _no_work)
+        target = tmp_path / "missing" / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-max", "4", "--json", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--json" in captured.err and "error" in captured.err
 
     def test_bad_workers_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from latcount.oracle import all_lattices, reducible_class
 from latcount.poset import (
     CycleDetected,
     LabelOutOfRange,
@@ -11,7 +14,10 @@ from latcount.poset import (
     chain,
     classify_elements,
     contains_crown,
+    _delete,
+    _live_digraph,
     dual,
+    induced_subposet,
     is_dismantlable,
     maximal_chains_in_interval,
     meet_join,
@@ -174,3 +180,46 @@ class TestMaximalChains:
     def test_incomparable_rejected(self):
         with pytest.raises(NotComparable):
             maximal_chains_in_interval(m2(), 1, 2)
+
+
+def _rows(p):
+    return list(p.up_adjacency()), list(p.down_adjacency()), (1 << p.n) - 1
+
+
+class TestDelete:
+    """In-place deletion from cover rows against the induced subposet."""
+
+    def test_every_single_vertex(self):
+        for n in range(1, 8):
+            for lat in all_lattices(n).values():
+                p = lat.digraph
+                for x in range(n):
+                    up, down, live = _rows(p)
+                    live = _delete(up, down, live, x)
+                    kept = [v for v in range(n) if v != x]
+                    assert _live_digraph(up, live) == (
+                        induced_subposet(p, kept),
+                        tuple(kept),
+                    )
+
+    def test_random_deletion_sequences(self):
+        rng = random.Random(20261018)
+        for n in range(1, 10):
+            for r in (2, 3):
+                for lat in reducible_class(n, r).values():
+                    p = lat.digraph
+                    up, down, live = _rows(p)
+                    order = list(range(n))
+                    rng.shuffle(order)
+                    for x in order[:-1]:
+                        live = _delete(up, down, live, x)
+                        kept = [v for v in range(n) if live >> v & 1]
+                        digraph, labels = _live_digraph(up, live)
+                        assert digraph == induced_subposet(p, kept)
+                        assert labels == tuple(kept)
+                        # the lower-cover rows stay the transpose of the upper ones
+                        assert down == [
+                            sum(1 << v for v in range(n) if up[v] >> w & 1)
+                            for w in range(n)
+                        ]
+

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import cache
 
@@ -6,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from latcount.adjunct import AdjunctPair, AdjunctRep, direct_sum, realize
 from latcount.canon import canonical_certificate as cert
-from latcount.oracle import reducible_class
+from latcount.oracle import all_lattices, reducible_class
 from latcount.poset import (
     as_lattice,
     build_poset,
     chain,
     classify_elements,
+    is_dismantlable,
     nullity,
     poset_classification,
     relabel,
@@ -20,6 +22,7 @@ from latcount.reduction import (
     FbbClass,
     NotDoublyIrreducible,
     basic_block_of,
+    basic_block_with_map,
     basic_retract,
     basic_retract_with_map,
     classify_fbb,
@@ -186,3 +189,47 @@ def test_reduction_invariant_under_relabeling_of_class_members(data):
     shuffled = as_lattice(relabel(lat.digraph, perm))
     assert classify_fbb(shuffled) is classify_fbb(lat)
     assert cert(basic_block_of(shuffled.digraph)) == cert(basic_block_of(lat.digraph))
+
+
+def _reduction_line(cert, lat):
+    """Everything the reduction layer says about one lattice, labels included."""
+    d = lat.digraph
+    tag = fbb_covers = None
+    if len(classify_elements(lat).red) in (2, 3):
+        tag = classify_fbb(lat).value
+        fbb_covers = fundamental_basic_block_of(lat).covers
+    return repr(
+        (
+            cert.data.hex(),
+            tag,
+            basic_retract_with_map(d),
+            basic_block_with_map(d),
+            fbb_covers,
+            is_dismantlable(lat),
+        )
+    )
+
+
+# sha256 of the newline-joined lines of every member, recorded before the
+# reduction layer moved onto in-place deletion from cover rows
+REDUCTION_PINS = {
+    "census": (
+        lambda: [kv for n in range(1, 9) for kv in sorted(all_lattices(n).items())],
+        "566a105c2cd83217d3ca0624de2c9bc60a8ff19ef54edb6d1775a420f2753e2d",
+    ),
+    "r2": (
+        lambda: [kv for n in range(1, 10) for kv in sorted(reducible_class(n, 2).items())],
+        "1d76514119da6a6a0153b9b6ad0d79f470d9c3cbb64edebc795af114cd903928",
+    ),
+    "r3": (
+        lambda: [kv for n in range(1, 10) for kv in sorted(reducible_class(n, 3).items())],
+        "0be860229e7759a1f5a1d35e342d029449d18a8359158905979d3f99f8f735bb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_PINS))
+def test_reduction_outputs_match_pins(name):
+    members, digest = REDUCTION_PINS[name]
+    text = "\n".join(_reduction_line(cert, lat) for cert, lat in members())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
