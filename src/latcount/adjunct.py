@@ -19,7 +19,6 @@ from .poset import (
     _bits,
     as_lattice,
     build_poset,
-    chain,
     classify_elements,
     is_dismantlable,
     maximal_chains_in_interval,
@@ -101,18 +100,38 @@ def direct_sum(m: CoverDigraph, p: CoverDigraph) -> CoverDigraph:
 
 
 def realize(rep: AdjunctRep) -> Lattice:
-    """Fold the adjunct sums of ``rep`` into a lattice."""
-    result = chain(rep.chains[0])
+    """Fold the adjunct sums of ``rep`` into a lattice.
+
+    The covers of every attachment go into one list, each pair checked
+    against the order built so far, and the lattice is built once at the
+    end: an adjunct sum of lattices at a non-cover pair is a lattice.
+    """
+    n = rep.chains[0]
+    covers = [(v, v + 1) for v in range(n - 1)]
+    # strict up-set masks of the order built so far
+    up = [(1 << n) - (2 << v) for v in range(n)]
     for i, (length, pair) in enumerate(zip(rep.chains[1:], rep.pairs)):
-        if not (0 <= pair.a < result.n and 0 <= pair.b < result.n):
-            raise PairNotComparable(
-                f"attachment {i}: pair ({pair.a}, {pair.b}) not realized yet"
+        a, b = pair.a, pair.b
+        if not (0 <= a < n and 0 <= b < n):
+            raise PairNotComparable(f"attachment {i}: pair ({a}, {b}) not realized yet")
+        if not up[a] >> b & 1:
+            raise PairNotComparable(f"attachment {i}: need a < b, got ({a}, {b})")
+        if (a, b) in covers:
+            raise PairIsCover(
+                f"attachment {i}: ({a}, {b}) is a cover; nothing fits in between"
             )
-        try:
-            result = adjunct_sum(result, chain(length), pair.a, pair.b)
-        except LatticeError as exc:
-            raise type(exc)(f"attachment {i}: {exc}") from exc
-    return result
+        # the chain n < ... < n + length - 1 glued between a and b
+        covers.append((a, n))
+        covers.extend((v, v + 1) for v in range(n, n + length - 1))
+        covers.append((n + length - 1, b))
+        glued = (1 << (n + length)) - (1 << n)
+        above_b = up[b] | 1 << b
+        for v in range(n):
+            if v == a or up[v] >> a & 1:
+                up[v] |= glued
+        up.extend(((1 << (n + length)) - (2 << v)) | above_b for v in range(n, n + length))
+        n += length
+    return as_lattice(build_poset(n, covers))
 
 
 def pair_multiplicity(l: Lattice, a: int, b: int) -> int:

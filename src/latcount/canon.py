@@ -65,15 +65,46 @@ def _encode(n: int, rows) -> bytes:
     return n.to_bytes(2, "big") + b"".join(r.to_bytes(width, "big") for r in rows)
 
 
-def decode_certificate(cert: Certificate) -> CoverDigraph:
-    """Rebuild the canonical cover digraph from its certificate bytes."""
+def _decode(cert: Certificate) -> tuple[int, list[int]]:
+    """The size and the canonical up-cover rows that ``cert`` encodes."""
     n = int.from_bytes(cert.data[:2], "big")
     width = (n + 7) // 8
-    covers = []
-    for i in range(n):
-        row = int.from_bytes(cert.data[2 + i * width : 2 + (i + 1) * width], "big")
-        covers.extend((i, j) for j in _bits(row))
+    rows = [
+        int.from_bytes(cert.data[2 + i * width : 2 + (i + 1) * width], "big")
+        for i in range(n)
+    ]
+    return n, rows
+
+
+def decode_certificate(cert: Certificate) -> CoverDigraph:
+    """Rebuild the canonical cover digraph from its certificate bytes."""
+    n, rows = _decode(cert)
+    covers = [(i, j) for i in range(n) for j in _bits(rows[i])]
     return CoverDigraph(n, tuple(sorted(covers)))
+
+
+def padded_certificate(cert: Certificate, below: int, above: int) -> Certificate:
+    """Certificate of ``chain(below) + L + chain(above)`` (ordered sums), read
+    off the certificate ``cert`` of a lattice ``L`` without a search.
+
+    The seeds are height-major, so every padding vertex has a height no
+    vertex of ``L`` shares: each is a singleton colour cell, ordered before
+    (below) or after (above) all of ``L``.  The bottom and top of ``L`` are
+    singletons too, the only vertices of their heights, so their changed
+    degrees reorder nothing.  Every colour of ``L`` shifts by ``below``,
+    refinement splits the cells of ``L`` exactly as it does alone, and the
+    search visits the same leaves in the same order.  In each leaf the rows
+    of ``L`` shift left by ``below`` bits, and its top, always last, gains
+    the first chain-above vertex; shifts and that fixed row keep the order
+    of leaves, so the smallest rows are those of ``L``, padded.
+    """
+    m, rows = _decode(cert)
+    n = below + m + above
+    padded = [1 << (i + 1) for i in range(below)] + [row << below for row in rows]
+    if above:
+        padded[-1] = 1 << (below + m)  # the top, covered by the chain above
+        padded += [1 << (i + 1) for i in range(below + m, n - 1)] + [0]
+    return Certificate(_encode(n, padded))
 
 
 def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -13,7 +13,8 @@ from contextlib import nullcontext
 from dataclasses import asdict
 
 from . import formulas, oracle, series
-from .canon import _longest_paths, canonical_digraph
+# canonical_digraph has no caller here; perfbench/tracer.py binds it by name
+from .canon import _longest_paths, canonical_digraph, decode_certificate  # noqa: F401
 from .poset import Lattice, as_lattice, build_poset, classify_elements, nullity
 from .reduction import classify_fbb
 
@@ -131,10 +132,8 @@ def _cmd_blocks(args, parser) -> int:
 def _cmd_enumerate(args, parser) -> int:
     with args.out or nullcontext(sys.stdout) as sink:
         members = oracle.reducible_class(args.n, args.reducible, workers=args.workers)
-        ordered = [
-            as_lattice(canonical_digraph(lat.digraph))
-            for _, lat in sorted(members.items())
-        ]
+        # each key is its member's certificate: the canonical form, encoded
+        ordered = [as_lattice(decode_certificate(cert)) for cert in sorted(members)]
         if args.format == "json":
             text = "\n".join(document_json(lattice_document(lat)) for lat in ordered)
         elif args.format == "dot":

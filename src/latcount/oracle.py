@@ -12,7 +12,10 @@ Two deliberately separate generation paths:
   ``FULL_SEARCH_LIMIT`` elements without building level n, and
 * a constructive path that realizes adjunct-of-chains recipes for the classes
   with exactly 2 or 3 reducible elements, which stays feasible past the full
-  search limit.
+  search limit.  Each member is a maximal block padded by chains below and
+  above; every block is realized and canonicalized once, and the certificate
+  of each padding is read off the block's certificate
+  (:func:`canon.padded_certificate`), not searched again.
 
 Where the paths overlap they must produce identical certificate sets; the
 verify driver checks that, plus every formula cell, and reports witnesses on
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 from . import formulas
 from .adjunct import AdjunctPair, AdjunctRep, direct_sum, realize
-from .canon import Certificate, canonical_certificate
+from .canon import Certificate, canonical_certificate, padded_certificate
 from .partitions import enumerate_partitions
 from .poset import (
     CoverDigraph,
@@ -312,13 +315,19 @@ def _blocks(m: int, r: int):
 
 def _padding_slice(args: tuple[int, int, int]) -> list[tuple[Certificate, Lattice]]:
     """Members whose maximal block has n - j elements; one worker unit.
-    Padding chains add no reducible element."""
+
+    Padding chains add no reducible element.  Each block is canonicalized
+    once and each padded key is read off its certificate; a key's member is
+    the first block in recipe order with that padding.
+    """
     n, r, j = args
     found: dict[Certificate, Lattice] = {}
     for block in _blocks(n - j, r):
+        cert = canonical_certificate(block.digraph)
         for below in range(j + 1):
-            lat = _pad(block, below, j - below)
-            found.setdefault(canonical_certificate(lat.digraph), lat)
+            key = padded_certificate(cert, below, j - below)
+            if key not in found:
+                found[key] = _pad(block, below, j - below)
     return sorted(found.items(), key=lambda kv: kv[0])
 
 
@@ -410,18 +419,24 @@ class OracleCensus:
 
 def census(n: int) -> OracleCensus:
     """Full census by exhaustive search (n <= ``FULL_SEARCH_LIMIT``)."""
-    classes: dict[int, set[Certificate]] = {}
+    classes = _reducible_split(n)
     fibers: dict[FbbClass, set[Certificate]] = {}
-    for cert, lat in all_lattices(n).items():
-        r = len(classify_elements(lat).red)
-        classes.setdefault(r, set()).add(cert)
-        if r == 3:
-            fibers.setdefault(classify_fbb(lat), set()).add(cert)
+    for cert, lat in classes.get(3, {}).items():
+        fibers.setdefault(classify_fbb(lat), set()).add(cert)
     return OracleCensus(
         n,
         {r: frozenset(v) for r, v in classes.items()},
         {tag: frozenset(v) for tag, v in fibers.items()},
     )
+
+
+def _reducible_split(n: int) -> dict[int, dict[Certificate, Lattice]]:
+    """Every n-element lattice of the exhaustive search, keyed by its number
+    of reducible elements (n <= ``FULL_SEARCH_LIMIT``)."""
+    classes: dict[int, dict[Certificate, Lattice]] = {}
+    for cert, lat in all_lattices(n).items():
+        classes.setdefault(len(classify_elements(lat).red), {})[cert] = lat
+    return classes
 
 
 @dataclass(frozen=True)
@@ -488,17 +503,18 @@ def _verify_one(n: int, workers: int) -> list[VerifyRecord]:
         cell(name, func(n), tagged(three, tag))
 
     if n <= FULL_SEARCH_LIMIT:
-        full = census(n)
-        chains = len(full.classes.get(0, ()))
+        full = _reducible_split(n)
+        chains = len(full.get(0, ()))
         records.append(VerifyRecord(n, "chains", 1, chains, chains == 1))
-        other = sum(len(v) for r, v in full.classes.items() if r not in (0, 2, 3))
+        other = sum(len(v) for r, v in full.items() if r not in (0, 2, 3))
         records.append(VerifyRecord(n, "other", other, other, None))
-        records.append(VerifyRecord(n, "total", full.total(), full.total(), None))
+        total = sum(len(v) for v in full.values())
+        records.append(VerifyRecord(n, "total", total, total, None))
         for name, r, members in (
             ("search_two_reducible", 2, two),
             ("search_three_reducible", 3, three),
         ):
-            same = full.classes.get(r, frozenset()) == frozenset(members)
+            same = full.get(r, {}).keys() == members.keys()
             records.append(VerifyRecord(n, name, None, None, same))
 
     strata2 = block_census(n, 2) if n >= 4 else {}

@@ -1,5 +1,6 @@
 import pytest
 
+from latcount import oracle
 from latcount.adjunct import (
     AdjunctPair,
     AdjunctRep,
@@ -13,6 +14,7 @@ from latcount.adjunct import (
 )
 from latcount.canon import canonical_certificate as cert
 from latcount.poset import (
+    LatticeError,
     as_lattice,
     chain,
     classify_elements,
@@ -89,6 +91,56 @@ class TestRealize:
         rep = AdjunctRep((3, 1, 1), (AdjunctPair(0, 2), AdjunctPair(5, 6)))
         with pytest.raises(PairNotComparable, match="attachment 1"):
             realize(rep)
+
+    @pytest.mark.parametrize(
+        "chains, pairs, error, message",
+        [
+            ((3, 1, 1), ((0, 2), (5, 6)), PairNotComparable,
+             "attachment 1: pair (5, 6) not realized yet"),
+            ((3, 1, 1), ((0, 2), (1, 1)), PairNotComparable,
+             "attachment 1: need a < b, got (1, 1)"),
+            ((4, 1), ((3, 0),), PairNotComparable,
+             "attachment 0: need a < b, got (3, 0)"),
+            ((3, 1, 1), ((0, 2), (3, 1)), PairNotComparable,
+             "attachment 1: need a < b, got (3, 1)"),
+            ((3, 1, 1), ((0, 2), (3, 2)), PairIsCover,
+             "attachment 1: (3, 2) is a cover; nothing fits in between"),
+            ((3, 1), ((0, 1),), PairIsCover,
+             "attachment 0: (0, 1) is a cover; nothing fits in between"),
+        ],
+    )
+    def test_error_types_and_messages(self, chains, pairs, error, message):
+        rep = AdjunctRep(chains, tuple(AdjunctPair(a, b) for a, b in pairs))
+        with pytest.raises(LatticeError) as exc:
+            realize(rep)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_equals_adjunct_sum_fold(self):
+        """One build of all attachments gives the lattice that gluing the
+        chains one adjunct sum at a time gives, on every block recipe and on
+        recipes that glue onto chains glued before."""
+        nested = [
+            AdjunctRep((4, 1, 1), (AdjunctPair(1, 3), AdjunctPair(0, 4))),
+            AdjunctRep((3, 2, 1), (AdjunctPair(0, 2), AdjunctPair(3, 2))),
+            AdjunctRep((3, 3, 1), (AdjunctPair(0, 2), AdjunctPair(3, 5))),
+            AdjunctRep((5, 2, 1, 1), (AdjunctPair(1, 3), AdjunctPair(0, 6), AdjunctPair(5, 4))),
+        ]
+        recipes = [
+            rep
+            for m in range(1, 11)
+            for reps in (
+                oracle._two_reducible_block_reps,
+                oracle._three_reducible_block_reps,
+            )
+            for rep in reps(m)
+        ]
+        assert len(recipes) == 443
+        for rep in recipes + nested:
+            folded = chain(rep.chains[0])
+            for length, pair in zip(rep.chains[1:], rep.pairs):
+                folded = adjunct_sum(folded, chain(length), pair.a, pair.b)
+            assert realize(rep) == folded, rep
 
 
 class TestPairMultiplicity:

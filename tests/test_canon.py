@@ -13,6 +13,7 @@ from latcount.canon import (
     canonical_digraph,
     canonical_labeling,
     decode_certificate,
+    padded_certificate,
 )
 from latcount.poset import (
     as_lattice,
@@ -126,6 +127,41 @@ def test_certificate_decodes_to_isomorphic_digraph():
         cert = canonical_certificate(lat.digraph)
         rebuilt = decode_certificate(cert)
         assert canonical_certificate(rebuilt) == cert
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_padded_certificate_equals_canonical(r):
+    """Padding a block with chains below and above pads its certificate:
+    every block of ``block_census(m, r)``, m <= 10, every padding to n <= 11."""
+    checked = 0
+    for m in range(1, 11):
+        for members in (oracle.block_census(m, r) if m >= 4 else {}).values():
+            for cert, block in members.items():
+                perm = canonical_labeling(block.digraph)
+                assert (perm[0], perm[-1]) == (block.bottom, block.top)
+                for below, above in itertools.product(range(12 - m), repeat=2):
+                    if m + below + above > 11:
+                        continue
+                    padded = oracle._pad(block, below, above)
+                    assert padded_certificate(cert, below, above) == canonical_certificate(
+                        padded.digraph
+                    ), (cert, below, above)
+                    checked += 1
+    assert checked == {2: 513, 3: 1882}[r]
+
+
+def test_padded_certificate_of_small_lattices():
+    for lat in (chain(1), chain(2), m2()):
+        cert = canonical_certificate(lat.digraph)
+        assert padded_certificate(cert, 0, 0) == cert
+        for below, above in ((1, 0), (0, 1), (2, 3)):
+            padded = oracle._pad(lat, below, above)
+            assert padded_certificate(cert, below, above) == canonical_certificate(
+                padded.digraph
+            )
+    assert padded_certificate(canonical_certificate(chain(1).digraph), 2, 1) == (
+        canonical_certificate(chain(4).digraph)
+    )
 
 
 def test_canonical_labeling_is_permutation():

@@ -184,6 +184,35 @@ def test_count_workload_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, call.args
 
 
+def test_enumerate_workload_digest(capsys):
+    """The benchmark's ``enumerate`` command, with one worker, prints the
+    documents whose digest ``perfbench/workloads.py`` records."""
+    workloads = load_workloads()
+    (call,) = workloads.WORKLOADS["enumerate"].traced_calls
+    assert call.kind == "cli"
+    assert main(list(call.args)) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == workloads.ENUMERATE_BYTES
+    assert hashlib.sha256(out).hexdigest() == workloads.ENUMERATE_SHA256
+
+
+# sha256 and length of the stdout of `enumerate`, recorded before members
+# were derived from their blocks' certificates
+ENUMERATE_PINS = {
+    ("9", "3", "edges"): ("04f2d582383c8f956cb678482cf93241fcc4dc5404ddac6561aaf01661fb1427", 9514),
+    ("9", "3", "dot"): ("6f940185d43388249f1f9dd7b1bdb8044cc3aa0e6fdc01eb6e129ccfec0e7e2f", 58528),
+    ("10", "2", "json"): ("eb07570d3ce5068f52fcc83bb7d07d0d27e2980e93c6b84b0627409895b8c695", 21920),
+}
+
+
+@pytest.mark.parametrize("n, r, fmt", ENUMERATE_PINS)
+def test_enumerate_stdout_is_pinned(n, r, fmt, capsys):
+    assert main(["enumerate", "--n", n, "--reducible", r, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    digest, size = ENUMERATE_PINS[(n, r, fmt)]
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("work started before the output path was checked")
 
