@@ -16,7 +16,7 @@ from . import formulas, oracle, series
 # canonical_digraph has no caller here; perfbench/tracer.py binds it by name
 from .canon import _longest_paths, canonical_digraph, decode_certificate  # noqa: F401
 from .poset import Lattice, as_lattice, build_poset, classify_elements, nullity
-from .reduction import classify_fbb
+from .reduction import FbbClass, classify_fbb
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -31,15 +31,18 @@ EXIT_SCALE = 3
 # --------------------------------------------------------------------------
 
 
-def lattice_document(l: Lattice) -> dict:
+def lattice_document(l: Lattice, fbb: FbbClass | None = None) -> dict:
+    """The document of ``l``.  ``fbb`` is its fundamental basic block class
+    when the caller knows it already; otherwise it is derived from ``l``."""
     cls = classify_elements(l)
-    fbb = classify_fbb(l).value if len(cls.red) in (2, 3) else None
+    if fbb is None and len(cls.red) in (2, 3):
+        fbb = classify_fbb(l)
     return {
         "n": l.n,
         "covers": [list(c) for c in sorted(l.covers)],
         "red": sorted(cls.red),
         "nullity": nullity(l.digraph),
-        "fbb": fbb,
+        "fbb": None if fbb is None else fbb.value,
     }
 
 
@@ -132,10 +135,14 @@ def _cmd_blocks(args, parser) -> int:
 def _cmd_enumerate(args, parser) -> int:
     with args.out or nullcontext(sys.stdout) as sink:
         members = oracle.reducible_class(args.n, args.reducible, workers=args.workers)
+        certs = sorted(members)
         # each key is its member's certificate: the canonical form, encoded
-        ordered = [as_lattice(decode_certificate(cert)) for cert in sorted(members)]
+        ordered = [as_lattice(decode_certificate(cert)) for cert in certs]
         if args.format == "json":
-            text = "\n".join(document_json(lattice_document(lat)) for lat in ordered)
+            text = "\n".join(
+                document_json(lattice_document(lat, members[cert].fbb))
+                for cert, lat in zip(certs, ordered)
+            )
         elif args.format == "dot":
             text = "\n\n".join(
                 dot_digraph(lat, f"lattice_{i}") for i, lat in enumerate(ordered)

@@ -13,9 +13,11 @@ Two deliberately separate generation paths:
 * a constructive path that realizes adjunct-of-chains recipes for the classes
   with exactly 2 or 3 reducible elements, which stays feasible past the full
   search limit.  Each member is a maximal block padded by chains below and
-  above; every block is realized and canonicalized once, and the certificate
-  of each padding is read off the block's certificate
-  (:func:`canon.padded_certificate`), not searched again.
+  above.  Every block is realized, canonicalized and F-classified once per
+  process and kept in a table; the certificate of each padding is read off
+  the block's certificate (:func:`canon.padded_certificate`), not searched
+  again, and each member inherits its block's F-class, which padding does
+  not change.
 
 Where the paths overlap they must produce identical certificate sets; the
 verify driver checks that, plus every formula cell, and reports witnesses on
@@ -313,21 +315,60 @@ def _blocks(m: int, r: int):
             yield block
 
 
-def _padding_slice(args: tuple[int, int, int]) -> list[tuple[Certificate, Lattice]]:
+@dataclass(frozen=True)
+class Member:
+    """A lattice of a reducible class: its maximal block padded by a chain of
+    ``below`` elements under it and ``above`` over it.
+
+    ``block`` is the first realized recipe with the block's certificate and
+    ``fbb`` the block's fundamental basic block class, which the padding
+    does not change.  A block is the member with no padding.
+    """
+
+    block: Lattice
+    fbb: FbbClass
+    below: int = 0
+    above: int = 0
+
+    def lattice(self) -> Lattice:
+        """The padded lattice, built on each call."""
+        return _pad(self.block, self.below, self.above)
+
+
+# Distinct blocks by (m, r), each in recipe order of its first realization;
+# filled once per process, like ``_LEVELS``.
+_BLOCKS: dict[tuple[int, int], dict[Certificate, Member]] = {}
+
+
+def _block_table(m: int, r: int) -> dict[Certificate, Member]:
+    """Every block on m elements with exactly r in {2, 3} reducibles, keyed
+    by certificate, with its F-class; the first block in recipe order wins.
+    Each (m, r) is realized, canonicalized and classified once per process."""
+    table = _BLOCKS.get((m, r))
+    if table is None:
+        table = {}
+        for block in _blocks(m, r):
+            cert = canonical_certificate(block.digraph)
+            if cert not in table:
+                table[cert] = Member(block, classify_fbb(block))
+        _BLOCKS[m, r] = table
+    return table
+
+
+def _padding_slice(args: tuple[int, int, int]) -> list[tuple[Certificate, Member]]:
     """Members whose maximal block has n - j elements; one worker unit.
 
-    Padding chains add no reducible element.  Each block is canonicalized
-    once and each padded key is read off its certificate; a key's member is
-    the first block in recipe order with that padding.
+    Padding chains add no reducible element.  Each padded key is read off
+    its block's certificate; a key's member is the first block in recipe
+    order with that padding.
     """
     n, r, j = args
-    found: dict[Certificate, Lattice] = {}
-    for block in _blocks(n - j, r):
-        cert = canonical_certificate(block.digraph)
+    found: dict[Certificate, Member] = {}
+    for cert, block in _block_table(n - j, r).items():
         for below in range(j + 1):
             key = padded_certificate(cert, below, j - below)
             if key not in found:
-                found[key] = _pad(block, below, j - below)
+                found[key] = Member(block.block, block.fbb, below, j - below)
     return sorted(found.items(), key=lambda kv: kv[0])
 
 
@@ -344,8 +385,9 @@ def _chain_digraph(k: int) -> CoverDigraph:
     return build_poset(k, [(i, i + 1) for i in range(k - 1)])
 
 
-def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Lattice]:
-    """All unlabeled n-element lattices with exactly r in {2, 3} reducibles.
+def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Member]:
+    """All unlabeled n-element lattices with exactly r in {2, 3} reducibles,
+    as members that build their lattice on request.
 
     ``workers`` > 1 fans the padding slices out over processes, no more than
     there are slices or CPUs; the merged result does not depend on the worker
@@ -360,11 +402,12 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Latti
         slices = map(_padding_slice, args)
     else:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            slices = pool.map(_padding_slice, args)
-    out: dict[Certificate, Lattice] = {}
+            # one slice per task: larger chunks pair the two largest slices
+            slices = pool.map(_padding_slice, args, chunksize=1)
+    out: dict[Certificate, Member] = {}
     for slice_result in slices:
-        for cert, lat in slice_result:
-            out.setdefault(cert, lat)
+        for cert, member in slice_result:
+            out.setdefault(cert, member)
     return out
 
 
@@ -379,23 +422,22 @@ def enumerate_by_reducible(n: int, r: int, workers: int = 1) -> frozenset[Certif
     return frozenset(reducible_class(n, r, workers=workers))
 
 
-def block_census(m: int, r: int) -> dict[int, dict[Certificate, Lattice]]:
-    """Blocks with exactly r reducibles on m elements, keyed by edge surplus k."""
+def block_census(m: int, r: int) -> dict[int, dict[Certificate, Member]]:
+    """Blocks with exactly r reducibles on m elements, keyed by edge surplus k;
+    a view of the block table."""
     _check_class(m, r)
-    out: dict[int, dict[Certificate, Lattice]] = {}
-    for block in _blocks(m, r):
-        k = len(block.covers) - m
-        out.setdefault(k, {}).setdefault(canonical_certificate(block.digraph), block)
+    out: dict[int, dict[Certificate, Member]] = {}
+    for cert, block in _block_table(m, r).items():
+        out.setdefault(len(block.block.covers) - m, {})[cert] = block
     return out
 
 
 def three_block_fibers(m: int) -> dict[tuple[FbbClass, int], int]:
     """Counts of 3-reducible blocks on m elements by (class, edge surplus)."""
     fibers: dict[tuple[FbbClass, int], int] = {}
-    for k, members in block_census(m, 3).items():
-        for lat in members.values():
-            tag = classify_fbb(lat)
-            fibers[(tag, k)] = fibers.get((tag, k), 0) + 1
+    for k, blocks in block_census(m, 3).items():
+        for block in blocks.values():
+            fibers[(block.fbb, k)] = fibers.get((block.fbb, k), 0) + 1
     return fibers
 
 
@@ -477,15 +519,16 @@ def _verify_one(n: int, workers: int) -> list[VerifyRecord]:
         """Compare a formula value with the number of oracle ``members``."""
         ok = formula_value == len(members)
         first = next(iter(members), None)
-        witness = None if ok or first is None else [list(c) for c in first.covers]
+        witness = None
+        if not ok and first is not None:
+            witness = [list(c) for c in first.lattice().covers]
         records.append(VerifyRecord(n, name, formula_value, len(members), ok, witness))
 
     two = reducible_class(n, 2, workers=workers)
     three = reducible_class(n, 3, workers=workers)
-    tags = {cert: classify_fbb(lat) for cert, lat in three.items()}
 
     def tagged(members, tag):
-        return [lat for cert, lat in members.items() if tags[cert] is tag]
+        return [member for member in members.values() if member.fbb is tag]
 
     cell("two_reducible", formulas.two_reducible_lattices(n), two.values())
     cell(
@@ -525,7 +568,6 @@ def _verify_one(n: int, workers: int) -> list[VerifyRecord]:
             strata2.get(k, {}).values(),
         )
     if n >= 6:
-        # the blocks on n elements are the unpadded members of ``three``
         strata3 = block_census(n, 3)
         for name, func, tag in (
             ("b1", formulas.b1_blocks, FbbClass.F1),

@@ -181,7 +181,7 @@ class TestDecompose:
 
         for n in range(4, 8):
             for r in (2, 3):
-                for lat in reducible_class(n, r).values():
+                for lat in (m.lattice() for m in reducible_class(n, r).values()):
                     rep = decompose(lat)
                     assert sum(rep.chains) == lat.n
                     assert cert(realize(rep).digraph) == cert(lat.digraph)
@@ -189,7 +189,7 @@ class TestDecompose:
     def test_multiplicity_sum_matches_chain_count(self):
         from latcount.oracle import reducible_class
 
-        for lat in reducible_class(7, 3).values():
+        for lat in (m.lattice() for m in reducible_class(7, 3).values()):
             rep = decompose(lat)
             distinct = {(p.a, p.b) for p in rep.pairs}
             realized = realize(rep)  # rep pairs are labels of the realization

@@ -136,7 +136,8 @@ def test_padded_certificate_equals_canonical(r):
     checked = 0
     for m in range(1, 11):
         for members in (oracle.block_census(m, r) if m >= 4 else {}).values():
-            for cert, block in members.items():
+            for cert, member in members.items():
+                block = member.block
                 perm = canonical_labeling(block.digraph)
                 assert (perm[0], perm[-1]) == (block.bottom, block.top)
                 for below, above in itertools.product(range(12 - m), repeat=2):
@@ -202,7 +203,7 @@ def _block_certs(m, r):
 
 def _canonical_covers(n):
     members = sorted(oracle.reducible_class(n, 3).items())
-    text = "".join(repr(canonical_digraph(lat.digraph).covers) for _, lat in members)
+    text = "".join(repr(canonical_digraph(m.lattice().digraph).covers) for _, m in members)
     return text.encode()
 
 

@@ -61,7 +61,8 @@ class TestClassSearch:
 
     def test_members_have_claimed_reducible_count(self):
         for n, r in [(7, 2), (7, 3), (8, 3)]:
-            for lat in reducible_class(n, r).values():
+            for member in reducible_class(n, r).values():
+                lat = member.lattice()
                 assert lat.n == n
                 assert len(classify_elements(lat).red) == r
 
@@ -71,11 +72,29 @@ class TestClassSearch:
             assert full.classes.get(2, frozenset()) == enumerate_by_reducible(n, 2)
             assert full.classes.get(3, frozenset()) == enumerate_by_reducible(n, 3)
 
+    def test_carried_tag_is_the_members_own_class(self):
+        """Members inherit their block's tag; classifying each padded member
+        itself is the reference."""
+        for n in range(1, 11):
+            for r in (2, 3):
+                for member in reducible_class(n, r).values():
+                    assert member.fbb is classify_fbb(member.lattice()), (n, r)
+
+    def test_carried_tags_match_full_search_fibers(self):
+        """The search classifies its own lattices, independently of the
+        recipes and of the block table."""
+        for n in range(1, FULL_SEARCH_LIMIT + 1):
+            fibers: dict[FbbClass, set] = {}
+            for cert, member in reducible_class(n, 3).items():
+                fibers.setdefault(member.fbb, set()).add(cert)
+            assert fibers == census(n).fbb_fibers, n
+
     def test_duality_closure_and_fiber_swap(self):
         members = reducible_class(7, 3)
         certs = set(members)
         swap = {FbbClass.F1: FbbClass.F2, FbbClass.F2: FbbClass.F1}
-        for cert, lat in members.items():
+        for cert, member in members.items():
+            lat = member.lattice()
             mirrored = as_lattice(dual(lat.digraph))
             mirror_cert = canonical_certificate(mirrored.digraph)
             assert mirror_cert in certs
@@ -148,7 +167,8 @@ class TestBlockCensus:
 
     def test_blocks_have_reducible_extremes(self):
         for k, members in block_census(7, 3).items():
-            for lat in members.values():
+            for member in members.values():
+                lat = member.block
                 cls = classify_elements(lat)
                 assert lat.bottom in cls.red and lat.top in cls.red
                 assert len(lat.covers) == 7 + k
@@ -214,6 +234,26 @@ class TestVerify:
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
             verify(42)
+
+    def test_each_block_is_realized_and_classified_once(self, monkeypatch):
+        calls = {"realize": 0, "classify_fbb": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(oracle, "_BLOCKS", {})
+        monkeypatch.setattr(oracle, "realize", counted("realize", oracle.realize))
+        monkeypatch.setattr(
+            oracle, "classify_fbb", counted("classify_fbb", oracle.classify_fbb)
+        )
+        assert verification_ok(verify(9))
+        # 37 two-reducible plus 150 three-reducible blocks on m <= 9 elements
+        assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
+        assert calls == {"realize": 187, "classify_fbb": 187}
 
 
 def test_certificates_decode_to_members():

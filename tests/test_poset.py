@@ -206,8 +206,8 @@ class TestDelete:
         rng = random.Random(20261018)
         for n in range(1, 10):
             for r in (2, 3):
-                for lat in reducible_class(n, r).values():
-                    p = lat.digraph
+                for member in reducible_class(n, r).values():
+                    p = member.lattice().digraph
                     up, down, live = _rows(p)
                     order = list(range(n))
                     rng.shuffle(order)

@@ -175,7 +175,7 @@ class TestClassify:
 
 @cache
 def three_reducible_members(n):
-    return [lat for _, lat in sorted(reducible_class(n, 3).items())]
+    return [m.lattice() for _, m in sorted(reducible_class(n, 3).items())]
 
 
 @settings(deadline=None, max_examples=250)
@@ -210,6 +210,12 @@ def _reduction_line(cert, lat):
     )
 
 
+def _class_lattices(r):
+    return [
+        (cert, m.lattice()) for n in range(1, 10) for cert, m in sorted(reducible_class(n, r).items())
+    ]
+
+
 # sha256 of the newline-joined lines of every member, recorded before the
 # reduction layer moved onto in-place deletion from cover rows
 REDUCTION_PINS = {
@@ -218,11 +224,11 @@ REDUCTION_PINS = {
         "566a105c2cd83217d3ca0624de2c9bc60a8ff19ef54edb6d1775a420f2753e2d",
     ),
     "r2": (
-        lambda: [kv for n in range(1, 10) for kv in sorted(reducible_class(n, 2).items())],
+        lambda: _class_lattices(2),
         "1d76514119da6a6a0153b9b6ad0d79f470d9c3cbb64edebc795af114cd903928",
     ),
     "r3": (
-        lambda: [kv for n in range(1, 10) for kv in sorted(reducible_class(n, 3).items())],
+        lambda: _class_lattices(3),
         "0be860229e7759a1f5a1d35e342d029449d18a8359158905979d3f99f8f735bb",
     ),
 }
