@@ -5,7 +5,9 @@ height, depth), then backtracks over the remaining colour classes by
 individualize-and-refine; the certificate is the lexicographically smallest
 cover-adjacency encoding over all colour-respecting labelings, and the
 labeling is the first leaf, in search order, that attains it.  Sizes stay at
-desk scale, so no external dependency is warranted.
+desk scale, so no external dependency is warranted.  The up and down
+neighbour lists are built once per call; the seeds, every refinement round
+and every leaf read the same lists.
 
 Symmetric branches are pruned (McKay and Piperno, "Practical graph
 isomorphism, II", 2014).  Two leaves with equal rows differ by an
@@ -110,19 +112,13 @@ def padded_certificate(cert: Certificate, below: int, above: int) -> Certificate
 def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if n == 1:
         return (0,), (0,)
-    dn = [0] * n
-    for v in range(n):
-        for w in _bits(up[v]):
-            dn[w] |= 1 << v
-    height = _longest_paths(n, up, dn)
-    depth = _longest_paths(n, tuple(dn), up)
+    ups, dns = _neighbours(up)
+    height = _longest_paths(n, ups, dns)
+    depth = _longest_paths(n, dns, ups)
     # height-major seeds make every canonical labeling a linear extension
-    seeds = [
-        (height[v], bin(dn[v]).count("1"), bin(up[v]).count("1"), depth[v])
-        for v in range(n)
-    ]
+    seeds = [(height[v], len(dns[v]), len(ups[v]), depth[v]) for v in range(n)]
     ranking = {s: i for i, s in enumerate(sorted(set(seeds)))}
-    colors = _refine(n, up, dn, [ranking[s] for s in seeds])
+    colors = _refine(n, ups, dns, [ranking[s] for s in seeds])
 
     best_rows: tuple[int, ...] | None = None
     best_perm: tuple[int, ...] | None = None
@@ -133,9 +129,7 @@ def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
         pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
-        rows = tuple(
-            sum(1 << pos[w] for w in _bits(up[v])) for v in order
-        )
+        rows = tuple(sum(1 << pos[w] for w in ups[v]) for v in order)
         if best_rows is None or rows < best_rows:
             best_rows = rows
             best_perm = tuple(order)
@@ -165,11 +159,22 @@ def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
                 continue  # an automorphic image of an earlier subtree
             split = [2 * c for c in colors]
             split[v] -= 1
-            descend(_refine(n, up, dn, split), fixed + (v,))
+            descend(_refine(n, ups, dns, split), fixed + (v,))
 
     descend(colors, ())
     assert best_rows is not None and best_perm is not None
     return best_rows, best_perm
+
+
+def _neighbours(up) -> tuple[list[list[int]], list[list[int]]]:
+    """Upper and lower cover lists, ascending, of the bitmask rows ``up`` of
+    upper covers."""
+    ups = [list(_bits(row)) for row in up]
+    dns: list[list[int]] = [[] for _ in up]
+    for v, row in enumerate(ups):
+        for w in row:
+            dns[w].append(v)
+    return ups, dns
 
 
 def _orbit_min(v: int, generators: list[list[int]]) -> int:
@@ -186,15 +191,16 @@ def _orbit_min(v: int, generators: list[list[int]]) -> int:
     return min(orbit)
 
 
-def _refine(n: int, up, dn, colors: list[int]) -> list[int]:
-    """Iterate neighbourhood-multiset colour refinement to a fixed point."""
+def _refine(n: int, ups, dns, colors: list[int]) -> list[int]:
+    """Iterate neighbourhood-multiset colour refinement to a fixed point;
+    ``ups[v]`` and ``dns[v]`` list the upper and lower covers of ``v``."""
     distinct = len(set(colors))
     while True:
         sigs = [
             (
                 colors[v],
-                tuple(sorted(colors[w] for w in _bits(up[v]))),
-                tuple(sorted(colors[w] for w in _bits(dn[v]))),
+                tuple(sorted([colors[w] for w in ups[v]])),
+                tuple(sorted([colors[w] for w in dns[v]])),
             )
             for v in range(n)
         ]
@@ -205,14 +211,15 @@ def _refine(n: int, up, dn, colors: list[int]) -> list[int]:
         distinct = len(ranking)
 
 
-def _longest_paths(n: int, up, dn) -> list[int]:
-    """Longest cover-path length ending at each vertex, walking upward."""
-    indeg = [bin(dn[v]).count("1") for v in range(n)]
+def _longest_paths(n: int, ups, dns) -> list[int]:
+    """Longest cover-path length ending at each vertex, walking along the
+    neighbour lists ``ups``; ``dns`` lists the reverse neighbours."""
+    indeg = [len(dns[v]) for v in range(n)]
     queue = [v for v in range(n) if indeg[v] == 0]
     dist = [0] * n
     while queue:
         v = queue.pop()
-        for w in _bits(up[v]):
+        for w in ups[v]:
             if dist[v] + 1 > dist[w]:
                 dist[w] = dist[v] + 1
             indeg[w] -= 1

@@ -14,7 +14,12 @@ from dataclasses import asdict
 
 from . import formulas, oracle, series
 # canonical_digraph has no caller here; perfbench/tracer.py binds it by name
-from .canon import _longest_paths, canonical_digraph, decode_certificate  # noqa: F401
+from .canon import (  # noqa: F401
+    _longest_paths,
+    _neighbours,
+    canonical_digraph,
+    decode_certificate,
+)
 from .poset import Lattice, as_lattice, build_poset, classify_elements, nullity
 from .reduction import FbbClass, classify_fbb
 
@@ -58,7 +63,7 @@ def document_to_lattice(doc: dict) -> Lattice:
 
 def dot_digraph(l: Lattice, name: str) -> str:
     """A DOT digraph whose ranks follow element height, covers drawn upward."""
-    height = _longest_paths(l.n, l.digraph.up_adjacency(), l.digraph.down_adjacency())
+    height = _longest_paths(l.n, *_neighbours(l.digraph.up_adjacency()))
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for h in range(max(height) + 1 if l.n else 0):
         level = [str(v) for v in range(l.n) if height[v] == h]

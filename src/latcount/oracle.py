@@ -9,7 +9,12 @@ Two deliberately separate generation paths:
   meet-semilattices, one per isomorphism class, and removing the top is a
   bijection from n-element lattices onto them, so adjoining a top to each
   state of level n - 1 harvests every unlabeled lattice on n <=
-  ``FULL_SEARCH_LIMIT`` elements without building level n, and
+  ``FULL_SEARCH_LIMIT`` elements without building level n.  Each level is
+  keyed by the certificates of the lattices its states become: adjoining a
+  top is a bijection on isomorphism classes, so these keys tell states
+  apart exactly as the states' own certificates would, and the census reads
+  every lattice and its certificate off level n - 1 without canonicalizing
+  again, and
 * a constructive path that realizes adjunct-of-chains recipes for the classes
   with exactly 2 or 3 reducible elements, which stays feasible past the full
   search limit.  Each member is a maximal block padded by chains below and
@@ -65,10 +70,14 @@ class SizeLimitExceeded(LatticeError):
 # Invariant: every pair with a common upper bound has a unique minimal one.
 # New elements arrive maximal, so a pair that once has two minimal upper
 # bounds can never be repaired; pruning on the invariant loses nothing.
+#
+# _LEVELS[k] maps the certificate of the (k + 1)-element lattice a state
+# becomes, with a top adjoined, to the first state found that becomes it.
 # ---------------------------------------------------------------------------
 
 _LEVELS: dict[int, dict[Certificate, tuple]] = {
-    1: {canonical_certificate(CoverDigraph(1, ())): ((0,), (0,), (-1,))}
+    # the one-element state becomes the 2-chain
+    1: {canonical_certificate(CoverDigraph(2, ((0, 1),))): ((0,), (0,), (-1,))}
 }
 
 
@@ -151,16 +160,19 @@ def _expand(downs, ups, joins, out: dict) -> None:
                 if nj[x * (k + 1) + y] < 0:
                     nj[x * (k + 1) + y] = k
                     nj[y * (k + 1) + x] = k
-        cert = canonical_certificate(CoverDigraph(k + 1, _state_covers(nd, nu)))
+        cert = canonical_certificate(CoverDigraph(k + 2, _lattice_covers(nd, nu)))
         if cert not in out:
             out[cert] = (nd, nu, tuple(nj))
 
 
-def _state_covers(downs, ups) -> tuple[tuple[int, int], ...]:
-    """Sorted cover pairs of a search state: ``j`` is a lower cover of ``i``
-    when ``j`` is maximal in the strict down-set of ``i``."""
-    covers = []
-    for i in range(len(downs)):
+def _lattice_covers(downs, ups) -> tuple[tuple[int, int], ...]:
+    """Sorted cover pairs of the lattice a search state becomes: ``j`` is a
+    lower cover of ``i`` when ``j`` is maximal in the strict down-set of
+    ``i``, and the adjoined top, labelled ``len(downs)``, covers every
+    maximal element of the state."""
+    top = len(downs)
+    covers = [(j, top) for j in range(top) if ups[j] == 0]
+    for i in range(top):
         di = downs[i]
         m = di
         while m:
@@ -177,7 +189,8 @@ def _lattice_states(n: int) -> list[tuple[Certificate, tuple[tuple[int, int], ..
 
     A lattice minus its top is a finite meet-semilattice, and the states of
     level n - 1 are those, one per isomorphism class; each becomes a lattice
-    when a top is adjoined above its maximal elements.  The entry point of
+    when a top is adjoined above its maximal elements, and the level is
+    keyed by that lattice's certificate.  The entry point of
     the census, so the size limit is checked here; sizes below 1 have no
     lattices.
     """
@@ -187,14 +200,12 @@ def _lattice_states(n: int) -> list[tuple[Certificate, tuple[tuple[int, int], ..
         )
     if n < 1:
         return []
-    # the one-element lattice is a top over the empty semilattice
-    states = _level(n - 1).values() if n > 1 else [((), (), ())]
-    top = n - 1
-    out = []
-    for downs, ups, _ in states:
-        maximal = tuple((j, top) for j in range(top) if ups[j] == 0)
-        covers = tuple(sorted(_state_covers(downs, ups) + maximal))
-        out.append((canonical_certificate(CoverDigraph(n, covers)), covers))
+    if n == 1:  # a top over the empty semilattice
+        return [(canonical_certificate(CoverDigraph(1, ())), ())]
+    out = [
+        (cert, _lattice_covers(downs, ups))
+        for cert, (downs, ups, _) in _level(n - 1).items()
+    ]
     out.sort(key=lambda item: item[0])
     return out
 
@@ -355,21 +366,26 @@ def _block_table(m: int, r: int) -> dict[Certificate, Member]:
     return table
 
 
-def _padding_slice(args: tuple[int, int, int]) -> list[tuple[Certificate, Member]]:
+def _padding_slice(
+    args: tuple[int, int, int],
+) -> tuple[list[tuple[Certificate, Member]], dict[Certificate, Member] | None]:
     """Members whose maximal block has n - j elements; one worker unit.
 
     Padding chains add no reducible element.  Each padded key is read off
     its block's certificate; a key's member is the first block in recipe
-    order with that padding.
+    order with that padding.  Also returns the block table when this call
+    built it, so that a worker process can hand it back to its parent.
     """
     n, r, j = args
+    built = (n - j, r) not in _BLOCKS
+    table = _block_table(n - j, r)
     found: dict[Certificate, Member] = {}
-    for cert, block in _block_table(n - j, r).items():
+    for cert, block in table.items():
         for below in range(j + 1):
             key = padded_certificate(cert, below, j - below)
             if key not in found:
                 found[key] = Member(block.block, block.fbb, below, j - below)
-    return sorted(found.items(), key=lambda kv: kv[0])
+    return sorted(found.items(), key=lambda kv: kv[0]), table if built else None
 
 
 def _pad(block: Lattice, below: int, above: int) -> Lattice:
@@ -405,7 +421,9 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Membe
             # one slice per task: larger chunks pair the two largest slices
             slices = pool.map(_padding_slice, args, chunksize=1)
     out: dict[Certificate, Member] = {}
-    for slice_result in slices:
+    for (_, _, j), (slice_result, table) in zip(args, slices):
+        if table is not None:  # a worker's table would die with its process
+            _BLOCKS.setdefault((n - j, r), table)
         for cert, member in slice_result:
             out.setdefault(cert, member)
     return out

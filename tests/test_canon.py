@@ -207,9 +207,21 @@ def _canonical_covers(n):
     return text.encode()
 
 
+def _labelings(n):
+    """Canonical labelings of the search's n-element lattices (n <= 8) and of
+    the blocks on n elements, each as it was built."""
+    lattices = sorted(oracle.all_lattices(n).items()) if n <= 8 else []
+    digraphs = [lat.digraph for _, lat in lattices]
+    for r in (2, 3):
+        for stratum in oracle.block_census(n, r).values():
+            digraphs += [member.block.digraph for _, member in sorted(stratum.items())]
+    return b"".join(bytes(canonical_labeling(d)) for d in digraphs)
+
+
 # name: (bytes for one size, largest size, sha256 of the bytes for sizes
 # 1..largest).  Recorded before the canonizer pruned symmetric branches;
-# pruning must not move a single byte of a certificate or a labeling.
+# pruning must not move a single byte of a certificate or a labeling.  The
+# labelings were recorded before the neighbour rows were precomputed.
 PINS = {
     "census": (
         lambda n: _certs(oracle.enumerate_all_lattices(n)),
@@ -240,6 +252,11 @@ PINS = {
         _canonical_covers,
         9,
         "c67ef0df1204764a2a66cd77d1074ef0f6dc2bb630081a8bfc399930ced6f7ac",
+    ),
+    "labelings": (
+        _labelings,
+        10,
+        "1aa60d8435a591f5897caaaaf6d5f913503d6fec73539df1b2a7d16f4a65b84a",
     ),
 }
 

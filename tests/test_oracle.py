@@ -1,6 +1,6 @@
 import pytest
 
-from latcount import formulas, oracle
+from latcount import canon, formulas, oracle
 from latcount.canon import canonical_certificate, decode_certificate
 from latcount.oracle import (
     FULL_SEARCH_LIMIT,
@@ -16,10 +16,29 @@ from latcount.oracle import (
     verification_ok,
     verify,
 )
-from latcount.poset import as_lattice, classify_elements, dual, is_dismantlable
+from latcount.poset import (
+    as_lattice,
+    build_poset,
+    classify_elements,
+    dual,
+    is_dismantlable,
+)
 from latcount.reduction import FbbClass, classify_fbb
 
 FULL_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
+
+
+def _count_canonicalizations(monkeypatch) -> list[int]:
+    """Count ``canon._canonical`` calls in a one-item list, from now on."""
+    calls = [0]
+    canonical = canon._canonical
+
+    def counted(*args):
+        calls[0] += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(canon, "_canonical", counted)
+    return calls
 
 
 class TestFullSearch:
@@ -31,6 +50,35 @@ class TestFullSearch:
         """n-element lattices are read off the (n - 1)-element states."""
         assert census(FULL_SEARCH_LIMIT).total() == FULL_COUNTS[FULL_SEARCH_LIMIT]
         assert max(oracle._LEVELS) == FULL_SEARCH_LIMIT - 1
+
+    def test_levels_are_keyed_by_the_lattice_each_state_becomes(self):
+        for k in range(1, FULL_SEARCH_LIMIT):
+            for cert, (downs, _, _) in oracle._level(k).items():
+                # the state's order with a top k above everything
+                below = [*downs, (1 << k) - 1]
+                covers = [
+                    (j, i)
+                    for i in range(k + 1)
+                    for j in range(k + 1)
+                    if below[i] >> j & 1
+                    and not any(below[i] >> l & 1 and below[l] >> j & 1 for l in range(k + 1))
+                ]
+                assert canonical_certificate(build_poset(k + 1, covers)) == cert, k
+
+    def test_lattices_are_read_off_the_level_below(self, monkeypatch):
+        oracle._level(FULL_SEARCH_LIMIT - 1)
+        calls = _count_canonicalizations(monkeypatch)
+        for n in range(2, FULL_SEARCH_LIMIT + 1):
+            assert len(enumerate_all_lattices(n)) == FULL_COUNTS[n]
+        assert calls == [0]
+
+    def test_census_canonicalizes_each_searched_child_once(self, monkeypatch):
+        """census(8) from the seed level canonicalizes the children that
+        levels 2..7 try, and nothing else."""
+        monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
+        calls = _count_canonicalizations(monkeypatch)
+        assert census(8).total() == FULL_COUNTS[8]
+        assert calls == [759]
 
     def test_members_are_valid_lattices(self):
         for cert, lat in all_lattices(6).items():
@@ -254,6 +302,24 @@ class TestVerify:
         # 37 two-reducible plus 150 three-reducible blocks on m <= 9 elements
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
         assert calls == {"realize": 187, "classify_fbb": 187}
+
+    def test_worker_tables_reach_the_parent(self, monkeypatch):
+        """Blocks built in pool workers are sent back with their slices, so
+        ``block_census`` in the parent realizes nothing again."""
+        calls = 0
+        realize = oracle.realize
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1  # in the parent only: workers count in their own copy
+            return realize(*args)
+
+        monkeypatch.setattr(oracle, "_BLOCKS", {})
+        monkeypatch.setattr(oracle, "realize", counted)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        assert verification_ok(verify(9, workers=2))
+        assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
+        assert calls == 0
 
 
 def test_certificates_decode_to_members():

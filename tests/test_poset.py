@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,8 @@ from latcount.poset import (
     contains_crown,
     _delete,
     _live_digraph,
+    _strict_up_order,
+    _unique_extreme,
     dual,
     induced_subposet,
     is_dismantlable,
@@ -71,6 +74,76 @@ class TestAsLattice:
         with pytest.raises(NotALattice) as exc:
             as_lattice(build_poset(4, [(0, 1), (1, 2), (1, 3)]))
         assert exc.value.kind == "join"
+
+
+def _pairwise_as_lattice(p):
+    """Reference for ``as_lattice``: scan each pair's common bounds for a
+    unique minimal upper and a unique maximal lower one.  Returns
+    ``(up, down, bottom, top)``, or ``(witness, kind)`` of the first failing
+    pair in label order, join before meet."""
+    n = p.n
+    strict = _strict_up_order(n, p.up_adjacency())
+    up = tuple(strict[i] | (1 << i) for i in range(n))
+    down = tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n))
+    for x, y in combinations(range(n), 2):
+        if _unique_extreme(up[x] & up[y], down) is None:
+            return (x, y), "join"
+        if _unique_extreme(down[x] & down[y], up) is None:
+            return (x, y), "meet"
+    bottom = next(i for i in range(n) if down[i] == 1 << i)
+    top = next(i for i in range(n) if up[i] == 1 << i)
+    return up, down, bottom, top
+
+
+def _random_poset(rng):
+    """A randomly labelled poset on 1..9 elements: each pair i < j is
+    related with a density drawn per poset, then closed under transitivity."""
+    n = rng.randint(1, 9)
+    density = rng.random()
+    above = [0] * n  # strict up-sets in the order 0..n-1
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                above[i] |= (1 << j) | above[j]
+    covers = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if above[i] >> j & 1
+        and not any(above[i] >> k & 1 and above[k] >> j & 1 for k in range(n))
+    ]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_poset(n, [(perm[a], perm[b]) for a, b in covers])
+
+
+def _same_as_pairwise(p):
+    expected = _pairwise_as_lattice(p)
+    try:
+        l = as_lattice(p)
+    except NotALattice as exc:
+        assert (exc.witness, exc.kind) == expected, p
+        return False
+    assert (l.up, l.down, l.bottom, l.top) == expected, p
+    return True
+
+
+class TestAsLatticeMatchesPairwiseScan:
+    def test_every_lattice_up_to_seven_elements(self):
+        rng = random.Random(3)
+        for n in range(1, 8):
+            for lat in all_lattices(n).values():
+                assert _same_as_pairwise(lat.digraph)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                moved = build_poset(n, [(perm[a], perm[b]) for a, b in lat.covers])
+                assert _same_as_pairwise(moved)
+
+    def test_random_posets(self):
+        rng = random.Random(11)
+        outcomes = [_same_as_pairwise(_random_poset(rng)) for _ in range(3000)]
+        # both branches are exercised
+        assert 100 < sum(outcomes) < 2900
 
 
 class TestMeetJoin:
