@@ -28,16 +28,16 @@ from latcount.reduction import FbbClass, classify_fbb
 FULL_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 
 
-def _count_canonicalizations(monkeypatch) -> list[int]:
-    """Count ``canon._canonical`` calls in a one-item list, from now on."""
+def _count_calls(monkeypatch, module, name) -> list[int]:
+    """Count the calls of ``module.name`` from now on, in a one-item list."""
     calls = [0]
-    canonical = canon._canonical
+    fn = getattr(module, name)
 
     def counted(*args):
         calls[0] += 1
-        return canonical(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(canon, "_canonical", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -67,7 +67,7 @@ class TestFullSearch:
 
     def test_lattices_are_read_off_the_level_below(self, monkeypatch):
         oracle._level(FULL_SEARCH_LIMIT - 1)
-        calls = _count_canonicalizations(monkeypatch)
+        calls = _count_calls(monkeypatch, canon, "_canonical")
         for n in range(2, FULL_SEARCH_LIMIT + 1):
             assert len(enumerate_all_lattices(n)) == FULL_COUNTS[n]
         assert calls == [0]
@@ -76,7 +76,7 @@ class TestFullSearch:
         """census(8) from the seed level canonicalizes the children that
         levels 2..7 try, and nothing else."""
         monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
-        calls = _count_canonicalizations(monkeypatch)
+        calls = _count_calls(monkeypatch, canon, "_canonical")
         assert census(8).total() == FULL_COUNTS[8]
         assert calls == [759]
 
@@ -306,20 +306,13 @@ class TestVerify:
     def test_worker_tables_reach_the_parent(self, monkeypatch):
         """Blocks built in pool workers are sent back with their slices, so
         ``block_census`` in the parent realizes nothing again."""
-        calls = 0
-        realize = oracle.realize
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1  # in the parent only: workers count in their own copy
-            return realize(*args)
-
         monkeypatch.setattr(oracle, "_BLOCKS", {})
-        monkeypatch.setattr(oracle, "realize", counted)
+        # counts in the parent only: workers count in their own copy
+        calls = _count_calls(monkeypatch, oracle, "realize")
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         assert verification_ok(verify(9, workers=2))
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
-        assert calls == 0
+        assert calls == [0]
 
 
 def test_certificates_decode_to_members():
