@@ -7,7 +7,9 @@ cover-adjacency encoding over all colour-respecting labelings, and the
 labeling is the first leaf, in search order, that attains it.  Sizes stay at
 desk scale, so no external dependency is warranted.  The up and down
 neighbour lists are built once per call; the seeds, every refinement round
-and every leaf read the same lists.
+and every leaf read the same lists.  A refinement round signs only the
+vertices of colour cells with two or more members: a vertex alone in its
+cell cannot split, and its new colour is the next index in colour order.
 
 Symmetric branches are pruned (McKay and Piperno, "Practical graph
 isomorphism, II", 2014).  Two leaves with equal rows differ by an
@@ -142,10 +144,10 @@ def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
             automorphisms.append(image)
 
     def descend(colors: list[int], fixed: tuple[int, ...]) -> None:
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        ordered = [cells[c] for c in sorted(cells)]
+        # refined colours are 0..k-1, so every cell is non-empty
+        ordered: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for v, c in enumerate(colors):
+            ordered[c].append(v)
         target = next((cell for cell in ordered if len(cell) > 1), None)
         if target is None:
             leaf([cell[0] for cell in ordered])
@@ -157,7 +159,9 @@ def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
             ]
             if _orbit_min(v, stabilizer) < v:
                 continue  # an automorphic image of an earlier subtree
-            split = [2 * c for c in colors]
+            # v gets its own colour, just below the rest of its cell; all
+            # colours stay non-negative, as ``_refine`` needs
+            split = [2 * c + 1 for c in colors]
             split[v] -= 1
             descend(_refine(n, ups, dns, split), fixed + (v,))
 
@@ -193,22 +197,44 @@ def _orbit_min(v: int, generators: list[list[int]]) -> int:
 
 def _refine(n: int, ups, dns, colors: list[int]) -> list[int]:
     """Iterate neighbourhood-multiset colour refinement to a fixed point;
-    ``ups[v]`` and ``dns[v]`` list the upper and lower covers of ``v``."""
-    distinct = len(set(colors))
+    ``ups[v]`` and ``dns[v]`` list the upper and lower covers of ``v``, and
+    the ``colors`` are non-negative, with gaps allowed.
+
+    Each round ranks the vertices by (colour, sorted upper-cover colours,
+    sorted lower-cover colours).  The old colour is the primary key, so the
+    cells are walked in colour order and only the members of a cell with
+    two or more vertices are ranked by their neighbour colours; a singleton
+    takes the next colour.  The fixed point is a round in which no cell
+    splits.
+    """
     while True:
-        sigs = [
-            (
-                colors[v],
-                tuple(sorted([colors[w] for w in ups[v]])),
-                tuple(sorted([colors[w] for w in dns[v]])),
-            )
-            for v in range(n)
-        ]
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [ranking[s] for s in sigs]
-        if len(ranking) == distinct:
-            return colors
-        distinct = len(ranking)
+        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        refined = [0] * n
+        nxt = distinct = 0
+        for cell in cells:
+            if not cell:
+                continue
+            distinct += 1
+            if len(cell) == 1:
+                refined[cell[0]] = nxt
+                nxt += 1
+                continue
+            sigs = [
+                (
+                    tuple(sorted([colors[w] for w in ups[v]])),
+                    tuple(sorted([colors[w] for w in dns[v]])),
+                )
+                for v in cell
+            ]
+            ranking = {s: i for i, s in enumerate(sorted(set(sigs)), nxt)}
+            for v, s in zip(cell, sigs):
+                refined[v] = ranking[s]
+            nxt += len(ranking)
+        if nxt == distinct:
+            return refined
+        colors = refined
 
 
 def _longest_paths(n: int, ups, dns) -> list[int]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import formulas
@@ -401,32 +402,56 @@ def _chain_digraph(k: int) -> CoverDigraph:
     return build_poset(k, [(i, i + 1) for i in range(k - 1)])
 
 
-def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Member]:
+def reducible_class(
+    n: int, r: int, workers: int = 1, *, pool=None
+) -> dict[Certificate, Member]:
     """All unlabeled n-element lattices with exactly r in {2, 3} reducibles,
     as members that build their lattice on request.
 
     ``workers`` > 1 fans the padding slices out over processes, no more than
     there are slices or CPUs; the merged result does not depend on the worker
-    count.
+    count.  A caller that keeps a fork pool open across calls passes it as
+    ``pool``, and ``workers`` is then not read.
     """
     _check_class(n, r)
     if n < 1:
         return {}
+    if pool is not None:
+        return _reducible_class(n, r, pool)
+    with _fork_pool(_pool_size(workers, n)) as own:
+        return _reducible_class(n, r, own)
+
+
+def _reducible_class(n: int, r: int, pool) -> dict[Certificate, Member]:
+    """``reducible_class`` on an open ``pool``, or in this process for None.
+
+    The pool gets only the slices whose block table this process lacks, so
+    a pool kept across calls builds each table once; a slice whose table is
+    here is only padding, and runs here while the pool works.
+    """
     args = [(n, r, j) for j in range(0, n)]
-    workers = _pool_size(workers, len(args))
-    if workers == 1:
-        slices = map(_padding_slice, args)
-    else:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            # one slice per task: larger chunks pair the two largest slices
-            slices = pool.map(_padding_slice, args, chunksize=1)
+    sent = [a for a in args if pool is not None and (n - a[2], r) not in _BLOCKS]
+    # one slice per task: larger chunks pair the two largest slices
+    pending = pool.map_async(_padding_slice, sent, chunksize=1) if sent else None
+    slices = {a: _padding_slice(a) for a in args if a not in sent}
+    if pending is not None:
+        slices.update(zip(sent, pending.get()))
     out: dict[Certificate, Member] = {}
-    for (_, _, j), (slice_result, table) in zip(args, slices):
+    for a in args:
+        slice_result, table = slices[a]
         if table is not None:  # a worker's table would die with its process
-            _BLOCKS.setdefault((n - j, r), table)
+            _BLOCKS.setdefault((n - a[2], r), table)
         for cert, member in slice_result:
             out.setdefault(cert, member)
     return out
+
+
+def _fork_pool(workers: int):
+    """A fork pool of ``workers`` processes, to open with ``with``; for one
+    worker, a context that opens to None."""
+    if workers == 1:
+        return nullcontext()
+    return multiprocessing.get_context("fork").Pool(workers)
 
 
 def _pool_size(requested: int, slices: int) -> int:
@@ -525,12 +550,14 @@ def verify(n_max: int, workers: int = 1) -> list[VerifyRecord]:
             f"verification capped at {CLASS_SEARCH_LIMIT} elements"
         )
     records: list[VerifyRecord] = []
-    for n in range(1, n_max + 1):
-        records.extend(_verify_one(n, workers))
+    # one pool for the whole run: every class search reuses its workers
+    with _fork_pool(_pool_size(workers, n_max)) as pool:
+        for n in range(1, n_max + 1):
+            records.extend(_verify_one(n, pool))
     return records
 
 
-def _verify_one(n: int, workers: int) -> list[VerifyRecord]:
+def _verify_one(n: int, pool) -> list[VerifyRecord]:
     records: list[VerifyRecord] = []
 
     def cell(name, formula_value, members):
@@ -542,8 +569,8 @@ def _verify_one(n: int, workers: int) -> list[VerifyRecord]:
             witness = [list(c) for c in first.lattice().covers]
         records.append(VerifyRecord(n, name, formula_value, len(members), ok, witness))
 
-    two = reducible_class(n, 2, workers=workers)
-    three = reducible_class(n, 3, workers=workers)
+    two = reducible_class(n, 2, pool=pool)
+    three = reducible_class(n, 3, pool=pool)
 
     def tagged(members, tag):
         return [member for member in members.values() if member.fbb is tag]

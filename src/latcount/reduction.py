@@ -12,7 +12,10 @@ five fixed shapes: the diamond M2 and the six-to-eight element blocks F1,
 F2, F3, F4.
 
 Every step deletes vertices in place from one pair of cover rows; a cover
-digraph is built once, from the vertices left at the end.
+digraph is built once, from the vertices left at the end.  Blocks trim to
+few distinct labelled fundamental basic blocks, so ``classify_fbb``
+remembers the class of each one it has recognized and canonicalizes only
+a labelled shape it has not seen before.
 """
 
 from __future__ import annotations
@@ -193,6 +196,11 @@ def fundamental_basic_block_of(l: Lattice) -> Lattice:
     consecutive reducible elements, which nothing else joins, and the
     smallest off-spine ear stays at each pair.
     """
+    return as_lattice(_fbb_digraph(l))
+
+
+def _fbb_digraph(l: Lattice) -> CoverDigraph:
+    """The fundamental basic block of ``l``, labelled as it is trimmed."""
     up, down, live = _block_rows(l.digraph)
     ears: dict[tuple[int, int], list[int]] = {}
     for v in _bits(live):
@@ -203,7 +211,14 @@ def fundamental_basic_block_of(l: Lattice) -> Lattice:
         keep = 1 if _joined(up, y, z, sum(1 << v for v in group)) else 2
         for v in group[keep:]:
             live = _delete(up, down, live, v)
-    return as_lattice(_live_digraph(up, live)[0])
+    return _live_digraph(up, live)[0]
+
+
+# The class of each labelled fundamental basic block recognized so far;
+# filled once per process, like ``oracle._BLOCKS``.  Blocks trim to few
+# labelled shapes, so most lookups skip the lattice check and the
+# canonizer.  A block that matches no reference is never stored.
+_FBB_CLASSES: dict[CoverDigraph, FbbClass] = {}
 
 
 def classify_fbb(l: Lattice) -> FbbClass:
@@ -211,8 +226,12 @@ def classify_fbb(l: Lattice) -> FbbClass:
     r = len(classify_elements(l).red)
     if r not in (2, 3):
         raise ValueError(f"classification needs 2 or 3 reducible elements, got {r}")
-    fbb = fundamental_basic_block_of(l)
-    tag = _REFERENCE.get(canonical_certificate(fbb.digraph))
+    fbb = _fbb_digraph(l)
+    tag = _FBB_CLASSES.get(fbb)
+    if tag is None:
+        tag = _REFERENCE.get(canonical_certificate(as_lattice(fbb).digraph))
+        if tag is not None:
+            _FBB_CLASSES[fbb] = tag
     if tag is None or (r == 2) != (tag is FbbClass.M2):
         raise UnexpectedClass(
             f"{r}-reducible lattice reduced to an unrecognized block"

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcount import canon, oracle
+from latcount import canon, oracle, reduction
 from latcount.adjunct import AdjunctPair, AdjunctRep, realize
 from latcount.canon import (
     canonical_certificate,
@@ -266,3 +266,138 @@ def test_certificates_are_pinned(name):
     part, largest, digest = PINS[name]
     data = b"".join(part(n) for n in range(1, largest + 1))
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _reference_refine(n, ups, dns, colors):
+    """Colour refinement as it ranked every vertex in every round, before
+    singleton cells were skipped: the reference for ``canon._refine``."""
+    distinct = len(set(colors))
+    while True:
+        sigs = [
+            (
+                colors[v],
+                tuple(sorted([colors[w] for w in ups[v]])),
+                tuple(sorted([colors[w] for w in dns[v]])),
+            )
+            for v in range(n)
+        ]
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [ranking[s] for s in sigs]
+        if len(ranking) == distinct:
+            return colors
+        distinct = len(ranking)
+
+
+def test_refine_matches_reference_on_search_and_block_inputs(monkeypatch):
+    """Every colouring refined while ``census(7)`` and the block tables for
+    m <= 10 are built from scratch gets the reference's colours."""
+    refine = canon._refine
+    seen = 0
+
+    def checked(n, ups, dns, colors):
+        nonlocal seen
+        seen += 1
+        out = refine(n, ups, dns, colors)
+        assert out == _reference_refine(n, ups, dns, colors), (ups, colors)
+        return out
+
+    monkeypatch.setattr(canon, "_refine", checked)
+    monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
+    monkeypatch.setattr(oracle, "_BLOCKS", {})
+    monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
+    assert oracle.census(7).total() == 53
+    for m in range(4, 11):
+        for r in (2, 3):
+            oracle.block_census(m, r)
+    assert seen > 3000  # 3,924 when written
+
+
+def random_poset(rng, n, density):
+    """A random poset on n elements, 0..n-1 a linear extension, as its
+    cover digraph."""
+    below = [0] * n
+    for b in range(n):
+        for a in range(b):
+            if rng.random() < density:
+                below[b] |= (1 << a) | below[a]
+    covers = [
+        (a, b)
+        for b in range(n)
+        for a in range(b)
+        if below[b] >> a & 1
+        and not any(below[b] >> c & 1 and below[c] >> a & 1 for c in range(a + 1, b))
+    ]
+    return build_poset(n, covers)
+
+
+def _general_digraphs():
+    """Cover digraphs that are not lattices: antichains, crowns and unions
+    of crowns, and seeded random posets, most with several minimal
+    elements of one seed colour."""
+    digraphs = [build_poset(n, []) for n in range(1, 7)]
+    digraphs += [crowns(*s) for s in ((2,), (3,), (4,), (2, 3), (2, 3, 3))]
+    rng = random.Random(20261018)
+    digraphs += [
+        random_poset(rng, rng.randint(2, 10), rng.random() * 0.6) for _ in range(400)
+    ]
+    return digraphs
+
+
+def test_refine_matches_reference_on_general_digraphs(monkeypatch):
+    """Antichains, crowns and random posets: their colour cell 0 often holds
+    several minimal vertices, which the search individualizes."""
+    refine = canon._refine
+    seen = 0
+
+    def checked(n, ups, dns, colors):
+        nonlocal seen
+        seen += 1
+        assert min(colors) >= 0
+        out = refine(n, ups, dns, colors)
+        assert out == _reference_refine(n, ups, dns, colors), (ups, colors)
+        return out
+
+    monkeypatch.setattr(canon, "_refine", checked)
+    assert canonical_certificate(build_poset(2, [])) == canon.Certificate(
+        b"\x00\x02\x00\x00"
+    )
+    for digraph in _general_digraphs():
+        canonical_certificate(digraph)
+    assert seen > 2000
+
+
+def test_general_digraphs_are_pinned():
+    """Rows and labelings of non-lattice cover digraphs, recorded while
+    refinement still ranked every vertex in every round; every labeling is
+    a linear extension."""
+    digest = hashlib.sha256()
+    for digraph in _general_digraphs():
+        rows, perm = canon._canonical(digraph.n, digraph.up_adjacency())
+        rank = {old: pos for pos, old in enumerate(perm)}
+        assert all(rank[a] < rank[b] for a, b in digraph.covers)
+        digest.update(repr((rows, perm)).encode())
+    assert digest.hexdigest() == (
+        "ed5284693df95d788c7e1787677b62fa2fe4021021042f3c24af0db694d54f6c"
+    )
+
+
+def test_refine_matches_reference_on_random_colourings():
+    """Random digraphs, coloured with gaps and repeats, and split the way
+    the search individualizes a vertex of a refined colouring."""
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        density = rng.random()
+        up = [
+            sum(1 << j for j in range(i + 1, n) if rng.random() < density)
+            for i in range(n)
+        ]
+        ups, dns = canon._neighbours(up)
+        colors = [rng.randrange(2 * rng.randint(1, n)) for _ in range(n)]
+        refined = canon._refine(n, ups, dns, colors)
+        assert refined == _reference_refine(n, ups, dns, colors), (up, colors)
+        split = [2 * c + 1 for c in refined]
+        split[rng.randrange(n)] -= 1
+        assert canon._refine(n, ups, dns, split) == _reference_refine(
+            n, ups, dns, split
+        ), (up, split)

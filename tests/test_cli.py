@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from latcount import cli, formulas, series
+from latcount import canon, cli, formulas, oracle, reduction, series
 from latcount.canon import canonical_certificate
 from latcount.cli import (
     document_json,
@@ -194,6 +194,26 @@ def test_enumerate_workload_digest(capsys):
     out = capsys.readouterr().out.encode()
     assert len(out) == workloads.ENUMERATE_BYTES
     assert hashlib.sha256(out).hexdigest() == workloads.ENUMERATE_SHA256
+
+
+def test_enumerate_workload_canonicalizations(capsys, monkeypatch):
+    """From empty tables, the benchmark's ``enumerate`` command canonicalizes
+    each of its 385 blocks once and each of the 4 labelled fundamental basic
+    blocks they trim to once."""
+    monkeypatch.setattr(oracle, "_BLOCKS", {})
+    monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
+    calls = [0]
+    canonical = canon._canonical
+
+    def counted(*args):
+        calls[0] += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(canon, "_canonical", counted)
+    (call,) = load_workloads().WORKLOADS["enumerate"].traced_calls
+    assert main(list(call.args)) == 0
+    capsys.readouterr()
+    assert calls == [385 + 4]
 
 
 # sha256 and length of the stdout of `enumerate`, recorded before members

@@ -1,6 +1,9 @@
+import multiprocessing
+import multiprocessing.pool
+
 import pytest
 
-from latcount import canon, formulas, oracle
+from latcount import canon, formulas, oracle, reduction
 from latcount.canon import canonical_certificate, decode_certificate
 from latcount.oracle import (
     FULL_SEARCH_LIMIT,
@@ -73,12 +76,14 @@ class TestFullSearch:
         assert calls == [0]
 
     def test_census_canonicalizes_each_searched_child_once(self, monkeypatch):
-        """census(8) from the seed level canonicalizes the children that
-        levels 2..7 try, and nothing else."""
+        """census(8) from the seed level canonicalizes the 694 children that
+        levels 2..7 try, and each of the 10 labelled fundamental basic
+        blocks its 65 three-reducible lattices trim to, and nothing else."""
         monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
+        monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
         calls = _count_calls(monkeypatch, canon, "_canonical")
         assert census(8).total() == FULL_COUNTS[8]
-        assert calls == [759]
+        assert calls == [694 + 10]
 
     def test_members_are_valid_lattices(self):
         for cert, lat in all_lattices(6).items():
@@ -161,6 +166,24 @@ class TestClassSearch:
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
         assert _pool_size(10**9, 5) == 5
         assert _pool_size(3, 5) == 3
+
+    def test_recipes_realize_distinct_blocks_with_r_reducibles(self):
+        """No recipe for m <= 11 is dropped by ``_blocks``'s reducible count
+        or by ``_block_table``'s repeat check: each realizes to its own block."""
+        recipes = {
+            2: oracle._two_reducible_block_reps,
+            3: oracle._three_reducible_block_reps,
+        }
+        for m in range(4, 12):
+            for r, reps in recipes.items():
+                certs = set()
+                for rep in reps(m):
+                    block = oracle.realize(rep)
+                    assert len(classify_elements(block).red) == r, rep
+                    cert = canonical_certificate(block.digraph)
+                    assert cert not in certs, rep
+                    certs.add(cert)
+                assert len(certs) == len(oracle._block_table(m, r)), (m, r)
 
     def test_worker_count_does_not_change_output(self):
         solo = enumerate_by_reducible(8, 3, workers=1)
@@ -302,6 +325,46 @@ class TestVerify:
         # 37 two-reducible plus 150 three-reducible blocks on m <= 9 elements
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
         assert calls == {"realize": 187, "classify_fbb": 187}
+
+    def test_one_pool_per_run(self, monkeypatch):
+        """A pooled ``verify`` forks its workers once and every class search
+        of the run reuses them."""
+        context = multiprocessing.get_context("fork")
+        pools = _count_calls(monkeypatch, context, "Pool")
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        assert verification_ok(verify(9, workers=2))
+        assert pools == [1]
+        reducible_class(9, 3, workers=2)
+        assert pools == [2]
+
+    def test_pool_builds_each_table_once_per_run(self, monkeypatch):
+        """The run's pool gets only the slices whose block table the parent
+        lacks, so each (m, r) table is built once, in one worker."""
+        monkeypatch.setattr(oracle, "_BLOCKS", {})
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        sent = []
+        map_async = multiprocessing.pool.Pool.map_async
+
+        def recorded(self, func, iterable, *args, **kwargs):
+            iterable = list(iterable)
+            sent.extend((n - j, r) for n, r, j in iterable)
+            return map_async(self, func, iterable, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "map_async", recorded)
+        # the run still goes through the public entry point, which the
+        # benchmark's tracer times
+        classes = []
+        public = oracle.reducible_class
+
+        def counted(*args, **kwargs):
+            classes.append(args)
+            return public(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "reducible_class", counted)
+        assert verification_ok(verify(9, workers=2))
+        assert sorted(sent) == sorted(oracle._BLOCKS)
+        assert len(sent) == 18  # (m, r) for m <= 9 and r in {2, 3}
+        assert len(classes) == 18  # two per size
 
     def test_worker_tables_reach_the_parent(self, monkeypatch):
         """Blocks built in pool workers are sent back with their slices, so

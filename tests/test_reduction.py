@@ -5,6 +5,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latcount import oracle, reduction
 from latcount.adjunct import AdjunctPair, AdjunctRep, direct_sum, realize
 from latcount.canon import canonical_certificate as cert
 from latcount.oracle import all_lattices, reducible_class
@@ -21,6 +22,7 @@ from latcount.poset import (
 from latcount.reduction import (
     FbbClass,
     NotDoublyIrreducible,
+    UnexpectedClass,
     basic_block_of,
     basic_block_with_map,
     basic_retract,
@@ -171,6 +173,49 @@ class TestClassify:
                 perm = list(range(lat.n))
                 rng.shuffle(perm)
                 assert classify_fbb(as_lattice(relabel(lat.digraph, perm))) is tag
+
+
+def _uncached_class(lat):
+    """The F-class by canonicalizing the fundamental basic block each time."""
+    return reduction._REFERENCE[cert(fundamental_basic_block_of(lat).digraph)]
+
+
+class TestClassMemo:
+    """``classify_fbb`` remembers the class of each labelled fundamental
+    basic block; each test starts from an empty memo."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
+
+    def test_matches_uncached_lookup_on_search_lattices(self):
+        checked = 0
+        for n in range(1, 9):
+            for r, lattices in oracle._reducible_split(n).items():
+                if r in (2, 3):
+                    for lat in lattices.values():
+                        assert classify_fbb(lat) is _uncached_class(lat), n
+                        checked += 1
+        assert checked == 169  # every 2- and 3-reducible lattice, n <= 8
+        assert reduction._FBB_CLASSES  # the lookups above went through the memo
+
+    def test_matches_uncached_lookup_on_blocks(self):
+        checked = 0
+        for m in range(4, 11):
+            for r in (2, 3):
+                for stratum in oracle.block_census(m, r).values():
+                    for member in stratum.values():
+                        assert classify_fbb(member.block) is _uncached_class(member.block)
+                        checked += 1
+        assert checked == 443
+
+    def test_unrecognized_block_is_never_stored(self, monkeypatch):
+        reference = {c: t for c, t in reduction._REFERENCE.items() if t is not FbbClass.F4}
+        monkeypatch.setattr(reduction, "_REFERENCE", reference)
+        for _ in range(2):
+            with pytest.raises(UnexpectedClass):
+                classify_fbb(f4())
+        assert reduction._FBB_CLASSES == {}
 
 
 @cache
