@@ -3,18 +3,18 @@ driver comparing every closed-form count against it.
 
 Two deliberately separate generation paths:
 
-* a breadth-first extension search that grows bounded-below posets one
-  element at a time (each new element brings its full down-set) and keeps a
-  join-consistency invariant.  Its states on n - 1 elements are the finite
-  meet-semilattices, one per isomorphism class, and removing the top is a
-  bijection from n-element lattices onto them, so adjoining a top to each
-  state of level n - 1 harvests every unlabeled lattice on n <=
-  ``FULL_SEARCH_LIMIT`` elements without building level n.  Each level is
-  keyed by the certificates of the lattices its states become: adjoining a
-  top is a bijection on isomorphism classes, so these keys tell states
-  apart exactly as the states' own certificates would, and the census reads
-  every lattice and its certificate off level n - 1 without canonicalizing
-  again, and
+* a breadth-first extension search that grows finite meet-semilattices one
+  element at a time: each new element brings its full down-set and must
+  have a unique meet with every old element, and a state is its down-sets
+  alone.  Its states on n - 1 elements are the finite meet-semilattices,
+  one per isomorphism class, and removing the top is a bijection from
+  n-element lattices onto them, so adjoining a top to each state of level
+  n - 1 harvests every unlabeled lattice on n <= ``FULL_SEARCH_LIMIT``
+  elements without building level n.  Each level is keyed by the
+  certificates of the lattices its states become: adjoining a top is a
+  bijection on isomorphism classes, so these keys tell states apart exactly
+  as the states' own certificates would, and the census reads every lattice
+  and its certificate off level n - 1 without canonicalizing again, and
 * a constructive path that realizes adjunct-of-chains recipes for the classes
   with exactly 2 or 3 reducible elements, which stays feasible past the full
   search limit.  Each member is a maximal block padded by chains below and
@@ -61,127 +61,89 @@ class SizeLimitExceeded(LatticeError):
 # ---------------------------------------------------------------------------
 # Path one: exhaustive extension search.
 #
-# A state is (downs, ups, joins):
-#   downs[i]  strict down-set of element i as a bitmask (insertion order is a
-#             linear extension, so down-sets only reference earlier elements);
-#   ups[i]    strict up-set mask, maintained incrementally;
-#   joins     flat k*k tuple; joins[x*k + y] is the least upper bound of the
-#             incomparable pair (x, y) if one exists yet, else -1.
+# A state is ``downs``, a tuple of strict down-set bitmasks: downs[i] holds
+# the elements below element i.  Labels are insertion order, a linear
+# extension, so a down-set holds only earlier labels and the highest label
+# of a down-set is maximal in it.
 #
-# Invariant: every pair with a common upper bound has a unique minimal one.
-# New elements arrive maximal, so a pair that once has two minimal upper
-# bounds can never be repaired; pruning on the invariant loses nothing.
+# Invariant: every state is a meet-semilattice; element 0 is its bottom and
+# every pair has a unique meet.  Joins follow: a pair with a common upper
+# bound has a join, the meet of all its common upper bounds.  Removing a
+# maximal element from a meet-semilattice leaves one, so every
+# meet-semilattice grows from the one-element state through meet-semilattices
+# alone, and pruning on the invariant loses nothing.
 #
 # _LEVELS[k] maps the certificate of the (k + 1)-element lattice a state
 # becomes, with a top adjoined, to the first state found that becomes it.
 # ---------------------------------------------------------------------------
 
-_LEVELS: dict[int, dict[Certificate, tuple]] = {
+_LEVELS: dict[int, dict[Certificate, tuple[int, ...]]] = {
     # the one-element state becomes the 2-chain
-    1: {canonical_certificate(CoverDigraph(2, ((0, 1),))): ((0,), (0,), (-1,))}
+    1: {canonical_certificate(CoverDigraph(2, ((0, 1),))): (0,)}
 }
 
 
-def _level(n: int) -> dict[Certificate, tuple]:
+def _level(n: int) -> dict[Certificate, tuple[int, ...]]:
     top = max(_LEVELS)
     while top < n:
-        nxt: dict[Certificate, tuple] = {}
-        for downs, ups, joins in _LEVELS[top].values():
-            _expand(downs, ups, joins, nxt)
+        nxt: dict[Certificate, tuple[int, ...]] = {}
+        for downs in _LEVELS[top].values():
+            _expand(downs, nxt)
         top += 1
         _LEVELS[top] = nxt
     return _LEVELS[n]
 
 
-def _expand(downs, ups, joins, out: dict) -> None:
+def _expand(downs: tuple[int, ...], out: dict) -> None:
     k = len(downs)
     for d_mask in range(1, 1 << k, 2):  # always contains the bottom, bit 0
-        bits = []
+        # the new element's down-set must be down-closed
         m = d_mask
-        closed = True
         while m:
             low = m & -m
-            j = low.bit_length() - 1
-            if downs[j] & ~d_mask:
-                closed = False
+            if downs[low.bit_length() - 1] & ~d_mask:
                 break
-            bits.append(j)
             m ^= low
-        if not closed:
+        if m:
             continue
-        # joins of pairs below the new element must come along
-        ok = True
-        for ix, x in enumerate(bits):
-            for y in bits[ix + 1 :]:
-                if downs[y] >> x & 1:
-                    continue
-                w = joins[x * k + y]
-                if w >= 0 and not d_mask >> w & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        # every old element must get a unique meet with the new one
+        # every old element x must get a unique meet with the new one.  The
+        # common lower bounds form a down-set, so its highest label t is
+        # maximal in it, and the meet exists iff the set is t's down-set.
         for x in range(k):
             if d_mask >> x & 1:
                 continue
             common = (downs[x] | 1 << x) & d_mask
-            count = 0
-            mm = common
-            while mm:
-                low = mm & -mm
-                j = low.bit_length() - 1
-                if ups[j] & common == 0:
-                    count += 1
-                    if count > 1:
-                        break
-                mm ^= low
-            if count != 1:
-                ok = False
+            t = common.bit_length() - 1
+            if common != downs[t] | 1 << t:
                 break
-        if not ok:
-            continue
-        new_bit = 1 << k
-        nd = downs + (d_mask,)
-        nu = tuple(
-            ups[j] | (new_bit if d_mask >> j & 1 else 0) for j in range(k)
-        ) + (0,)
-        nj = [-1] * ((k + 1) * (k + 1))
-        for x in range(k):
-            row = x * k
-            nrow = x * (k + 1)
-            for y in range(k):
-                nj[nrow + y] = joins[row + y]
-        for ix, x in enumerate(bits):
-            for y in bits[ix + 1 :]:
-                if downs[y] >> x & 1:
-                    continue
-                if nj[x * (k + 1) + y] < 0:
-                    nj[x * (k + 1) + y] = k
-                    nj[y * (k + 1) + x] = k
-        cert = canonical_certificate(CoverDigraph(k + 2, _lattice_covers(nd, nu)))
-        if cert not in out:
-            out[cert] = (nd, nu, tuple(nj))
+        else:
+            nd = downs + (d_mask,)
+            cert = canonical_certificate(CoverDigraph(k + 2, _lattice_covers(nd)))
+            if cert not in out:
+                out[cert] = nd
 
 
-def _lattice_covers(downs, ups) -> tuple[tuple[int, int], ...]:
-    """Sorted cover pairs of the lattice a search state becomes: ``j`` is a
-    lower cover of ``i`` when ``j`` is maximal in the strict down-set of
-    ``i``, and the adjoined top, labelled ``len(downs)``, covers every
-    maximal element of the state."""
+def _lattice_covers(downs: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Sorted cover pairs of the lattice a search state becomes.
+
+    Walking the down-set of ``i`` from its highest label down, ``j`` is a
+    lower cover of ``i`` unless it lies below an element already walked.
+    The adjoined top, labelled ``len(downs)``, covers every element that
+    lies in no down-set."""
     top = len(downs)
-    covers = [(j, top) for j in range(top) if ups[j] == 0]
-    for i in range(top):
-        di = downs[i]
+    covers = []
+    below_any = 0
+    for i, di in enumerate(downs):
+        below_any |= di
+        below_walked = 0
         m = di
         while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            if ups[j] & di == 0:
+            j = m.bit_length() - 1
+            if not below_walked >> j & 1:
                 covers.append((j, i))
-            m ^= low
+            below_walked |= downs[j]
+            m ^= 1 << j
+    covers += [(j, top) for j in range(top) if not below_any >> j & 1]
     return tuple(sorted(covers))
 
 
@@ -203,10 +165,7 @@ def _lattice_states(n: int) -> list[tuple[Certificate, tuple[tuple[int, int], ..
         return []
     if n == 1:  # a top over the empty semilattice
         return [(canonical_certificate(CoverDigraph(1, ())), ())]
-    out = [
-        (cert, _lattice_covers(downs, ups))
-        for cert, (downs, ups, _) in _level(n - 1).items()
-    ]
+    out = [(cert, _lattice_covers(downs)) for cert, downs in _level(n - 1).items()]
     out.sort(key=lambda item: item[0])
     return out
 
@@ -317,16 +276,6 @@ def _check_class(n: int, r: int) -> None:
         raise SizeLimitExceeded(f"class search capped at {CLASS_SEARCH_LIMIT} elements")
 
 
-def _blocks(m: int, r: int):
-    """Realized blocks on m elements with exactly r in {2, 3} reducibles, one
-    per recipe, isomorphic copies included."""
-    reps = {2: _two_reducible_block_reps, 3: _three_reducible_block_reps}[r]
-    for rep in reps(m):
-        block = realize(rep)
-        if len(classify_elements(block).red) == r:
-            yield block
-
-
 @dataclass(frozen=True)
 class Member:
     """A lattice of a reducible class: its maximal block padded by a chain of
@@ -353,13 +302,16 @@ _BLOCKS: dict[tuple[int, int], dict[Certificate, Member]] = {}
 
 
 def _block_table(m: int, r: int) -> dict[Certificate, Member]:
-    """Every block on m elements with exactly r in {2, 3} reducibles, keyed
-    by certificate, with its F-class; the first block in recipe order wins.
+    """Every block on m elements with exactly r in {2, 3} reducibles, one
+    realization per recipe, keyed by certificate, with its F-class; the
+    first block in recipe order wins.
     Each (m, r) is realized, canonicalized and classified once per process."""
     table = _BLOCKS.get((m, r))
     if table is None:
         table = {}
-        for block in _blocks(m, r):
+        reps = {2: _two_reducible_block_reps, 3: _three_reducible_block_reps}[r]
+        for rep in reps(m):
+            block = realize(rep)
             cert = canonical_certificate(block.digraph)
             if cert not in table:
                 table[cert] = Member(block, classify_fbb(block))

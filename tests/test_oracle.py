@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import multiprocessing.pool
 
@@ -6,6 +7,7 @@ import pytest
 from latcount import canon, formulas, oracle, reduction
 from latcount.canon import canonical_certificate, decode_certificate
 from latcount.oracle import (
+    CLASS_SEARCH_LIMIT,
     FULL_SEARCH_LIMIT,
     SizeLimitExceeded,
     all_lattices,
@@ -20,6 +22,7 @@ from latcount.oracle import (
     verify,
 )
 from latcount.poset import (
+    NotALattice,
     as_lattice,
     build_poset,
     classify_elements,
@@ -29,6 +32,25 @@ from latcount.poset import (
 from latcount.reduction import FbbClass, classify_fbb
 
 FULL_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
+
+# sha256 of (certificate bytes, repr of the down-sets) of every state of
+# levels 1..7, in insertion order; recorded while each state still carried
+# its up-sets and a join table besides its down-sets.
+LEVELS_SHA256 = "34ff6804952b06a1d8c54d179036796a2b7ca8abacf7f7b003fee9f738355a64"
+
+
+def _top_adjoined(downs) -> list[tuple[int, int]]:
+    """Cover pairs of a state's order with a top above everything, by
+    transitive reduction of the down-sets."""
+    k = len(downs)
+    below = [*downs, (1 << k) - 1]
+    return [
+        (j, i)
+        for i in range(k + 1)
+        for j in range(k + 1)
+        if below[i] >> j & 1
+        and not any(below[i] >> l & 1 and below[l] >> j & 1 for l in range(k + 1))
+    ]
 
 
 def _count_calls(monkeypatch, module, name) -> list[int]:
@@ -56,17 +78,35 @@ class TestFullSearch:
 
     def test_levels_are_keyed_by_the_lattice_each_state_becomes(self):
         for k in range(1, FULL_SEARCH_LIMIT):
-            for cert, (downs, _, _) in oracle._level(k).items():
-                # the state's order with a top k above everything
-                below = [*downs, (1 << k) - 1]
-                covers = [
-                    (j, i)
-                    for i in range(k + 1)
-                    for j in range(k + 1)
-                    if below[i] >> j & 1
-                    and not any(below[i] >> l & 1 and below[l] >> j & 1 for l in range(k + 1))
-                ]
+            for cert, downs in oracle._level(k).items():
+                covers = _top_adjoined(downs)
                 assert canonical_certificate(build_poset(k + 1, covers)) == cert, k
+
+    def test_expansion_keeps_the_first_child_that_becomes_a_lattice(self):
+        """Reference for what ``_expand`` keeps: every down-closed mask with
+        the bottom gives a child, ``as_lattice`` decides whether the child
+        with a top adjoined is a lattice, and each certificate keeps the
+        child of the first state and the first mask, in ascending order."""
+        for k in range(1, 7):
+            expected = {}
+            for downs in oracle._level(k).values():
+                for mask in range(1, 1 << k, 2):
+                    if any(mask >> j & 1 and downs[j] & ~mask for j in range(k)):
+                        continue
+                    child = (*downs, mask)
+                    try:
+                        lat = as_lattice(build_poset(k + 2, _top_adjoined(child)))
+                    except NotALattice:
+                        continue
+                    expected.setdefault(canonical_certificate(lat.digraph), child)
+            assert list(oracle._level(k + 1).items()) == list(expected.items()), k
+
+    def test_level_contents_are_pinned(self):
+        digest = hashlib.sha256()
+        for k in range(1, 8):
+            for cert, downs in oracle._level(k).items():
+                digest.update(cert.data + repr(downs).encode())
+        assert digest.hexdigest() == LEVELS_SHA256
 
     def test_lattices_are_read_off_the_level_below(self, monkeypatch):
         oracle._level(FULL_SEARCH_LIMIT - 1)
@@ -168,13 +208,15 @@ class TestClassSearch:
         assert _pool_size(3, 5) == 3
 
     def test_recipes_realize_distinct_blocks_with_r_reducibles(self):
-        """No recipe for m <= 11 is dropped by ``_blocks``'s reducible count
-        or by ``_block_table``'s repeat check: each realizes to its own block."""
+        """Every recipe for m <= ``CLASS_SEARCH_LIMIT`` realizes to a block
+        with exactly r reducibles, and no two to isomorphic blocks.
+        ``_block_table`` counts no reducibles, so this test guards the
+        recipes themselves."""
         recipes = {
             2: oracle._two_reducible_block_reps,
             3: oracle._three_reducible_block_reps,
         }
-        for m in range(4, 12):
+        for m in range(4, CLASS_SEARCH_LIMIT + 1):
             for r, reps in recipes.items():
                 certs = set()
                 for rep in reps(m):
