@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -156,6 +158,8 @@ def _cmd_enumerate(args, parser) -> int:
             text = "\n\n".join(
                 "\n".join(f"{a} {b}" for a, b in sorted(lat.covers)) for lat in ordered
             )
+        if args.out:
+            _empty(args.out)
         if ordered:
             sink.write(text + "\n")
     print(len(ordered), file=sys.stderr)
@@ -180,6 +184,7 @@ def _cmd_verify(args, parser) -> int:
         ok = mismatched == 0
         print(f"verify: {'all cells agree' if ok else f'{mismatched} cells disagree'}")
         if report:
+            _empty(report)
             json.dump([asdict(r) for r in records], report)
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -193,12 +198,22 @@ def _worker_count(text: str) -> int:
 
 
 def _output_file(path: str):
-    """``--out`` and ``--json`` value: the file, opened for writing before any
-    work starts (a path that cannot be written is a usage error)."""
+    """``--out`` and ``--json`` value: the file, opened for appending before
+    any work starts (a path that cannot be written is a usage error).  The
+    command empties it only once it has passed its size guard, so a refused
+    run leaves an existing file as it was."""
     try:
-        return open(path, "w")
+        return open(path, "a")
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot write {path}: {exc.strerror}")
+
+
+def _empty(file) -> None:
+    """Drop the old contents of an output file opened for appending, once
+    its command has passed its size guard.  Like opening for writing, this
+    leaves a device or a pipe as it is: only a regular file has contents."""
+    if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+        file.truncate(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,9 @@ Two deliberately separate generation paths:
   process and kept in a table; the certificate of each padding is read off
   the block's certificate (:func:`canon.padded_certificate`), not searched
   again, and each member inherits its block's F-class, which padding does
-  not change.
+  not change.  The tables are the costly part and the only unit of parallel
+  work: with more than one worker, a fork pool builds the tables this
+  process lacks, one table per task, and this process pads their blocks.
 
 Where the paths overlap they must produce identical certificate sets; the
 verify driver checks that, plus every formula cell, and reports witnesses on
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import formulas
@@ -46,6 +47,7 @@ from .poset import (
     LatticeError,
     as_lattice,
     build_poset,
+    chain,
     classify_elements,
 )
 from .reduction import FbbClass, classify_fbb
@@ -319,97 +321,68 @@ def _block_table(m: int, r: int) -> dict[Certificate, Member]:
     return table
 
 
-def _padding_slice(
-    args: tuple[int, int, int],
-) -> tuple[list[tuple[Certificate, Member]], dict[Certificate, Member] | None]:
-    """Members whose maximal block has n - j elements; one worker unit.
+def _padding_slice(n: int, r: int, j: int) -> list[tuple[Certificate, Member]]:
+    """Members whose maximal block has n - j elements, sorted by key.
 
     Padding chains add no reducible element.  Each padded key is read off
     its block's certificate; a key's member is the first block in recipe
-    order with that padding.  Also returns the block table when this call
-    built it, so that a worker process can hand it back to its parent.
+    order with that padding.
     """
-    n, r, j = args
-    built = (n - j, r) not in _BLOCKS
-    table = _block_table(n - j, r)
     found: dict[Certificate, Member] = {}
-    for cert, block in table.items():
+    for cert, block in _block_table(n - j, r).items():
         for below in range(j + 1):
             key = padded_certificate(cert, below, j - below)
             if key not in found:
                 found[key] = Member(block.block, block.fbb, below, j - below)
-    return sorted(found.items(), key=lambda kv: kv[0]), table if built else None
+    return sorted(found.items(), key=lambda kv: kv[0])
 
 
 def _pad(block: Lattice, below: int, above: int) -> Lattice:
     digraph = block.digraph
     if below:
-        digraph = direct_sum(_chain_digraph(below), digraph)
+        digraph = direct_sum(chain(below).digraph, digraph)
     if above:
-        digraph = direct_sum(digraph, _chain_digraph(above))
+        digraph = direct_sum(digraph, chain(above).digraph)
     return as_lattice(digraph) if (below or above) else block
 
 
-def _chain_digraph(k: int) -> CoverDigraph:
-    return build_poset(k, [(i, i + 1) for i in range(k - 1)])
-
-
-def reducible_class(
-    n: int, r: int, workers: int = 1, *, pool=None
-) -> dict[Certificate, Member]:
+def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Member]:
     """All unlabeled n-element lattices with exactly r in {2, 3} reducibles,
     as members that build their lattice on request.
 
-    ``workers`` > 1 fans the padding slices out over processes, no more than
-    there are slices or CPUs; the merged result does not depend on the worker
-    count.  A caller that keeps a fork pool open across calls passes it as
-    ``pool``, and ``workers`` is then not read.
+    ``workers`` > 1 builds the missing block tables over processes, no more
+    than there are missing tables or CPUs; the padding runs here, and the
+    result does not depend on the worker count.
     """
     _check_class(n, r)
     if n < 1:
         return {}
-    if pool is not None:
-        return _reducible_class(n, r, pool)
-    with _fork_pool(_pool_size(workers, n)) as own:
-        return _reducible_class(n, r, own)
-
-
-def _reducible_class(n: int, r: int, pool) -> dict[Certificate, Member]:
-    """``reducible_class`` on an open ``pool``, or in this process for None.
-
-    The pool gets only the slices whose block table this process lacks, so
-    a pool kept across calls builds each table once; a slice whose table is
-    here is only padding, and runs here while the pool works.
-    """
-    args = [(n, r, j) for j in range(0, n)]
-    sent = [a for a in args if pool is not None and (n - a[2], r) not in _BLOCKS]
-    # one slice per task: larger chunks pair the two largest slices
-    pending = pool.map_async(_padding_slice, sent, chunksize=1) if sent else None
-    slices = {a: _padding_slice(a) for a in args if a not in sent}
-    if pending is not None:
-        slices.update(zip(sent, pending.get()))
+    _build_tables([(n - j, r) for j in range(n)], workers)
     out: dict[Certificate, Member] = {}
-    for a in args:
-        slice_result, table = slices[a]
-        if table is not None:  # a worker's table would die with its process
-            _BLOCKS.setdefault((n - a[2], r), table)
-        for cert, member in slice_result:
+    for j in range(n):
+        for cert, member in _padding_slice(n, r, j):
             out.setdefault(cert, member)
     return out
 
 
-def _fork_pool(workers: int):
-    """A fork pool of ``workers`` processes, to open with ``with``; for one
-    worker, a context that opens to None."""
-    if workers == 1:
-        return nullcontext()
-    return multiprocessing.get_context("fork").Pool(workers)
+def _build_tables(keys, workers: int) -> None:
+    """Build the block tables of the (m, r) ``keys`` that this process lacks
+    over a fork pool of up to ``workers`` processes, largest m first, and
+    keep them in ``_BLOCKS``.  With one worker this builds nothing here:
+    ``_block_table`` then builds each table when it is first read."""
+    missing = sorted({key for key in keys if key not in _BLOCKS}, reverse=True)
+    size = _pool_size(workers, len(missing))
+    if size > 1:
+        with multiprocessing.get_context("fork").Pool(size) as pool:
+            # one table per task: larger chunks pair the two largest tables
+            tables = pool.starmap(_block_table, missing, chunksize=1)
+        _BLOCKS.update(zip(missing, tables))
 
 
-def _pool_size(requested: int, slices: int) -> int:
-    """Worker processes to start: at least one, and no more than the slices
+def _pool_size(requested: int, tasks: int) -> int:
+    """Worker processes to start: at least one, and no more than the tasks
     or the CPUs of this machine."""
-    return max(1, min(requested, slices, os.cpu_count() or 1))
+    return max(1, min(requested, tasks, os.cpu_count() or 1))
 
 
 def enumerate_by_reducible(n: int, r: int, workers: int = 1) -> frozenset[Certificate]:
@@ -501,15 +474,15 @@ def verify(n_max: int, workers: int = 1) -> list[VerifyRecord]:
         raise SizeLimitExceeded(
             f"verification capped at {CLASS_SEARCH_LIMIT} elements"
         )
+    # every table of the run at once, so that one pool builds them all
+    _build_tables([(m, r) for m in range(1, n_max + 1) for r in (2, 3)], workers)
     records: list[VerifyRecord] = []
-    # one pool for the whole run: every class search reuses its workers
-    with _fork_pool(_pool_size(workers, n_max)) as pool:
-        for n in range(1, n_max + 1):
-            records.extend(_verify_one(n, pool))
+    for n in range(1, n_max + 1):
+        records.extend(_verify_one(n))
     return records
 
 
-def _verify_one(n: int, pool) -> list[VerifyRecord]:
+def _verify_one(n: int) -> list[VerifyRecord]:
     records: list[VerifyRecord] = []
 
     def cell(name, formula_value, members):
@@ -521,8 +494,8 @@ def _verify_one(n: int, pool) -> list[VerifyRecord]:
             witness = [list(c) for c in first.lattice().covers]
         records.append(VerifyRecord(n, name, formula_value, len(members), ok, witness))
 
-    two = reducible_class(n, 2, pool=pool)
-    three = reducible_class(n, 3, pool=pool)
+    two = reducible_class(n, 2)
+    three = reducible_class(n, 3)
 
     def tagged(members, tag):
         return [member for member in members.values() if member.fbb is tag]

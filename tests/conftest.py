@@ -2,7 +2,7 @@ from functools import cache
 
 import pytest
 
-from latcount import formulas
+from latcount import formulas, oracle, reduction
 
 # One flat F4 lattice sum takes about 2 s at n = 30, and several tests in
 # different modules read the same lattice and block values.  Each memo keeps
@@ -24,3 +24,12 @@ def memoized_sums(monkeypatch):
     tests must call them as ``formulas.<name>``."""
     for name, memo in _MEMOS.items():
         monkeypatch.setattr(formulas, name, memo)
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Start one test from empty block tables and an empty memo of
+    fundamental basic block classes, as a new process would; the tables
+    built before the test come back after it."""
+    monkeypatch.setattr(oracle, "_BLOCKS", {})
+    monkeypatch.setattr(reduction, "_FBB_CLASSES", {})

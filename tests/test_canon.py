@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcount import canon, oracle, reduction
+from latcount import canon, oracle
 from latcount.adjunct import AdjunctPair, AdjunctRep, realize
 from latcount.canon import (
     canonical_certificate,
@@ -288,7 +288,7 @@ def _reference_refine(n, ups, dns, colors):
         distinct = len(ranking)
 
 
-def test_refine_matches_reference_on_search_and_block_inputs(monkeypatch):
+def test_refine_matches_reference_on_search_and_block_inputs(monkeypatch, fresh_tables):
     """Every colouring refined while ``census(7)`` and the block tables for
     m <= 10 are built from scratch gets the reference's colours."""
     refine = canon._refine
@@ -303,8 +303,6 @@ def test_refine_matches_reference_on_search_and_block_inputs(monkeypatch):
 
     monkeypatch.setattr(canon, "_refine", checked)
     monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
-    monkeypatch.setattr(oracle, "_BLOCKS", {})
-    monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
     assert oracle.census(7).total() == 53
     for m in range(4, 11):
         for r in (2, 3):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from latcount import canon, cli, formulas, oracle, reduction, series
+from latcount import canon, cli, formulas, oracle, series
 from latcount.canon import canonical_certificate
 from latcount.cli import (
     document_json,
@@ -196,12 +196,10 @@ def test_enumerate_workload_digest(capsys):
     assert hashlib.sha256(out).hexdigest() == workloads.ENUMERATE_SHA256
 
 
-def test_enumerate_workload_canonicalizations(capsys, monkeypatch):
+def test_enumerate_workload_canonicalizations(capsys, monkeypatch, fresh_tables):
     """From empty tables, the benchmark's ``enumerate`` command canonicalizes
     each of its 385 blocks once and each of the 4 labelled fundamental basic
     blocks they trim to once."""
-    monkeypatch.setattr(oracle, "_BLOCKS", {})
-    monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
     calls = [0]
     canonical = canon._canonical
 
@@ -265,9 +263,13 @@ class TestEnumerate:
             rebuilt = lattice_document(document_to_lattice(doc))
             assert document_json(rebuilt) == line
 
-    def test_deterministic_order(self, capsys):
+    def test_deterministic_order(self, capsys, monkeypatch, fresh_tables):
+        """From empty tables each time, a pool of two prints what one
+        process prints."""
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         main(["enumerate", "--n", "7", "--reducible", "2"])
         first = capsys.readouterr().out
+        monkeypatch.setattr(oracle, "_BLOCKS", {})
         main(["enumerate", "--n", "7", "--reducible", "2", "--workers", "2"])
         assert capsys.readouterr().out == first
 
@@ -302,6 +304,17 @@ class TestEnumerate:
 
     def test_scale_guard_exit_3(self, capsys):
         assert main(["enumerate", "--n", "13", "--reducible", "2"]) == 3
+
+    def test_scale_guard_keeps_existing_out(self, tmp_path, capsys):
+        """A refused run leaves an existing ``--out`` file as it was; the
+        next run that passes the guard replaces its contents."""
+        target = tmp_path / "class.jsonl"
+        target.write_text("kept\n" * 50)
+        argv = ["enumerate", "--reducible", "3", "--out", str(target)]
+        assert main([*argv, "--n", "13"]) == 3
+        assert target.read_text() == "kept\n" * 50
+        assert main([*argv, "--n", "6"]) == 0
+        assert [json.loads(line)["n"] for line in target.read_text().splitlines()] == [6, 6]
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.oracle, "reducible_class", _no_work)
@@ -356,6 +369,16 @@ class TestVerify:
     def test_scale_guard_exit_3(self, capsys):
         assert main(["verify", "--n-max", "13"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_scale_guard_keeps_existing_json(self, tmp_path, capsys):
+        """A refused run leaves an existing ``--json`` report as it was; the
+        next run that passes the guard replaces its contents."""
+        target = tmp_path / "report.json"
+        target.write_text("kept\n" * 50)
+        assert main(["verify", "--n-max", "13", "--json", str(target)]) == 3
+        assert target.read_text() == "kept\n" * 50
+        assert main(["verify", "--n-max", "4", "--json", str(target)]) == 0
+        assert {r["n"] for r in json.loads(target.read_text())} == {1, 2, 3, 4}
 
     def test_unwritable_json_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.oracle, "verify", _no_work)

@@ -227,10 +227,24 @@ class TestClassSearch:
                     certs.add(cert)
                 assert len(certs) == len(oracle._block_table(m, r)), (m, r)
 
-    def test_worker_count_does_not_change_output(self):
-        solo = enumerate_by_reducible(8, 3, workers=1)
-        duo = enumerate_by_reducible(8, 3, workers=2)
-        assert solo == duo
+    def test_worker_count_does_not_change_output(self, monkeypatch, fresh_tables):
+        """From empty tables each time, one process and a pool of two give
+        the same members in the same order; only the pool forks."""
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
+
+        def members(workers):
+            monkeypatch.setattr(oracle, "_BLOCKS", {})
+            return [
+                (cert, m.fbb, m.below, m.above, m.block.covers)
+                for cert, m in reducible_class(8, 3, workers=workers).items()
+            ]
+
+        solo = members(1)
+        assert pools == [0]
+        assert members(2) == solo
+        assert pools == [1]
+        assert enumerate_by_reducible(8, 3, workers=2) == {item[0] for item in solo}
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
@@ -348,7 +362,7 @@ class TestVerify:
         with pytest.raises(SizeLimitExceeded):
             verify(42)
 
-    def test_each_block_is_realized_and_classified_once(self, monkeypatch):
+    def test_each_block_is_realized_and_classified_once(self, monkeypatch, fresh_tables):
         calls = {"realize": 0, "classify_fbb": 0}
 
         def counted(name, fn):
@@ -358,7 +372,6 @@ class TestVerify:
 
             return wrapper
 
-        monkeypatch.setattr(oracle, "_BLOCKS", {})
         monkeypatch.setattr(oracle, "realize", counted("realize", oracle.realize))
         monkeypatch.setattr(
             oracle, "classify_fbb", counted("classify_fbb", oracle.classify_fbb)
@@ -368,31 +381,30 @@ class TestVerify:
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
         assert calls == {"realize": 187, "classify_fbb": 187}
 
-    def test_one_pool_per_run(self, monkeypatch):
-        """A pooled ``verify`` forks its workers once and every class search
-        of the run reuses them."""
+    def test_one_pool_per_run(self, monkeypatch, fresh_tables):
+        """From empty tables, a pooled ``verify`` forks its workers once; a
+        later class search whose tables are all present forks none."""
         context = multiprocessing.get_context("fork")
         pools = _count_calls(monkeypatch, context, "Pool")
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         assert verification_ok(verify(9, workers=2))
         assert pools == [1]
         reducible_class(9, 3, workers=2)
-        assert pools == [2]
+        assert pools == [1]
 
-    def test_pool_builds_each_table_once_per_run(self, monkeypatch):
-        """The run's pool gets only the slices whose block table the parent
-        lacks, so each (m, r) table is built once, in one worker."""
-        monkeypatch.setattr(oracle, "_BLOCKS", {})
+    def test_pool_builds_each_table_once_per_run(self, monkeypatch, fresh_tables):
+        """A pooled ``verify`` sends the pool every (m, r) table it reads,
+        each once and the largest first, and the parent keeps them all."""
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         sent = []
-        map_async = multiprocessing.pool.Pool.map_async
+        starmap = multiprocessing.pool.Pool.starmap
 
         def recorded(self, func, iterable, *args, **kwargs):
             iterable = list(iterable)
-            sent.extend((n - j, r) for n, r, j in iterable)
-            return map_async(self, func, iterable, *args, **kwargs)
+            sent.extend(iterable)
+            return starmap(self, func, iterable, *args, **kwargs)
 
-        monkeypatch.setattr(multiprocessing.pool.Pool, "map_async", recorded)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", recorded)
         # the run still goes through the public entry point, which the
         # benchmark's tracer times
         classes = []
@@ -405,13 +417,13 @@ class TestVerify:
         monkeypatch.setattr(oracle, "reducible_class", counted)
         assert verification_ok(verify(9, workers=2))
         assert sorted(sent) == sorted(oracle._BLOCKS)
-        assert len(sent) == 18  # (m, r) for m <= 9 and r in {2, 3}
+        assert len(sent) == len(set(sent)) == 18  # (m, r) for m <= 9, r in {2, 3}
+        assert sent == sorted(sent, reverse=True)
         assert len(classes) == 18  # two per size
 
-    def test_worker_tables_reach_the_parent(self, monkeypatch):
-        """Blocks built in pool workers are sent back with their slices, so
-        ``block_census`` in the parent realizes nothing again."""
-        monkeypatch.setattr(oracle, "_BLOCKS", {})
+    def test_worker_tables_reach_the_parent(self, monkeypatch, fresh_tables):
+        """Block tables built in pool workers are sent back to the parent,
+        so its padding and ``block_census`` realize nothing again."""
         # counts in the parent only: workers count in their own copy
         calls = _count_calls(monkeypatch, oracle, "realize")
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
