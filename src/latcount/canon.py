@@ -59,9 +59,7 @@ def canonical_rank(p: CoverDigraph) -> tuple[int, ...]:
 
 def canonical_digraph(p: CoverDigraph) -> CoverDigraph:
     """``p`` relabeled into its canonical form."""
-    rows, _ = _canonical(p.n, p.up_adjacency())
-    covers = tuple(sorted((i, j) for i in range(p.n) for j in _bits(rows[i])))
-    return CoverDigraph(p.n, covers)
+    return decode_certificate(canonical_certificate(p))
 
 
 def _encode(n: int, rows) -> bytes:

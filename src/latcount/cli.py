@@ -14,7 +14,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 
-from . import formulas, oracle, series
+from . import oracle, series
 # canonical_digraph has no caller here; perfbench/tracer.py binds it by name
 from .canon import (  # noqa: F401
     _longest_paths,
@@ -83,15 +83,8 @@ def dot_digraph(l: Lattice, name: str) -> str:
 
 
 def _cmd_count(args, parser) -> int:
-    if args.reducible == 2:
-        series.check_size(args.n)
-        value = formulas.two_reducible_lattices(args.n, args.form)
-    else:
-        if args.form != "block_first":
-            parser.error("--form applies only to --reducible 2")
-        totals = series.lattice_counts(3, args.n)["total"]
-        value = totals[args.n] if args.n >= 0 else 0
-    print(value)
+    totals = series.lattice_counts(args.reducible, args.n)["total"]
+    print(totals[args.n] if args.n >= 0 else 0)
     return EXIT_OK
 
 
@@ -227,12 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="print one exact class count")
     count.add_argument("--reducible", type=int, choices=(2, 3), required=True)
     count.add_argument("--n", type=int, required=True)
-    count.add_argument(
-        "--form",
-        choices=("thakare", "block_first"),
-        default="block_first",
-        help="which of the two equivalent 2-reducible sums to evaluate",
-    )
     count.set_defaults(func=_cmd_count)
 
     table = sub.add_parser("table", help="per-n count table")

@@ -369,8 +369,11 @@ def _build_tables(keys, workers: int) -> None:
     """Build the block tables of the (m, r) ``keys`` that this process lacks
     over a fork pool of up to ``workers`` processes, largest m first, and
     keep them in ``_BLOCKS``.  With one worker this builds nothing here:
-    ``_block_table`` then builds each table when it is first read."""
-    missing = sorted({key for key in keys if key not in _BLOCKS}, reverse=True)
+    ``_block_table`` then builds each table when it is first read, as it
+    does for every m < 2r, where no block exists (the smallest are M2 on 4
+    elements and F1/F2 on 6)."""
+    wanted = {(m, r) for m, r in keys if m >= 2 * r}
+    missing = sorted(wanted - _BLOCKS.keys(), reverse=True)
     size = _pool_size(workers, len(missing))
     if size > 1:
         with multiprocessing.get_context("fork").Pool(size) as pool:

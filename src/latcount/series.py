@@ -2,55 +2,58 @@
 power series.
 
 A series is a list of Python integers, the coefficients of x⁰, x¹, ... up to
-the largest size asked for.  x marks an element.  For the edge-surplus
-strata a second variable y marks a route, one chain of a bundle; such a
-series is a list of x-series, its coefficients of y⁰, y¹, ...
+the largest size asked for; x marks an element.  Series are built on
+demand, and P and every y-row below come from one primitive, ``_divide``:
+dividing by 1 − xʲ in place.
 
 The factors follow the recipes of ``oracle._three_reducible_block_reps``.
 A 3-reducible block has its reducibles on a spine bottom < mid < top
-(the factor x³) and three bundles of parallel chains: ``low`` between bottom
-and mid, ``high`` between mid and top, ``outer`` from bottom to top.
-
-* P = Σ partition_count(n, j) xⁿ yʲ: a bundle of j non-empty routes with
-  n elements in all, j ≥ 0.
-* P − 1: at least one route; the ``outer`` bundle when it is present.
-* M = P − 1 − yx/(1−x): two or more parallel routes, the bundle that makes
-  its ends reducible.  With y = 1 it is P − 1/(1−x).
-* y/(1−x): a single route, possibly a bare cover; the ``low`` bundle of an
-  F1 block (F2 mirrors it in ``high``).
-
-So the blocks on m elements with m + k edges, which have k + 3 routes, are
-counted by
-
-* F1 (and F2): [y^(k+3)] x³ · y/(1−x) · M · (P−1), low single, high M;
-* F3: [y^(k+3)] x³ · M · M, outer empty;
-* F4: [y^(k+3)] x³ · M · M · (P−1);
-
-and a 2-reducible block, one bundle between bottom and top with k + 2
-routes, by [y^(k+2)] x² · M.  Setting y = 1 sums the strata.  A lattice is a
-maximal block padded by j chain elements split between below and above in
-j + 1 ways, so its series is L(B) = B/(1−x)².  In all
+(the factor x³) and three bundles of parallel chains, or routes: ``low``
+between bottom and mid, ``high`` between mid and top, ``outer`` from bottom
+to top.  P = ∏_{i≥1} 1/(1 − xⁱ) counts a bundle of non-empty routes, P − 1
+one with at least one route (``outer``), M = P − 1/(1−x) one with two or more
+(the bundle that makes its ends reducible), and 1/(1−x) a single route,
+possibly a bare cover (``low`` of F1; F2 mirrors it in ``high``).  So the
+maximal blocks are x² M (two reducibles), x³ M (P−1)/(1−x) (F1, and F2),
+x³ M² (F3) and x³ M² (P−1) (F4).  A lattice is a maximal block padded by
+j chain elements split between below and above in j + 1 ways, so
+L(B) = B/(1−x)², and
 
     L2 = x² M / (1−x)²,
     L3 = x³/(1−x)² · [2 M (P−1)/(1−x) + M² P].
 
-These are a third derivation of the counts, next to the published sums in
-``formulas`` and the enumerations in ``oracle``.  Every series is built on
-demand, sized to the largest n asked for, from the one partition table.
+A route of c elements brings c + 1 edges, so a block on m elements with
+m + k edges has d = k + 3 routes (d − 1 with two reducibles).  For one such
+stratum y marks a route, and a series in x and y is kept as its y-rows in
+excess coordinates, where xᵉyʲ is j non-empty routes with j + e elements.
+There P is R = ∏_{i≥0} 1/(1 − y xⁱ), M is R − 1 − yu, and u = 1/(1−x) is
+row 1 of R.  Euler's shift identity R(x, xy) = (1 − y) R gives
+Rᵖ(x, xy) = (1 − y)ᵖ Rᵖ, so row j of Rᵖ times 1 − xʲ is
+Σ_{i=1..p} (−1)^{i+1} C(p, i) · row (j − i), with row 0 equal to 1.  Six
+rows of R, R² and R³ then give every stratum, multiplying by u being a
+running sum; F1 takes its single low route, which may be a bare cover, as
+the separate factor y/(1−x):
+
+    two reducibles  [y^(d−1)] M      = R[d−1]
+    F1 (and F2)     [y^(d−1)] M(R−1) = R²[d−1] − 2R[d−1] − u R[d−2]
+    F3              [y^d] M²         = R²[d] − 2R[d] − 2u R[d−1]
+    F4              [y^d] M²(R−1)    = R³[d] − 2R²[d] − 2u R²[d−1] + R[d]
+                                       + 2u R[d−1] + u² R[d−2] − [y^d] M²
+
+A third derivation of the counts, next to the published sums in ``formulas``
+and the enumerations in ``oracle``, sharing no table with either.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, mul
+from operator import mul
 
 from .oracle import SizeLimitExceeded
-from .partitions import partition_count
 
-# Largest lattice or block size the series are built for.  A stratum costs
-# about (k (m - k))² / 8 integer products, so the slowest query at this size is
-# `blocks --m-to 330 --k` with k near m / 2: 8.6 s on a 2-core x86 host with
-# Python 3.11, where `table --reducible 3 --n-to 330` takes 0.26 s.
+# Largest size the series are built for (exit 3 above it).  The slowest query
+# at this size, `blocks --m-to 330 --k K` with K near m / 2, takes 0.05 s
+# in-process and 0.18 s cold on a 2-core x86 host with Python 3.11.
 LIMIT = 330
 
 
@@ -86,7 +89,7 @@ def block_counts(m_max: int, k: int | None = None) -> dict[str, list[int]]:
     check_size(m_max)
     length = max(m_max + 1, 0)
     if k is None:
-        p = [sum(partition_count(n, j) for j in range(n + 1)) for n in range(length)]
+        p = _partitions(length)
         many = [c - 1 for c in p]
         some = [c - (n == 0) for n, c in enumerate(p)]
         m2 = many
@@ -96,22 +99,21 @@ def block_counts(m_max: int, k: int | None = None) -> dict[str, list[int]]:
         # x-degree of index 0: the reducibles on the spine
         starts = (2, 3, 3)
     else:
-        # y-rows up to y^(k+3) in excess coordinates: row j holds the
-        # coefficient of x^(j+e) at index e.  A block of the stratum with at
-        # most m_max elements has excess at most m_max - k - 4.
-        excess = max(min(m_max, m_max - k - 4) + 1, 0)
-        p = [
-            [partition_count(j + e, j) for e in range(excess)]
-            for j in range(k + 4 if excess else 0)
-        ]
-        zero = [0] * excess
-        many = [row if j >= 2 else zero for j, row in enumerate(p)]
-        some = [row if j >= 1 else zero for j, row in enumerate(p)]
-        squares = [_square_row(many, d, excess) for d in range(len(p))]
-        m2 = _row(many, k + 2, excess)
-        f1 = _product_row(many, some, k + 2, excess)
-        f3 = _row(squares, k + 3, excess)
-        f4 = _product_row(squares, some, k + 3, excess)
+        # A block of the stratum with at most m_max elements has excess at
+        # most m_max - k - 4; there is none for k < 0.
+        d, excess = k + 3, m_max - k - 3
+        if k < 0 or excess <= 0:
+            m2 = f1 = f3 = f4 = []
+        else:
+            r1, r2, r3 = _route_rows(d, excess)
+            u1, u2 = (list(accumulate(r1[d - i])) for i in (1, 2))
+            m2 = r1[d - 1]
+            f1 = _combine((1, -2, -1), (r2[d - 1], r1[d - 1], u2))
+            f3 = _combine((1, -2, -2), (r2[d], r1[d], u1))
+            f4 = _combine(
+                (1, -2, -2, 1, 2, 1, -1),
+                (r3[d], r2[d], accumulate(r2[d - 1]), r1[d], u1, accumulate(u2), f3),
+            )
         # the reducibles on the spine plus one element per route of the row
         starts = (k + 4, k + 5, k + 6)
     b1 = _shifted(list(accumulate(f1)), starts[1], length)
@@ -122,6 +124,40 @@ def block_counts(m_max: int, k: int | None = None) -> dict[str, list[int]]:
         "b3": _shifted(f3, starts[2], length),
         "b4": _shifted(f4, starts[2], length),
     }
+
+
+def _divide(a: list[int], j: int) -> None:
+    """a / (1 − xʲ) in place, truncated to the length of ``a``."""
+    for e in range(j, len(a)):
+        a[e] += a[e - j]
+
+
+def _partitions(length: int) -> list[int]:
+    """P = ∏_{i≥1} 1/(1 − xⁱ), the partition numbers."""
+    p = ([1] + [0] * length)[:length]
+    for i in range(1, length):
+        _divide(p, i)
+    return p
+
+
+def _route_rows(d: int, length: int) -> list[list[list[int]]]:
+    """Rows 0..d of R, R² and R³, each a series of ``length`` coefficients."""
+    powers = []
+    # (−1)^(i+1) C(p, i) for i = 1..p, p = 1, 2, 3
+    for signs in ((1,), (2, -1), (3, -3, 1)):
+        rows = [[1] + [0] * (length - 1)]
+        for j in range(1, d + 1):
+            # rows j − 1, j − 2, ..., one per sign, none below row 0
+            row = _combine(signs, rows[: -len(signs) - 1 : -1])
+            _divide(row, j)
+            rows.append(row)
+        powers.append(rows)
+    return powers
+
+
+def _combine(coefficients, series) -> list[int]:
+    """Σ coefficients[i] · series[i], for series of one length."""
+    return [sum(map(mul, coefficients, column)) for column in zip(*series)]
 
 
 def _padded(block: list[int]) -> list[int]:
@@ -148,29 +184,4 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     for d in range(i0 + j0, n):
         # pairs a[i] · b[d - i] for i = i0 .. d - j0
         out[d] = sum(map(mul, a[i0 : d - j0 + 1], rb[n - 1 - d + i0 : n - j0]))
-    return out
-
-
-def _row(rows: list[list[int]], d: int, length: int) -> list[int]:
-    """The y^d coefficient of a series given by its y-rows."""
-    return rows[d] if 0 <= d < len(rows) else [0] * length
-
-
-def _product_row(a: list[list[int]], b: list[list[int]], d: int, length: int) -> list[int]:
-    """The y^d coefficient of a · b, both given by their y-rows."""
-    out = [0] * length
-    for i, row in enumerate(a):
-        if 0 <= d - i < len(b):
-            out = list(map(add, out, _mul(row, b[d - i])))
-    return out
-
-
-def _square_row(a: list[list[int]], d: int, length: int) -> list[int]:
-    """The y^d coefficient of a · a: each pair of distinct rows once, doubled."""
-    out = [0] * length
-    for i in range(max(0, d - len(a) + 1), (d + 1) // 2):
-        out = list(map(add, out, _mul(a[i], a[d - i])))
-    out = [2 * c for c in out]
-    if d % 2 == 0 and d // 2 < len(a):
-        out = list(map(add, out, _mul(a[d // 2], a[d // 2])))
     return out

@@ -46,8 +46,30 @@ class TestCount:
         assert capsys.readouterr().out == "0\n"
 
     def test_thakare_form(self, capsys):
-        assert main(["count", "--reducible", "2", "--n", "9", "--form", "thakare"]) == 0
+        """The two published two-reducible sums agree (``verify`` checks
+        both against the oracle), so ``count`` has no ``--form``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--reducible", "2", "--n", "9", "--form", "thakare"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["count", "--reducible", "2", "--n", "9"]) == 0
         assert capsys.readouterr().out == "84\n"
+
+    @pytest.mark.parametrize("r", ["2", "3"])
+    def test_count_is_the_table_total(self, r, capsys):
+        for n in ("-400", "-1", "0", "3", "4", "9", "60", "330"):
+            assert main(["count", "--reducible", r, "--n", n]) == 0
+            count = capsys.readouterr().out
+            code = main(
+                ["table", "--reducible", r, "--n-from", n, "--n-to", n, "--format", "json"]
+            )
+            table = capsys.readouterr().out
+            if int(n) < -series.LIMIT:
+                # a table range starts at -LIMIT or above; no size below 0 has members
+                assert (code, table, count) == (3, "", "0\n")
+            else:
+                assert code == 0
+                assert count == f"{json.loads(table)[0]['total']}\n", (r, n)
 
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -227,6 +227,22 @@ class TestClassSearch:
                     certs.add(cert)
                 assert len(certs) == len(oracle._block_table(m, r)), (m, r)
 
+    def test_smallest_blocks_have_twice_the_reducibles(self):
+        """The bound ``_build_tables`` sends to the pool: M2 has 4 elements,
+        F1 and F2 have 6, and no block is smaller."""
+        for r in (2, 3):
+            assert all(not oracle._block_table(m, r) for m in range(2 * r)), r
+            assert oracle._block_table(2 * r, r), r
+
+    def test_tables_without_blocks_fork_no_pool(self, monkeypatch, fresh_tables):
+        """Below m = 2r every table is empty, so a class search that reads
+        only such tables builds them in-process, however many workers."""
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
+        assert reducible_class(3, 2, workers=2) == {}
+        assert reducible_class(5, 3, workers=2) == {}
+        assert pools == [0]
+
     def test_worker_count_does_not_change_output(self, monkeypatch, fresh_tables):
         """From empty tables each time, one process and a pool of two give
         the same members in the same order; only the pool forks."""
@@ -393,8 +409,9 @@ class TestVerify:
         assert pools == [1]
 
     def test_pool_builds_each_table_once_per_run(self, monkeypatch, fresh_tables):
-        """A pooled ``verify`` sends the pool every (m, r) table it reads,
-        each once and the largest first, and the parent keeps them all."""
+        """A pooled ``verify`` sends the pool every (m, r) table it reads
+        that holds a block, each once and the largest first, and the parent
+        keeps them all."""
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         sent = []
         starmap = multiprocessing.pool.Pool.starmap
@@ -416,9 +433,12 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "reducible_class", counted)
         assert verification_ok(verify(9, workers=2))
-        assert sorted(sent) == sorted(oracle._BLOCKS)
-        assert len(sent) == len(set(sent)) == 18  # (m, r) for m <= 9, r in {2, 3}
+        assert len(sent) == len(set(sent)) == 10  # (m, r) for 2r <= m <= 9
+        assert set(sent) == {(m, r) for m, r in oracle._BLOCKS if m >= 2 * r}
         assert sent == sorted(sent, reverse=True)
+        # every other table read is empty, built in the parent without a block
+        assert len(oracle._BLOCKS) == 18
+        assert all(not oracle._BLOCKS[key] for key in oracle._BLOCKS.keys() - set(sent))
         assert len(classes) == 18  # two per size
 
     def test_worker_tables_reach_the_parent(self, monkeypatch, fresh_tables):

@@ -7,6 +7,7 @@ import pytest
 
 from latcount import cli, formulas, oracle, series
 from latcount.oracle import SizeLimitExceeded
+from latcount.partitions import partition_count
 from latcount.reduction import FbbClass
 
 # Looked up by name when called, so that ``memoized_sums`` can route them.
@@ -26,11 +27,11 @@ FIBER_COLUMNS = {
 
 
 def stdout_sha256(argv, capsys):
-    """sha256 of the CLI's stdout.  The digests below were recorded at commit
-    8404830, where the published sums, then evaluated through a cached
-    regrouping, were tested equal to ``series`` on every row to n = m = 60.
-    The flat sums reach n = 26 (classes) and m = 30 (strata) here in seconds;
-    the digests pin the rows beyond."""
+    """sha256 of the CLI's stdout.  The digests in ``TestAgainstPublishedSums``
+    were recorded at commit 8404830, where the published sums, then evaluated
+    through a cached regrouping, were tested equal to ``series`` on every row
+    to n = m = 60.  The flat sums reach n = 26 (classes) and m = 30 (strata)
+    here in seconds; the digests pin the rows beyond."""
     assert cli.main(argv) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
@@ -70,6 +71,53 @@ class TestAgainstPublishedSums:
         assert stdout_sha256(
             ["blocks", "--m-from", "1", "--m-to", "60"], capsys
         ) == "1c04d9d00e3de41d7433fc14a967c0208a4f0c5d2c18765ce1d9dba4b34c76fc"
+
+
+# sha256 of the stdout of `blocks --m-from 1 --m-to 330 --k K`, recorded at
+# commit 192290a, where each stratum multiplied the y-rows of P term by term
+STRATA_TO_330 = {
+    0: "ba4699d02a1ee61304a3941ffc5ed2c7d9a26f4be04a0c4d14153d5ef44c4f46",
+    1: "8b9e55cbd703b9579bbcec21321ca107f21eafcea936abcfa36c2434bc2491f0",
+    2: "a0ce1f0742efb341320e8e18130b8b56e8829c7a5b7b923d53d6c36886090166",
+    7: "54e93db105d70571bd25394b81d8915fd6b807a515da9af132d4e6776dcd8f6c",
+    50: "5863f35b0d8365879fb2081b224b093ba31d70d4a8b09b114496048b6301fc34",
+    155: "93ae731e0ed399a42520320e15a3b4d2cd2ee72783bc174db99950f336924414",
+    300: "a77e13ba84ed4b83e2a9785e10963152f813fd6f01d854e443f1424a7a14126a",
+    326: "0f43e23a8fe2b141e8f1d416fcb5e48abc870e80f2de9cadec06415e1ad69dbf",
+}
+
+
+@pytest.mark.parametrize("k", sorted(STRATA_TO_330))
+def test_strata_to_330_are_pinned(k, capsys):
+    argv = ["blocks", "--m-from", "1", "--m-to", "330", "--k", str(k)]
+    assert stdout_sha256(argv, capsys) == STRATA_TO_330[k]
+
+
+class TestRecurrence:
+    """The series' own tables against the partition table."""
+
+    def test_route_rows_are_row_convolutions(self):
+        size = 13
+        base = [[partition_count(j + e, j) for e in range(size)] for j in range(size)]
+
+        def times(a, b):
+            """a · b for two series in x and y given by their y-rows."""
+            return [
+                [
+                    sum(a[i][s] * b[j - i][e - s] for i in range(j + 1) for s in range(e + 1))
+                    for e in range(size)
+                ]
+                for j in range(size)
+            ]
+
+        square = times(base, base)
+        assert series._route_rows(size - 1, size) == [base, square, times(square, base)]
+
+    def test_partition_numbers(self):
+        assert series._partitions(101) == [
+            sum(partition_count(n, j) for j in range(n + 1)) for n in range(101)
+        ]
+        assert series._partitions(0) == []
 
 
 class TestAgainstOracle:
