@@ -7,74 +7,32 @@ Exit codes: 0 success (and verification agreement), 1 verification mismatch,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
+from importlib import import_module
 
-from . import oracle, series
-# canonical_digraph has no caller here; perfbench/tracer.py binds it by name
-from .canon import (  # noqa: F401
-    _longest_paths,
-    _neighbours,
-    canonical_digraph,
-    decode_certificate,
-)
-from .poset import Lattice, as_lattice, build_poset, classify_elements, nullity
-from .reduction import FbbClass, classify_fbb
+from . import series
+from .errors import SizeLimitExceeded
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_SCALE = 3
 
-
-# --------------------------------------------------------------------------
-# Lattice documents: the JSON interchange schema.
-# {"n": int, "covers": [[lo, hi], ...], "red": [int], "nullity": int,
-#  "fbb": "F1|F2|F3|F4|M2" or null} with covers sorted ascending.
-# --------------------------------------------------------------------------
-
-
-def lattice_document(l: Lattice, fbb: FbbClass | None = None) -> dict:
-    """The document of ``l``.  ``fbb`` is its fundamental basic block class
-    when the caller knows it already; otherwise it is derived from ``l``."""
-    cls = classify_elements(l)
-    if fbb is None and len(cls.red) in (2, 3):
-        fbb = classify_fbb(l)
-    return {
-        "n": l.n,
-        "covers": [list(c) for c in sorted(l.covers)],
-        "red": sorted(cls.red),
-        "nullity": nullity(l.digraph),
-        "fbb": None if fbb is None else fbb.value,
-    }
+# ``count``, ``table`` and ``blocks`` read ``series`` alone: the lattice
+# layers, ``json`` and ``dataclasses`` load inside the commands that use
+# them.  perfbench/tracer.py wraps ``cli.canonical_digraph`` (which has no
+# caller here) and ``cli.lattice_document`` by name, so both still resolve
+# as attributes of ``cli``, on first access.
+_LAZY = {"canonical_digraph": "canon", "lattice_document": "documents"}
 
 
-def document_json(doc: dict) -> str:
-    return json.dumps(doc)
-
-
-def document_to_lattice(doc: dict) -> Lattice:
-    return as_lattice(
-        build_poset(doc["n"], [(int(a), int(b)) for a, b in doc["covers"]])
-    )
-
-
-def dot_digraph(l: Lattice, name: str) -> str:
-    """A DOT digraph whose ranks follow element height, covers drawn upward."""
-    height = _longest_paths(l.n, *_neighbours(l.digraph.up_adjacency()))
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for h in range(max(height) + 1 if l.n else 0):
-        level = [str(v) for v in range(l.n) if height[v] == h]
-        if level:
-            lines.append("  { rank=same; " + "; ".join(level) + "; }")
-    for a, b in sorted(l.covers):
-        lines.append(f"  {a} -> {b};")
-    lines.append("}")
-    return "\n".join(lines)
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __package__), name)
 
 
 # --------------------------------------------------------------------------
@@ -92,7 +50,7 @@ def _check_lowest(lo: int) -> None:
     """Sizes below zero print zero rows; a range may start no lower than
     ``-series.LIMIT``."""
     if lo < -series.LIMIT:
-        raise oracle.SizeLimitExceeded(f"ranges start at -{series.LIMIT} or above")
+        raise SizeLimitExceeded(f"ranges start at -{series.LIMIT} or above")
 
 
 def _sized_rows(key: str, lo: int, hi: int, columns: dict[str, list[int]]) -> list[dict]:
@@ -106,6 +64,8 @@ def _sized_rows(key: str, lo: int, hi: int, columns: dict[str, list[int]]) -> li
 
 def _print_rows(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(rows))
         return
     columns = list(rows[0]) if rows else []
@@ -133,6 +93,10 @@ def _cmd_blocks(args, parser) -> int:
 
 
 def _cmd_enumerate(args, parser) -> int:
+    from . import documents, oracle
+    from .canon import decode_certificate
+    from .poset import as_lattice
+
     with args.out or nullcontext(sys.stdout) as sink:
         members = oracle.reducible_class(args.n, args.reducible, workers=args.workers)
         certs = sorted(members)
@@ -140,12 +104,15 @@ def _cmd_enumerate(args, parser) -> int:
         ordered = [as_lattice(decode_certificate(cert)) for cert in certs]
         if args.format == "json":
             text = "\n".join(
-                document_json(lattice_document(lat, members[cert].fbb))
+                documents.document_json(
+                    documents.lattice_document(lat, members[cert].fbb)
+                )
                 for cert, lat in zip(certs, ordered)
             )
         elif args.format == "dot":
             text = "\n\n".join(
-                dot_digraph(lat, f"lattice_{i}") for i, lat in enumerate(ordered)
+                documents.dot_digraph(lat, f"lattice_{i}")
+                for i, lat in enumerate(ordered)
             )
         else:  # edges: one "lo hi" line per cover, blank line between lattices
             text = "\n\n".join(
@@ -160,6 +127,11 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    import json
+    from dataclasses import asdict
+
+    from . import oracle
+
     with args.json or nullcontext() as report:
         records = oracle.verify(args.n_max, workers=args.workers)
         mismatched = 0
@@ -259,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except oracle.SizeLimitExceeded as exc:
+    except SizeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE
 

@@ -33,18 +33,17 @@ any disagreement.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 
 from . import formulas
 from .adjunct import AdjunctPair, AdjunctRep, direct_sum, realize
 from .canon import Certificate, canonical_certificate, padded_certificate
+from .errors import SizeLimitExceeded
 from .partitions import enumerate_partitions
 from .poset import (
     CoverDigraph,
     Lattice,
-    LatticeError,
     as_lattice,
     build_poset,
     chain,
@@ -54,10 +53,6 @@ from .reduction import FbbClass, classify_fbb
 
 FULL_SEARCH_LIMIT = 8
 CLASS_SEARCH_LIMIT = 12
-
-
-class SizeLimitExceeded(LatticeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +371,8 @@ def _build_tables(keys, workers: int) -> None:
     missing = sorted(wanted - _BLOCKS.keys(), reverse=True)
     size = _pool_size(workers, len(missing))
     if size > 1:
+        import multiprocessing  # loaded only by a run that forks
+
         with multiprocessing.get_context("fork").Pool(size) as pool:
             # one table per task: larger chunks pair the two largest tables
             tables = pool.starmap(_block_table, missing, chunksize=1)

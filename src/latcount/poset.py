@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-
-class LatticeError(Exception):
-    """Base class for all structural errors raised by this package."""
+from .errors import LatticeError
 
 
 class LabelOutOfRange(LatticeError):

@@ -49,7 +49,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import mul
 
-from .oracle import SizeLimitExceeded
+from .errors import SizeLimitExceeded
 
 # Largest size the series are built for (exit 3 above it).  The slowest query
 # at this size, `blocks --m-to 330 --k K` with K near m / 2, takes 0.05 s

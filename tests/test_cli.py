@@ -6,14 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from latcount import canon, cli, formulas, oracle, series
+from latcount import canon, formulas, oracle, series
 from latcount.canon import canonical_certificate
-from latcount.cli import (
+from latcount.cli import main
+from latcount.documents import (
     document_json,
     document_to_lattice,
     dot_digraph,
     lattice_document,
-    main,
 )
 from latcount.reduction import f3, m2
 
@@ -339,7 +339,7 @@ class TestEnumerate:
         assert [json.loads(line)["n"] for line in target.read_text().splitlines()] == [6, 6]
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli.oracle, "reducible_class", _no_work)
+        monkeypatch.setattr(oracle, "reducible_class", _no_work)
         target = tmp_path / "missing" / "class.jsonl"
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--n", "6", "--reducible", "3", "--out", str(target)])
@@ -403,7 +403,7 @@ class TestVerify:
         assert {r["n"] for r in json.loads(target.read_text())} == {1, 2, 3, 4}
 
     def test_unwritable_json_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli.oracle, "verify", _no_work)
+        monkeypatch.setattr(oracle, "verify", _no_work)
         target = tmp_path / "missing" / "report.json"
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n-max", "4", "--json", str(target)])
