@@ -178,6 +178,8 @@ OVER = str(series.LIMIT + 1)
 UNDER = str(-series.LIMIT - 1)
 SERIES_CAP = f"error: series capped at {series.LIMIT} elements\n"
 RANGE_CAP = f"error: ranges start at -{series.LIMIT} or above\n"
+CLASS_CAP = "error: class search capped at 12 elements\n"
+VERIFY_CAP = "error: verification capped at 12 elements\n"
 
 
 @pytest.mark.parametrize(
@@ -189,8 +191,8 @@ RANGE_CAP = f"error: ranges start at -{series.LIMIT} or above\n"
         (["blocks", "--m-from", "6", "--m-to", OVER, "--k", "2"], SERIES_CAP),
         (["table", "--reducible", "3", "--n-from", UNDER, "--n-to", "3"], RANGE_CAP),
         (["blocks", "--m-from", UNDER, "--m-to", "3"], RANGE_CAP),
-        (["enumerate", "--n", "13", "--reducible", "3"], "error: class search capped at 12 elements\n"),
-        (["verify", "--n-max", "13"], "error: verification capped at 12 elements\n"),
+        (["enumerate", "--n", "13", "--reducible", "3"], CLASS_CAP),
+        (["verify", "--n-max", "13"], VERIFY_CAP),
     ],
 )
 def test_size_guards_exit_3_with_their_message(argv, err, capsys):
