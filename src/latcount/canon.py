@@ -25,6 +25,7 @@ and canonical labelings are exactly those of the unpruned search.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .poset import CoverDigraph, _bits
@@ -38,14 +39,21 @@ class Certificate:
 
 
 def canonical_certificate(p: CoverDigraph) -> Certificate:
-    rows, _ = _canonical(p.n, p.up_adjacency())
-    return Certificate(_encode(p.n, rows))
+    return _certificate(p.n, p.up_adjacency())[0]
+
+
+def _certificate(n: int, up: Sequence[int]) -> tuple[Certificate, list[list[int]]]:
+    """The certificate of the cover digraph whose up-cover rows are ``up``,
+    and the automorphisms the search found on the way: ``g[v]`` is the image
+    of vertex ``v``.  They generate a subgroup of the automorphism group,
+    possibly the trivial one."""
+    rows, _, automorphisms = _canonical(n, up)
+    return Certificate(_encode(n, rows)), automorphisms
 
 
 def canonical_labeling(p: CoverDigraph) -> tuple[int, ...]:
     """The labeling witnessing the certificate: position i holds the old label."""
-    _, perm = _canonical(p.n, p.up_adjacency())
-    return perm
+    return _canonical(p.n, p.up_adjacency())[1]
 
 
 def canonical_rank(p: CoverDigraph) -> tuple[int, ...]:
@@ -109,9 +117,13 @@ def padded_certificate(cert: Certificate, below: int, above: int) -> Certificate
     return Certificate(_encode(n, padded))
 
 
-def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canonical(
+    n: int, up: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
+    """The smallest rows, the first labeling that attains them, and the
+    automorphisms found between equal leaves."""
     if n == 1:
-        return (0,), (0,)
+        return (0,), (0,), []
     ups, dns = _neighbours(up)
     height = _longest_paths(n, ups, dns)
     depth = _longest_paths(n, dns, ups)
@@ -165,7 +177,7 @@ def _canonical(n: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
 
     descend(colors, ())
     assert best_rows is not None and best_perm is not None
-    return best_rows, best_perm
+    return best_rows, best_perm, automorphisms
 
 
 def _neighbours(up) -> tuple[list[list[int]], list[list[int]]]:

@@ -7,9 +7,9 @@ oracle would implicate the formula cell itself, not the transcription.  All
 arithmetic is exact.
 
 These sums are the "formula" column of ``verify`` and the reference the
-tests hold ``series`` to.  The CLI's ``count --reducible 3``, ``table`` and
-``blocks`` read the generating functions in ``series``, and
-``count --reducible 2`` evaluates the sum its ``--form`` names.
+tests hold ``series`` to.  The CLI's ``count`` and ``table`` read
+``series.lattice_counts`` and its ``blocks`` reads ``series.block_counts``,
+so no CLI count evaluates these sums.
 
 Conventions: blocks on ``m`` elements with ``m + k`` edges form the
 ``k``-stratum; ``j`` counts chain padding below/above a maximal block.

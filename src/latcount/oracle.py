@@ -4,10 +4,11 @@ driver comparing every closed-form count against it.
 Two deliberately separate generation paths:
 
 * a breadth-first extension search that grows finite meet-semilattices one
-  element at a time: each new element brings its full down-set and must
-  have a unique meet with every old element, and a state is its down-sets
-  alone.  Its states on n - 1 elements are the finite meet-semilattices,
-  one per isomorphism class, and removing the top is a bijection from
+  element at a time: each new element brings its full down-set, an order
+  ideal of the state tried once per automorphism orbit, and must have a
+  unique meet with every old element, and a state is its down-sets alone.
+  Its states on n - 1 elements are the finite meet-semilattices, one per
+  isomorphism class, and removing the top is a bijection from
   n-element lattices onto them, so adjoining a top to each state of level
   n - 1 harvests every unlabeled lattice on n <= ``FULL_SEARCH_LIMIT``
   elements without building level n.  Each level is keyed by the
@@ -36,7 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from . import formulas
+from . import canon, formulas
 from .adjunct import AdjunctPair, AdjunctRep, direct_sum, realize
 from .canon import Certificate, canonical_certificate, padded_certificate
 from .errors import SizeLimitExceeded
@@ -44,6 +45,7 @@ from .partitions import enumerate_partitions
 from .poset import (
     CoverDigraph,
     Lattice,
+    _bits,
     as_lattice,
     build_poset,
     chain,
@@ -72,12 +74,24 @@ CLASS_SEARCH_LIMIT = 12
 #
 # _LEVELS[k] maps the certificate of the (k + 1)-element lattice a state
 # becomes, with a top adjoined, to the first state found that becomes it.
+#
+# A state's children are its order ideals that hold the bottom, each the
+# down-set of a new element, tried in ascending mask order.  An automorphism
+# of the lattice a state becomes fixes its top, so it permutes the state's
+# ideals and maps each child onto an isomorphic one.  _GENERATORS[downs]
+# holds the automorphisms that canonicalizing the state found when it was
+# kept, and the expansion tries one ideal per orbit of the group they
+# generate: the smallest, which comes first.  A skipped ideal is a larger
+# member of an orbit already tried in the same state, so its certificate is
+# already a key, and every level keeps the states it would keep unpruned,
+# in the same order.
 # ---------------------------------------------------------------------------
 
 _LEVELS: dict[int, dict[Certificate, tuple[int, ...]]] = {
     # the one-element state becomes the 2-chain
     1: {canonical_certificate(CoverDigraph(2, ((0, 1),))): (0,)}
 }
+_GENERATORS: dict[tuple[int, ...], list[list[int]]] = {(0,): []}
 
 
 def _level(n: int) -> dict[Certificate, tuple[int, ...]]:
@@ -93,16 +107,30 @@ def _level(n: int) -> dict[Certificate, tuple[int, ...]]:
 
 def _expand(downs: tuple[int, ...], out: dict) -> None:
     k = len(downs)
-    for d_mask in range(1, 1 << k, 2):  # always contains the bottom, bit 0
-        # the new element's down-set must be down-closed
-        m = d_mask
-        while m:
-            low = m & -m
-            if downs[low.bit_length() - 1] & ~d_mask:
-                break
-            m ^= low
-        if m:
-            continue
+    # (ideal, union of its members' down-sets), ascending: the members of an
+    # ideal below label i form an ideal found before, and i joins any ideal
+    # that holds its down-set.  Every ideal holds the bottom, bit 0.
+    ideals = [(1, 0)]
+    for i in range(1, k):
+        ideals += [(m | 1 << i, u | downs[i]) for m, u in ideals if not downs[i] & ~m]
+    # upper covers of each old element among the old elements: j is a lower
+    # cover of i unless it lies below another element of i's down-set
+    base = [0] * k
+    below_any = 0
+    for i, di in enumerate(downs):
+        below_any |= di
+        under = 0
+        for j in _bits(di):
+            under |= downs[j]
+        for j in _bits(di & ~under):
+            base[j] |= 1 << i
+    maximal = (1 << k) - 1 & ~below_any
+    gens = _GENERATORS[downs]
+    tried: set[int] = set()
+    for d_mask, under in ideals:
+        if d_mask in tried:
+            continue  # an automorphic image of a smaller ideal
+        tried |= _mask_orbit(d_mask, gens)
         # every old element x must get a unique meet with the new one.  The
         # common lower bounds form a down-set, so its highest label t is
         # maximal in it, and the meet exists iff the set is t's down-set.
@@ -114,10 +142,35 @@ def _expand(downs: tuple[int, ...], out: dict) -> None:
             if common != downs[t] | 1 << t:
                 break
         else:
-            nd = downs + (d_mask,)
-            cert = canonical_certificate(CoverDigraph(k + 2, _lattice_covers(nd)))
+            # the new element k covers the maximal members of its ideal, and
+            # the top k + 1 covers it and the old maximal elements outside it
+            covered = d_mask & ~under
+            above = maximal & ~d_mask
+            up = [
+                base[j] | (covered >> j & 1) << k | (above >> j & 1) << (k + 1)
+                for j in range(k)
+            ]
+            up += [1 << (k + 1), 0]
+            cert, automorphisms = canon._certificate(k + 2, up)
             if cert not in out:
+                nd = downs + (d_mask,)
                 out[cert] = nd
+                _GENERATORS[nd] = automorphisms
+
+
+def _mask_orbit(mask: int, gens: list[list[int]]) -> set[int]:
+    """The images of the element set ``mask`` under the group the vertex
+    permutations ``gens`` generate."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        m = stack.pop()
+        for g in gens:
+            image = sum(1 << g[j] for j in _bits(m))
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
 
 
 def _lattice_covers(downs: tuple[int, ...]) -> tuple[tuple[int, int], ...]:

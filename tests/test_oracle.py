@@ -38,6 +38,11 @@ FULL_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 # its up-sets and a join table besides its down-sets.
 LEVELS_SHA256 = "34ff6804952b06a1d8c54d179036796a2b7ca8abacf7f7b003fee9f738355a64"
 
+# The same digest over level 8 alone, whose states become the 1,078
+# lattices on 9 elements; recorded while ``_expand`` still walked every mask
+# of every state.
+LEVEL_8_SHA256 = "b64b72a344c3c989ac2866aa67071109c0f25c410c6f2696e238943e58441539"
+
 
 def _top_adjoined(downs) -> list[tuple[int, int]]:
     """Cover pairs of a state's order with a top above everything, by
@@ -108,6 +113,15 @@ class TestFullSearch:
                 digest.update(cert.data + repr(downs).encode())
         assert digest.hexdigest() == LEVELS_SHA256
 
+    def test_level_8_is_pinned(self, monkeypatch):
+        # a copy, so that level 8 does not outlive the test
+        monkeypatch.setattr(oracle, "_LEVELS", dict(oracle._LEVELS))
+        digest = hashlib.sha256()
+        for cert, downs in oracle._level(8).items():
+            digest.update(cert.data + repr(downs).encode())
+        assert len(oracle._level(8)) == 1078
+        assert digest.hexdigest() == LEVEL_8_SHA256
+
     def test_lattices_are_read_off_the_level_below(self, monkeypatch):
         oracle._level(FULL_SEARCH_LIMIT - 1)
         calls = _count_calls(monkeypatch, canon, "_canonical")
@@ -116,14 +130,32 @@ class TestFullSearch:
         assert calls == [0]
 
     def test_census_canonicalizes_each_searched_child_once(self, monkeypatch):
-        """census(8) from the seed level canonicalizes the 694 children that
-        levels 2..7 try, and each of the 10 labelled fundamental basic
-        blocks its 65 three-reducible lattices trim to, and nothing else."""
+        """census(8) from the seed level canonicalizes the 519 children that
+        levels 2..7 try, one per automorphism orbit of each state's ideals
+        (694 while every ideal was tried), and each of the 10 labelled
+        fundamental basic blocks its 65 three-reducible lattices trim to,
+        and nothing else."""
         monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
         monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
         calls = _count_calls(monkeypatch, canon, "_canonical")
         assert census(8).total() == FULL_COUNTS[8]
-        assert calls == [694 + 10]
+        assert calls == [519 + 10]
+
+    def test_generators_are_automorphisms_of_their_states(self):
+        """Each stored generator permutes the state's elements and its top,
+        fixes the bottom and the top, and maps each down-set onto the
+        down-set of the image: downs[g[i]] is the image of downs[i]."""
+        nontrivial = 0
+        for k in range(1, FULL_SEARCH_LIMIT):
+            for downs in oracle._level(k).values():
+                for g in oracle._GENERATORS[downs]:
+                    assert sorted(g) == list(range(k + 1)), downs
+                    assert g[0] == 0 and g[k] == k, (downs, g)
+                    for i in range(k):
+                        image = sum(1 << g[j] for j in range(k) if downs[i] >> j & 1)
+                        assert image == downs[g[i]], (downs, g)
+                    nontrivial += g != list(range(k + 1))
+        assert nontrivial
 
     def test_members_are_valid_lattices(self):
         for cert, lat in all_lattices(6).items():
