@@ -42,13 +42,25 @@ def canonical_certificate(p: CoverDigraph) -> Certificate:
     return _certificate(p.n, p.up_adjacency())[0]
 
 
-def _certificate(n: int, up: Sequence[int]) -> tuple[Certificate, list[list[int]]]:
+def _certificate(
+    n: int, up: Sequence[int]
+) -> tuple[Certificate, tuple[int, ...], list[list[int]]]:
     """The certificate of the cover digraph whose up-cover rows are ``up``,
-    and the automorphisms the search found on the way: ``g[v]`` is the image
-    of vertex ``v``.  They generate a subgroup of the automorphism group,
-    possibly the trivial one."""
-    rows, _, automorphisms = _canonical(n, up)
-    return Certificate(_encode(n, rows)), automorphisms
+    its canonical labeling (position i holds the old label), and the
+    automorphisms the search found on the way: ``g[v]`` is the image of
+    vertex ``v``.
+
+    They generate the whole automorphism group.  An automorphism maps the
+    unpruned search tree onto itself, and a leaf onto a leaf with equal
+    rows, so the leaves with the smallest rows are the images of the first
+    one under the group, one leaf per automorphism.  Every such leaf that
+    the search visits after the first is compared with it and yields its
+    automorphism.  Every pruned subtree is the image of a searched one
+    under automorphisms already found, so every leaf of the unpruned tree
+    is the image of a visited leaf under the group they generate, and so is
+    every automorphism."""
+    rows, labeling, automorphisms = _canonical(n, up)
+    return Certificate(_encode(n, rows)), labeling, automorphisms
 
 
 def canonical_labeling(p: CoverDigraph) -> tuple[int, ...]:

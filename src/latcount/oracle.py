@@ -7,6 +7,11 @@ Two deliberately separate generation paths:
   element at a time: each new element brings its full down-set, an order
   ideal of the state tried once per automorphism orbit, and must have a
   unique meet with every old element, and a state is its down-sets alone.
+  A child is kept only if its new element can be its canonical deletion
+  (canonical augmentation, McKay 1998): a cheap invariant drops most other
+  children before they are canonicalized, and the child's canonical
+  labeling and automorphisms settle ties (levels 2..9 canonicalize 7,514
+  children, against 15,681 without the rule).
   Its states on n - 1 elements are the finite meet-semilattices, one per
   isomorphism class, and removing the top is a bijection from
   n-element lattices onto them, so adjoining a top to each state of level
@@ -73,18 +78,33 @@ CLASS_SEARCH_LIMIT = 12
 # alone, and pruning on the invariant loses nothing.
 #
 # _LEVELS[k] maps the certificate of the (k + 1)-element lattice a state
-# becomes, with a top adjoined, to the first state found that becomes it.
+# becomes, with a top adjoined, to the one state of level k that becomes it.
 #
-# A state's children are its order ideals that hold the bottom, each the
-# down-set of a new element, tried in ascending mask order.  An automorphism
-# of the lattice a state becomes fixes its top, so it permutes the state's
-# ideals and maps each child onto an isomorphic one.  _GENERATORS[downs]
-# holds the automorphisms that canonicalizing the state found when it was
-# kept, and the expansion tries one ideal per orbit of the group they
-# generate: the smallest, which comes first.  A skipped ideal is a larger
-# member of an orbit already tried in the same state, so its certificate is
-# already a key, and every level keeps the states it would keep unpruned,
-# in the same order.
+# Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+# 1998) picks that state.  A state's children are its order ideals that
+# hold the bottom, each the down-set of a new element, tried in ascending
+# mask order.  An automorphism of the lattice a state becomes fixes its top,
+# so it permutes the state's ideals and maps each child onto an isomorphic
+# one.  _GENERATORS[downs] holds the automorphisms that canonicalizing the
+# state found when it was kept, which generate the whole group
+# (``canon._certificate``), and the expansion tries one ideal per orbit:
+# the smallest, which comes first.
+#
+# A child is kept only if its new element lies in the orbit of its
+# canonical deletion, a maximal element chosen by an isomorphism-invariant
+# rule.  First each maximal element is ranked by (down-set size, number of
+# lower covers, sorted down-set sizes of those covers), and a child whose
+# new element does not rank highest is dropped before it is canonicalized.
+# Among the elements that tie with it, the deletion is the one the child's
+# canonical labeling puts last.  Every class of the next level then has
+# exactly one kept child: delete the canonical deletion of any member, and
+# the level below holds one state isomorphic to the rest, whose tried ideal
+# in the right orbit gives a child in which the new element is the
+# deletion, up to automorphism.  Two kept children that are isomorphic
+# would have an isomorphism mapping one new element onto the other, so they
+# would grow from the same state by ideals of one orbit, and only one of
+# those is tried.  Levels 2..9 canonicalize 7,514 children for their 7,370
+# states, of the 15,681 children that pass the meet test.
 # ---------------------------------------------------------------------------
 
 _LEVELS: dict[int, dict[Certificate, tuple[int, ...]]] = {
@@ -113,18 +133,21 @@ def _expand(downs: tuple[int, ...], out: dict) -> None:
     ideals = [(1, 0)]
     for i in range(1, k):
         ideals += [(m | 1 << i, u | downs[i]) for m, u in ideals if not downs[i] & ~m]
-    # upper covers of each old element among the old elements: j is a lower
-    # cover of i unless it lies below another element of i's down-set
+    lows = _lower_covers(downs)
+    # upper covers of each old element among the old elements
     base = [0] * k
     below_any = 0
-    for i, di in enumerate(downs):
-        below_any |= di
-        under = 0
-        for j in _bits(di):
-            under |= downs[j]
-        for j in _bits(di & ~under):
+    for i, low in enumerate(lows):
+        below_any |= downs[i]
+        for j in _bits(low):
             base[j] |= 1 << i
     maximal = (1 << k) - 1 & ~below_any
+    sizes = [d.bit_count() for d in downs]
+    # the old maximal elements, highest rank first: each stays maximal, with
+    # its rank, in every child whose ideal does not hold it
+    rivals = sorted(
+        ((_rank(downs[x], lows[x], sizes), x) for x in _bits(maximal)), reverse=True
+    )
     gens = _GENERATORS[downs]
     tried: set[int] = set()
     for d_mask, under in ideals:
@@ -142,20 +165,52 @@ def _expand(downs: tuple[int, ...], out: dict) -> None:
             if common != downs[t] | 1 << t:
                 break
         else:
-            # the new element k covers the maximal members of its ideal, and
-            # the top k + 1 covers it and the old maximal elements outside it
+            # the new element k covers the maximal members of its ideal
             covered = d_mask & ~under
+            rank = _rank(d_mask, covered, sizes)
+            rest = [(r, x) for r, x in rivals if not d_mask >> x & 1]
+            if rest and rest[0][0] > rank:
+                continue  # k is not the canonical deletion
+            ties = [x for r, x in rest if r == rank]
+            # the top k + 1 covers k and the old maximal elements outside it
             above = maximal & ~d_mask
             up = [
                 base[j] | (covered >> j & 1) << k | (above >> j & 1) << (k + 1)
                 for j in range(k)
             ]
             up += [1 << (k + 1), 0]
-            cert, automorphisms = canon._certificate(k + 2, up)
-            if cert not in out:
-                nd = downs + (d_mask,)
-                out[cert] = nd
-                _GENERATORS[nd] = automorphisms
+            cert, labeling, automorphisms = canon._certificate(k + 2, up)
+            if ties:
+                last = max(ties + [k], key=labeling.index)
+                if last != k and 1 << k not in _mask_orbit(1 << last, automorphisms):
+                    continue  # k is not in the canonical deletion's orbit
+            if cert in out:
+                raise RuntimeError(
+                    f"canonical augmentation kept certificate {cert.data.hex()} twice"
+                )
+            nd = downs + (d_mask,)
+            out[cert] = nd
+            _GENERATORS[nd] = automorphisms
+
+
+def _rank(down: int, low: int, sizes: list[int]) -> tuple:
+    """The invariant that ranks a maximal element with strict down-set
+    ``down`` and lower covers ``low`` as a canonical deletion; ``sizes``
+    holds each element's down-set size."""
+    return (down.bit_count(), low.bit_count(), sorted(sizes[j] for j in _bits(low)))
+
+
+def _lower_covers(downs: tuple[int, ...]) -> list[int]:
+    """The lower covers of each element of a state, as bitmasks: ``j`` is a
+    lower cover of ``i`` unless it lies below another element of ``i``'s
+    down-set."""
+    lows = []
+    for di in downs:
+        under = 0
+        for j in _bits(di):
+            under |= downs[j]
+        lows.append(di & ~under)
+    return lows
 
 
 def _mask_orbit(mask: int, gens: list[list[int]]) -> set[int]:
@@ -174,25 +229,14 @@ def _mask_orbit(mask: int, gens: list[list[int]]) -> set[int]:
 
 
 def _lattice_covers(downs: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Sorted cover pairs of the lattice a search state becomes.
-
-    Walking the down-set of ``i`` from its highest label down, ``j`` is a
-    lower cover of ``i`` unless it lies below an element already walked.
-    The adjoined top, labelled ``len(downs)``, covers every element that
-    lies in no down-set."""
+    """Sorted cover pairs of the lattice a search state becomes.  The
+    adjoined top, labelled ``len(downs)``, covers every element that lies
+    in no down-set."""
     top = len(downs)
-    covers = []
+    covers = [(j, i) for i, low in enumerate(_lower_covers(downs)) for j in _bits(low)]
     below_any = 0
-    for i, di in enumerate(downs):
+    for di in downs:
         below_any |= di
-        below_walked = 0
-        m = di
-        while m:
-            j = m.bit_length() - 1
-            if not below_walked >> j & 1:
-                covers.append((j, i))
-            below_walked |= downs[j]
-            m ^= 1 << j
     covers += [(j, top) for j in range(top) if not below_any >> j & 1]
     return tuple(sorted(covers))
 

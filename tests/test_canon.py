@@ -24,6 +24,7 @@ from latcount.poset import (
     relabel,
 )
 from latcount.reduction import f1, f2, f3, f4, m2
+from search_reference import automorphisms, orbits, reference_lattices
 
 
 def test_all_diamond_relabelings_agree():
@@ -193,6 +194,23 @@ def test_pruning_skips_symmetric_branches(monkeypatch):
     assert nodes < math.factorial(6)
 
 
+def test_found_automorphisms_generate_the_whole_group():
+    """The automorphisms a canonicalization finds have the vertex orbits of
+    the whole group, which brute force lists, on every search lattice with
+    n <= 7 and every block with m <= 9."""
+    digraphs = [
+        lat.digraph for n in range(1, 8) for lat in oracle.all_lattices(n).values()
+    ]
+    for m in range(4, 10):
+        for r in (2, 3):
+            for stratum in oracle.block_census(m, r).values():
+                digraphs += [member.block.digraph for member in stratum.values()]
+    for d in digraphs:
+        up = d.up_adjacency()
+        _, _, found = canon._certificate(d.n, up)
+        assert orbits(d.n, found) == orbits(d.n, automorphisms(d.n, up)), d.covers
+
+
 def _certs(certs) -> bytes:
     return b"".join(c.data for c in sorted(certs))
 
@@ -208,9 +226,10 @@ def _canonical_covers(n):
 
 
 def _labelings(n):
-    """Canonical labelings of the search's n-element lattices (n <= 8) and of
-    the blocks on n elements, each as it was built."""
-    lattices = sorted(oracle.all_lattices(n).items()) if n <= 8 else []
+    """Canonical labelings of the n-element lattices (n <= 8) as the search
+    built them while it kept the first child per certificate, and of the
+    blocks on n elements, each as it was built."""
+    lattices = sorted(reference_lattices(n).items()) if n <= 8 else []
     digraphs = [lat.digraph for _, lat in lattices]
     for r in (2, 3):
         for stratum in oracle.block_census(n, r).values():

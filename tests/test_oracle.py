@@ -22,7 +22,6 @@ from latcount.oracle import (
     verify,
 )
 from latcount.poset import (
-    NotALattice,
     as_lattice,
     build_poset,
     classify_elements,
@@ -30,32 +29,59 @@ from latcount.poset import (
     is_dismantlable,
 )
 from latcount.reduction import FbbClass, classify_fbb
+from search_reference import automorphisms, reference_level, top_adjoined
 
-FULL_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
+# A006966, the number of unlabeled lattices on n elements, for n = 1..10
+A006966 = dict(enumerate((1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994), start=1))
 
 # sha256 of (certificate bytes, repr of the down-sets) of every state of
-# levels 1..7, in insertion order; recorded while each state still carried
-# its up-sets and a join table besides its down-sets.
+# levels 1..7 of ``reference_level``, in insertion order; recorded from the
+# search while it kept the first child per certificate and each state still
+# carried its up-sets and a join table besides its down-sets.
 LEVELS_SHA256 = "34ff6804952b06a1d8c54d179036796a2b7ca8abacf7f7b003fee9f738355a64"
 
 # The same digest over level 8 alone, whose states become the 1,078
-# lattices on 9 elements; recorded while ``_expand`` still walked every mask
+# lattices on 9 elements; recorded while the search still walked every mask
 # of every state.
 LEVEL_8_SHA256 = "b64b72a344c3c989ac2866aa67071109c0f25c410c6f2696e238943e58441539"
 
 
-def _top_adjoined(downs) -> list[tuple[int, int]]:
-    """Cover pairs of a state's order with a top above everything, by
-    transitive reduction of the down-sets."""
+@pytest.fixture(scope="module")
+def levels_to_8():
+    """Search levels 1..8, built on a copy of the level tables, so that
+    the search never keeps level 8, past the census's reach."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_LEVELS", dict(oracle._LEVELS))
+        return {k: oracle._level(k) for k in range(1, 9)}
+
+
+def _ranks(downs) -> dict[int, tuple]:
+    """The canonical-deletion invariant of each maximal element of a state,
+    from a transitive reduction: (down-set size, number of lower covers,
+    sorted down-set sizes of those covers)."""
+    covers = top_adjoined(downs)
+    top = len(downs)
+    ranks = {}
+    for x in (j for j, i in covers if i == top):
+        lows = [j for j, i in covers if i == x]
+        sizes = sorted(downs[j].bit_count() for j in lows)
+        ranks[x] = (downs[x].bit_count(), len(lows), sizes)
+    return ranks
+
+
+def _relabeled(downs) -> tuple[int, ...]:
+    """A state relabeled by the linear extension that always places the
+    largest label whose down-set is already placed."""
     k = len(downs)
-    below = [*downs, (1 << k) - 1]
-    return [
-        (j, i)
-        for i in range(k + 1)
-        for j in range(k + 1)
-        if below[i] >> j & 1
-        and not any(below[i] >> l & 1 and below[l] >> j & 1 for l in range(k + 1))
-    ]
+    order, placed = [], 0
+    while len(order) < k:
+        x = max(x for x in range(k) if not placed >> x & 1 and not downs[x] & ~placed)
+        order.append(x)
+        placed |= 1 << x
+    label = {x: i for i, x in enumerate(order)}
+    return tuple(
+        sum(1 << label[y] for y in range(k) if downs[x] >> y & 1) for x in order
+    )
 
 
 def _count_calls(monkeypatch, module, name) -> list[int]:
@@ -74,72 +100,127 @@ def _count_calls(monkeypatch, module, name) -> list[int]:
 class TestFullSearch:
     def test_counts_up_to_limit(self):
         for n in range(1, FULL_SEARCH_LIMIT + 1):
-            assert len(enumerate_all_lattices(n)) == FULL_COUNTS[n]
+            assert len(enumerate_all_lattices(n)) == A006966[n]
 
     def test_census_stops_one_level_below_limit(self):
         """n-element lattices are read off the (n - 1)-element states."""
-        assert census(FULL_SEARCH_LIMIT).total() == FULL_COUNTS[FULL_SEARCH_LIMIT]
+        assert census(FULL_SEARCH_LIMIT).total() == A006966[FULL_SEARCH_LIMIT]
         assert max(oracle._LEVELS) == FULL_SEARCH_LIMIT - 1
 
     def test_levels_are_keyed_by_the_lattice_each_state_becomes(self):
         for k in range(1, FULL_SEARCH_LIMIT):
             for cert, downs in oracle._level(k).items():
-                covers = _top_adjoined(downs)
+                covers = top_adjoined(downs)
                 assert canonical_certificate(build_poset(k + 1, covers)) == cert, k
 
-    def test_expansion_keeps_the_first_child_that_becomes_a_lattice(self):
-        """Reference for what ``_expand`` keeps: every down-closed mask with
-        the bottom gives a child, ``as_lattice`` decides whether the child
-        with a top adjoined is a lattice, and each certificate keeps the
-        child of the first state and the first mask, in ascending order."""
-        for k in range(1, 7):
-            expected = {}
+    def test_levels_match_a006966(self, levels_to_8):
+        for n in range(2, 10):
+            assert len(levels_to_8[n - 1]) == A006966[n], n
+
+    def test_levels_have_the_reference_certificates(self, levels_to_8):
+        for k, level in levels_to_8.items():
+            assert level.keys() == reference_level(k).keys(), k
+
+    def test_kept_states_add_their_canonical_deletion(self, levels_to_8):
+        """The newest element of every kept state ranks highest among the
+        maximal elements, and when others tie with it, it lies in the
+        orbit, under every automorphism, of the tied element that the
+        canonical labeling puts last."""
+        ties = 0
+        for k in range(2, 9):
+            for downs in levels_to_8[k].values():
+                ranks = _ranks(downs)
+                best = max(ranks.values())
+                tied = [x for x, rank in ranks.items() if rank == best]
+                assert k - 1 in tied, downs
+                if len(tied) > 1:
+                    ties += 1
+                    lattice = build_poset(k + 1, top_adjoined(downs))
+                    labeling = canon.canonical_labeling(lattice)
+                    last = max(tied, key=labeling.index)
+                    group = automorphisms(k + 1, lattice.up_adjacency())
+                    assert k - 1 in {g[last] for g in group}, downs
+        assert ties
+
+    def test_kept_children_do_not_depend_on_labels(self, monkeypatch):
+        """A state relabeled by another linear extension keeps children of
+        the same classes: which classes a state is the parent of depends on
+        its isomorphism class alone, as canonical augmentation needs."""
+        monkeypatch.setattr(oracle, "_GENERATORS", dict(oracle._GENERATORS))
+        moved = 0
+        for k in range(2, 7):
             for downs in oracle._level(k).values():
-                for mask in range(1, 1 << k, 2):
-                    if any(mask >> j & 1 and downs[j] & ~mask for j in range(k)):
-                        continue
-                    child = (*downs, mask)
-                    try:
-                        lat = as_lattice(build_poset(k + 2, _top_adjoined(child)))
-                    except NotALattice:
-                        continue
-                    expected.setdefault(canonical_certificate(lat.digraph), child)
-            assert list(oracle._level(k + 1).items()) == list(expected.items()), k
+                relabeled = _relabeled(downs)
+                moved += relabeled != downs
+                lattice = build_poset(k + 1, top_adjoined(relabeled))
+                _, _, found = canon._certificate(k + 1, lattice.up_adjacency())
+                oracle._GENERATORS[relabeled] = found
+                kept, again = {}, {}
+                oracle._expand(downs, kept)
+                oracle._expand(relabeled, again)
+                assert again.keys() == kept.keys(), downs
+        assert moved
 
     def test_level_contents_are_pinned(self):
         digest = hashlib.sha256()
         for k in range(1, 8):
-            for cert, downs in oracle._level(k).items():
+            for cert, downs in reference_level(k).items():
                 digest.update(cert.data + repr(downs).encode())
         assert digest.hexdigest() == LEVELS_SHA256
 
-    def test_level_8_is_pinned(self, monkeypatch):
-        # a copy, so that level 8 does not outlive the test
-        monkeypatch.setattr(oracle, "_LEVELS", dict(oracle._LEVELS))
+    def test_level_8_is_pinned(self):
         digest = hashlib.sha256()
-        for cert, downs in oracle._level(8).items():
+        for cert, downs in reference_level(8).items():
             digest.update(cert.data + repr(downs).encode())
-        assert len(oracle._level(8)) == 1078
+        assert len(reference_level(8)) == 1078
         assert digest.hexdigest() == LEVEL_8_SHA256
+
+    @pytest.mark.slow
+    def test_level_9_matches_the_reference_and_a006966(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_LEVELS", dict(oracle._LEVELS))
+        assert oracle._level(9).keys() == reference_level(9).keys()
+        assert len(oracle._level(9)) == A006966[10]
 
     def test_lattices_are_read_off_the_level_below(self, monkeypatch):
         oracle._level(FULL_SEARCH_LIMIT - 1)
         calls = _count_calls(monkeypatch, canon, "_canonical")
         for n in range(2, FULL_SEARCH_LIMIT + 1):
-            assert len(enumerate_all_lattices(n)) == FULL_COUNTS[n]
+            assert len(enumerate_all_lattices(n)) == A006966[n]
         assert calls == [0]
 
     def test_census_canonicalizes_each_searched_child_once(self, monkeypatch):
-        """census(8) from the seed level canonicalizes the 519 children that
-        levels 2..7 try, one per automorphism orbit of each state's ideals
-        (694 while every ideal was tried), and each of the 10 labelled
-        fundamental basic blocks its 65 three-reducible lattices trim to,
-        and nothing else."""
+        """census(8) from the seed level canonicalizes the 303 children that
+        levels 2..7 keep after two cuts, and each of the 9 labelled
+        fundamental basic blocks its 65 three-reducible lattices trim to
+        (10 in the labels of the first child found per certificate), and
+        nothing else.  The first cut tries one ideal per automorphism
+        orbit of each state (694 children passed the meet test while every
+        ideal was tried, 519 after this cut); the second drops, before
+        canonicalizing, every child whose new element does not rank highest
+        as a canonical deletion."""
         monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
         monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
         calls = _count_calls(monkeypatch, canon, "_canonical")
-        assert census(8).total() == FULL_COUNTS[8]
-        assert calls == [519 + 10]
+        assert census(8).total() == A006966[8]
+        assert len(reduction._FBB_CLASSES) == 9
+        assert calls == [303 + 9]
+
+    def test_levels_to_8_canonicalize_1403_children(self, monkeypatch):
+        """Levels 2..8 canonicalize 1,403 children for their 1,376 states
+        (2,677 before the rank cut)."""
+        monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
+        calls = _count_calls(monkeypatch, canon, "_canonical")
+        assert len(oracle._level(8)) == 1078
+        assert calls == [1403]
+
+    def test_a_duplicate_child_is_an_internal_error(self):
+        """Expanding a state twice into one level keeps its children twice,
+        which canonical augmentation never does."""
+        out = {}
+        oracle._expand((0, 1), out)
+        assert out
+        with pytest.raises(RuntimeError, match="twice"):
+            oracle._expand((0, 1), out)
 
     def test_generators_are_automorphisms_of_their_states(self):
         """Each stored generator permutes the state's elements and its top,

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from latcount import oracle, reduction
 from latcount.adjunct import AdjunctPair, AdjunctRep, direct_sum, realize
 from latcount.canon import canonical_certificate as cert
-from latcount.oracle import all_lattices, reducible_class
+from latcount.oracle import reducible_class
 from latcount.poset import (
     as_lattice,
     build_poset,
@@ -36,6 +36,7 @@ from latcount.reduction import (
     is_retractible,
     m2,
 )
+from search_reference import reference_lattices
 
 
 def subdivided_diamond():
@@ -262,10 +263,14 @@ def _class_lattices(r):
 
 
 # sha256 of the newline-joined lines of every member, recorded before the
-# reduction layer moved onto in-place deletion from cover rows
+# reduction layer moved onto in-place deletion from cover rows; the census
+# lattices are labelled as the search built them while it kept the first
+# child per certificate
 REDUCTION_PINS = {
     "census": (
-        lambda: [kv for n in range(1, 9) for kv in sorted(all_lattices(n).items())],
+        lambda: [
+            kv for n in range(1, 9) for kv in sorted(reference_lattices(n).items())
+        ],
         "566a105c2cd83217d3ca0624de2c9bc60a8ff19ef54edb6d1775a420f2753e2d",
     ),
     "r2": (
