@@ -16,11 +16,13 @@ Two deliberately separate generation paths:
   isomorphism class, and removing the top is a bijection from
   n-element lattices onto them, so adjoining a top to each state of level
   n - 1 harvests every unlabeled lattice on n <= ``FULL_SEARCH_LIMIT``
-  elements without building level n.  Each level is keyed by the
-  certificates of the lattices its states become: adjoining a top is a
+  elements without building level n.  Each level is one table, keyed by
+  the certificates of the lattices its states become, that keeps each state
+  with the automorphisms its expansion reads: adjoining a top is a
   bijection on isomorphism classes, so these keys tell states apart exactly
-  as the states' own certificates would, and the census reads every lattice
-  and its certificate off level n - 1 without canonicalizing again, and
+  as the states' own certificates would, and the census reads every
+  certificate off level n - 1 and decodes its lattice, in canonical labels,
+  without canonicalizing again, and
 * a constructive path that realizes adjunct-of-chains recipes for the classes
   with exactly 2 or 3 reducible elements, which stays feasible past the full
   search limit.  Each member is a maximal block padded by chains below and
@@ -78,15 +80,17 @@ CLASS_SEARCH_LIMIT = 12
 # alone, and pruning on the invariant loses nothing.
 #
 # _LEVELS[k] maps the certificate of the (k + 1)-element lattice a state
-# becomes, with a top adjoined, to the one state of level k that becomes it.
+# becomes, with a top adjoined, to the one state of level k that becomes it
+# and generators of that lattice's automorphism group.  Level 0 holds the
+# empty state, which becomes the one-element lattice.
 #
 # Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
 # 1998) picks that state.  A state's children are its order ideals that
 # hold the bottom, each the down-set of a new element, tried in ascending
 # mask order.  An automorphism of the lattice a state becomes fixes its top,
 # so it permutes the state's ideals and maps each child onto an isomorphic
-# one.  _GENERATORS[downs] holds the automorphisms that canonicalizing the
-# state found when it was kept, which generate the whole group
+# one.  A state's generators are the automorphisms that canonicalizing it
+# found when it was kept, which generate the whole group
 # (``canon._certificate``), and the expansion tries one ideal per orbit:
 # the smallest, which comes first.
 #
@@ -107,25 +111,28 @@ CLASS_SEARCH_LIMIT = 12
 # states, of the 15,681 children that pass the meet test.
 # ---------------------------------------------------------------------------
 
-_LEVELS: dict[int, dict[Certificate, tuple[int, ...]]] = {
+# (downs, generators)
+_State = tuple[tuple[int, ...], list[list[int]]]
+
+_LEVELS: dict[int, dict[Certificate, _State]] = {
+    0: {canonical_certificate(CoverDigraph(1, ())): ((), [])},
     # the one-element state becomes the 2-chain
-    1: {canonical_certificate(CoverDigraph(2, ((0, 1),))): (0,)}
+    1: {canonical_certificate(CoverDigraph(2, ((0, 1),))): ((0,), [])},
 }
-_GENERATORS: dict[tuple[int, ...], list[list[int]]] = {(0,): []}
 
 
-def _level(n: int) -> dict[Certificate, tuple[int, ...]]:
+def _level(n: int) -> dict[Certificate, _State]:
     top = max(_LEVELS)
     while top < n:
-        nxt: dict[Certificate, tuple[int, ...]] = {}
-        for downs in _LEVELS[top].values():
-            _expand(downs, nxt)
+        nxt: dict[Certificate, _State] = {}
+        for downs, gens in _LEVELS[top].values():
+            _expand(downs, gens, nxt)
         top += 1
         _LEVELS[top] = nxt
     return _LEVELS[n]
 
 
-def _expand(downs: tuple[int, ...], out: dict) -> None:
+def _expand(downs: tuple[int, ...], gens: list[list[int]], out: dict) -> None:
     k = len(downs)
     # (ideal, union of its members' down-sets), ascending: the members of an
     # ideal below label i form an ideal found before, and i joins any ideal
@@ -148,7 +155,6 @@ def _expand(downs: tuple[int, ...], out: dict) -> None:
     rivals = sorted(
         ((_rank(downs[x], lows[x], sizes), x) for x in _bits(maximal)), reverse=True
     )
-    gens = _GENERATORS[downs]
     tried: set[int] = set()
     for d_mask, under in ideals:
         if d_mask in tried:
@@ -188,9 +194,7 @@ def _expand(downs: tuple[int, ...], out: dict) -> None:
                 raise RuntimeError(
                     f"canonical augmentation kept certificate {cert.data.hex()} twice"
                 )
-            nd = downs + (d_mask,)
-            out[cert] = nd
-            _GENERATORS[nd] = automorphisms
+            out[cert] = (downs + (d_mask,), automorphisms)
 
 
 def _rank(down: int, low: int, sizes: list[int]) -> tuple:
@@ -228,21 +232,8 @@ def _mask_orbit(mask: int, gens: list[list[int]]) -> set[int]:
     return orbit
 
 
-def _lattice_covers(downs: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Sorted cover pairs of the lattice a search state becomes.  The
-    adjoined top, labelled ``len(downs)``, covers every element that lies
-    in no down-set."""
-    top = len(downs)
-    covers = [(j, i) for i, low in enumerate(_lower_covers(downs)) for j in _bits(low)]
-    below_any = 0
-    for di in downs:
-        below_any |= di
-    covers += [(j, top) for j in range(top) if not below_any >> j & 1]
-    return tuple(sorted(covers))
-
-
-def _lattice_states(n: int) -> list[tuple[Certificate, tuple[tuple[int, int], ...]]]:
-    """(certificate, sorted cover pairs) of every n-element lattice, sorted.
+def _lattice_certificates(n: int) -> list[Certificate]:
+    """The certificate of every n-element lattice, sorted.
 
     A lattice minus its top is a finite meet-semilattice, and the states of
     level n - 1 are those, one per isomorphism class; each becomes a lattice
@@ -255,26 +246,21 @@ def _lattice_states(n: int) -> list[tuple[Certificate, tuple[tuple[int, int], ..
         raise SizeLimitExceeded(
             f"full lattice search capped at {FULL_SEARCH_LIMIT} elements"
         )
-    if n < 1:
-        return []
-    if n == 1:  # a top over the empty semilattice
-        return [(canonical_certificate(CoverDigraph(1, ())), ())]
-    out = [(cert, _lattice_covers(downs)) for cert, downs in _level(n - 1).items()]
-    out.sort(key=lambda item: item[0])
-    return out
+    return sorted(_level(n - 1)) if n >= 1 else []
 
 
 def enumerate_all_lattices(n: int) -> frozenset[Certificate]:
     """Certificates of all unlabeled lattices on ``n`` elements
     (n <= ``FULL_SEARCH_LIMIT``)."""
-    return frozenset(cert for cert, _ in _lattice_states(n))
+    return frozenset(_lattice_certificates(n))
 
 
 def all_lattices(n: int) -> dict[Certificate, Lattice]:
-    """The full census with validated Lattice values
-    (n <= ``FULL_SEARCH_LIMIT``)."""
+    """The full census with validated Lattice values in canonical labels,
+    decoded from their certificates (n <= ``FULL_SEARCH_LIMIT``)."""
     return {
-        cert: as_lattice(build_poset(n, covers)) for cert, covers in _lattice_states(n)
+        cert: as_lattice(build_poset(n, canon.decode_certificate(cert).covers))
+        for cert in _lattice_certificates(n)
     }
 
 
@@ -647,8 +633,3 @@ def _verify_one(n: int) -> list[VerifyRecord]:
                 cell(f"{name}_blocks[k={k}]", func(n, k), members)
 
     return records
-
-
-def verification_ok(records: list[VerifyRecord]) -> bool:
-    """Whether no compared cell disagrees; recorded-only cells do not count."""
-    return all(r.ok is not False for r in records)

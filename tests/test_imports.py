@@ -198,3 +198,66 @@ VERIFY_CAP = "error: verification capped at 12 elements\n"
 def test_size_guards_exit_3_with_their_message(argv, err, capsys):
     assert main(argv) == 3
     assert capsys.readouterr() == ("", err)
+
+
+# -- no dead code ---------------------------------------------------------------
+
+MODULES = {
+    path.stem: ast.parse(path.read_text())
+    for path in sorted((SRC / "latcount").glob("*.py"))
+}
+
+
+def referenced(tree: ast.AST) -> set[str]:
+    """Every name read in ``tree``, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def listed(tree: ast.Module) -> set[str]:
+    """The string literals of a module's ``__all__`` assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+    return set()
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_every_import_is_used(name):
+    """Each name a package module imports, at any depth, is read in that
+    module or listed in its ``__all__``."""
+    tree = MODULES[name]
+    used = referenced(tree) | listed(tree)
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    assert [bound for bound in imported if bound not in used] == []
+
+
+def test_every_private_function_is_referenced():
+    """Each private module-level function is read somewhere in the package."""
+    everywhere = set().union(*map(referenced, MODULES.values()))
+    orphans = [
+        f"{name}.{node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in everywhere
+    ]
+    assert orphans == []

@@ -18,7 +18,6 @@ from latcount.oracle import (
     reducible_class,
     three_block_fibers,
     _pool_size,
-    verification_ok,
     verify,
 )
 from latcount.poset import (
@@ -84,6 +83,11 @@ def _relabeled(downs) -> tuple[int, ...]:
     )
 
 
+def _agrees(records) -> bool:
+    """Whether no compared cell disagrees; recorded-only cells do not count."""
+    return all(r.ok is not False for r in records)
+
+
 def _count_calls(monkeypatch, module, name) -> list[int]:
     """Count the calls of ``module.name`` from now on, in a one-item list."""
     calls = [0]
@@ -109,7 +113,7 @@ class TestFullSearch:
 
     def test_levels_are_keyed_by_the_lattice_each_state_becomes(self):
         for k in range(1, FULL_SEARCH_LIMIT):
-            for cert, downs in oracle._level(k).items():
+            for cert, (downs, _) in oracle._level(k).items():
                 covers = top_adjoined(downs)
                 assert canonical_certificate(build_poset(k + 1, covers)) == cert, k
 
@@ -128,7 +132,7 @@ class TestFullSearch:
         canonical labeling puts last."""
         ties = 0
         for k in range(2, 9):
-            for downs in levels_to_8[k].values():
+            for downs, _ in levels_to_8[k].values():
                 ranks = _ranks(downs)
                 best = max(ranks.values())
                 tied = [x for x, rank in ranks.items() if rank == best]
@@ -142,22 +146,20 @@ class TestFullSearch:
                     assert k - 1 in {g[last] for g in group}, downs
         assert ties
 
-    def test_kept_children_do_not_depend_on_labels(self, monkeypatch):
+    def test_kept_children_do_not_depend_on_labels(self):
         """A state relabeled by another linear extension keeps children of
         the same classes: which classes a state is the parent of depends on
         its isomorphism class alone, as canonical augmentation needs."""
-        monkeypatch.setattr(oracle, "_GENERATORS", dict(oracle._GENERATORS))
         moved = 0
         for k in range(2, 7):
-            for downs in oracle._level(k).values():
+            for downs, gens in oracle._level(k).values():
                 relabeled = _relabeled(downs)
                 moved += relabeled != downs
                 lattice = build_poset(k + 1, top_adjoined(relabeled))
                 _, _, found = canon._certificate(k + 1, lattice.up_adjacency())
-                oracle._GENERATORS[relabeled] = found
                 kept, again = {}, {}
-                oracle._expand(downs, kept)
-                oracle._expand(relabeled, again)
+                oracle._expand(downs, gens, kept)
+                oracle._expand(relabeled, found, again)
                 assert again.keys() == kept.keys(), downs
         assert moved
 
@@ -182,22 +184,26 @@ class TestFullSearch:
         assert len(oracle._level(9)) == A006966[10]
 
     def test_lattices_are_read_off_the_level_below(self, monkeypatch):
+        """Every size, the one-element lattice too, is read off the level
+        below without a canonicalization."""
         oracle._level(FULL_SEARCH_LIMIT - 1)
         calls = _count_calls(monkeypatch, canon, "_canonical")
-        for n in range(2, FULL_SEARCH_LIMIT + 1):
+        for n in range(1, FULL_SEARCH_LIMIT + 1):
             assert len(enumerate_all_lattices(n)) == A006966[n]
         assert calls == [0]
 
     def test_census_canonicalizes_each_searched_child_once(self, monkeypatch):
         """census(8) from the seed level canonicalizes the 303 children that
         levels 2..7 keep after two cuts, and each of the 9 labelled
-        fundamental basic blocks its 65 three-reducible lattices trim to
-        (10 in the labels of the first child found per certificate), and
-        nothing else.  The first cut tries one ideal per automorphism
-        orbit of each state (694 children passed the meet test while every
-        ideal was tried, 519 after this cut); the second drops, before
-        canonicalizing, every child whose new element does not rank highest
-        as a canonical deletion."""
+        fundamental basic blocks its 65 three-reducible lattices trim to,
+        and nothing else.  The census lattices are decoded from their
+        certificates, so those blocks carry canonical labels, and a search
+        that visits or keeps states in another order trims to the same 9.
+        The first cut tries one ideal per automorphism orbit of each state
+        (694 children passed the meet test while every ideal was tried, 519
+        after this cut); the second drops, before canonicalizing, every
+        child whose new element does not rank highest as a canonical
+        deletion."""
         monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
         monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
         calls = _count_calls(monkeypatch, canon, "_canonical")
@@ -213,14 +219,31 @@ class TestFullSearch:
         assert len(oracle._level(8)) == 1078
         assert calls == [1403]
 
+    def test_a_level_built_on_a_copy_keeps_nothing_elsewhere(self):
+        """Each state carries its own generators, so a level built on a
+        copy of the level tables, as ``levels_to_8`` builds level 8, leaves
+        every table of the module as it was."""
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(oracle).items()
+                if isinstance(value, dict)
+            }
+
+        before = sizes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_LEVELS", dict(oracle._LEVELS))
+            assert len(oracle._level(8)) == A006966[9]
+        assert sizes() == before
+
     def test_a_duplicate_child_is_an_internal_error(self):
         """Expanding a state twice into one level keeps its children twice,
         which canonical augmentation never does."""
         out = {}
-        oracle._expand((0, 1), out)
+        oracle._expand((0, 1), [], out)
         assert out
         with pytest.raises(RuntimeError, match="twice"):
-            oracle._expand((0, 1), out)
+            oracle._expand((0, 1), [], out)
 
     def test_generators_are_automorphisms_of_their_states(self):
         """Each stored generator permutes the state's elements and its top,
@@ -228,8 +251,8 @@ class TestFullSearch:
         down-set of the image: downs[g[i]] is the image of downs[i]."""
         nontrivial = 0
         for k in range(1, FULL_SEARCH_LIMIT):
-            for downs in oracle._level(k).values():
-                for g in oracle._GENERATORS[downs]:
+            for downs, gens in oracle._level(k).values():
+                for g in gens:
                     assert sorted(g) == list(range(k + 1)), downs
                     assert g[0] == 0 and g[k] == k, (downs, g)
                     for i in range(k):
@@ -237,6 +260,15 @@ class TestFullSearch:
                         assert image == downs[g[i]], (downs, g)
                     nontrivial += g != list(range(k + 1))
         assert nontrivial
+
+    def test_lattices_are_decoded_from_their_certificates(self):
+        """Each census lattice is in the canonical labels its certificate
+        encodes, whichever state the search kept for it."""
+        for n in range(1, FULL_SEARCH_LIMIT + 1):
+            lattices = all_lattices(n)
+            assert len(lattices) == A006966[n]
+            for cert, lat in lattices.items():
+                assert lat.covers == decode_certificate(cert).covers, n
 
     def test_members_are_valid_lattices(self):
         for cert, lat in all_lattices(6).items():
@@ -442,7 +474,7 @@ def _by_cell(records):
 class TestVerify:
     def test_small_run_agrees(self):
         records = verify(6)
-        assert verification_ok(records)
+        assert _agrees(records)
         cells = _by_cell(records)
         assert len(cells) == len(records)  # one record per (n, cell)
         assert [n for n in range(1, 7) if (n, "two_reducible") in cells] == list(
@@ -479,7 +511,7 @@ class TestVerify:
 
         monkeypatch.setattr(formulas, "two_reducible_lattices", wrong)
         records = verify(5)
-        assert not verification_ok(records)
+        assert not _agrees(records)
         bad = _by_cell(records)[5, "two_reducible"]
         assert bad.ok is False
         assert (bad.formula, bad.oracle) == (5, 4)
@@ -505,7 +537,7 @@ class TestVerify:
         monkeypatch.setattr(
             oracle, "classify_fbb", counted("classify_fbb", oracle.classify_fbb)
         )
-        assert verification_ok(verify(9))
+        assert _agrees(verify(9))
         # 37 two-reducible plus 150 three-reducible blocks on m <= 9 elements
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
         assert calls == {"realize": 187, "classify_fbb": 187}
@@ -516,7 +548,7 @@ class TestVerify:
         context = multiprocessing.get_context("fork")
         pools = _count_calls(monkeypatch, context, "Pool")
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
-        assert verification_ok(verify(9, workers=2))
+        assert _agrees(verify(9, workers=2))
         assert pools == [1]
         reducible_class(9, 3, workers=2)
         assert pools == [1]
@@ -545,7 +577,7 @@ class TestVerify:
             return public(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "reducible_class", counted)
-        assert verification_ok(verify(9, workers=2))
+        assert _agrees(verify(9, workers=2))
         assert len(sent) == len(set(sent)) == 10  # (m, r) for 2r <= m <= 9
         assert set(sent) == {(m, r) for m, r in oracle._BLOCKS if m >= 2 * r}
         assert sent == sorted(sent, reverse=True)
@@ -560,7 +592,7 @@ class TestVerify:
         # counts in the parent only: workers count in their own copy
         calls = _count_calls(monkeypatch, oracle, "realize")
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
-        assert verification_ok(verify(9, workers=2))
+        assert _agrees(verify(9, workers=2))
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
         assert calls == [0]
 
