@@ -105,7 +105,7 @@ def _cmd_enumerate(args, parser) -> int:
         if args.format == "json":
             text = "\n".join(
                 documents.document_json(
-                    documents.lattice_document(lat, members[cert].fbb)
+                    documents.lattice_document(lat, members[cert])
                 )
                 for cert, lat in zip(certs, ordered)
             )

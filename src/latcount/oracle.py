@@ -26,13 +26,15 @@ Two deliberately separate generation paths:
 * a constructive path that realizes adjunct-of-chains recipes for the classes
   with exactly 2 or 3 reducible elements, which stays feasible past the full
   search limit.  Each member is a maximal block padded by chains below and
-  above.  Every block is realized, canonicalized and F-classified once per
-  process and kept in a table; the certificate of each padding is read off
-  the block's certificate (:func:`canon.padded_certificate`), not searched
+  above, and is its certificate.  Every block is realized, canonicalized
+  and F-classified once per process, and its table keeps the certificate
+  and the F-class alone; the certificate of each padding is read off the
+  block's certificate (:func:`canon.padded_certificate`), not searched
   again, and each member inherits its block's F-class, which padding does
   not change.  The tables are the costly part and the only unit of parallel
   work: with more than one worker, a fork pool builds the tables this
-  process lacks, one table per task, and this process pads their blocks.
+  process lacks, one table per task, and this process pads their
+  certificates.
 
 Where the paths overlap they must produce identical certificate sets; the
 verify driver checks that, plus every formula cell, and reports witnesses on
@@ -45,7 +47,7 @@ import os
 from dataclasses import dataclass
 
 from . import canon, formulas
-from .adjunct import AdjunctPair, AdjunctRep, direct_sum, realize
+from .adjunct import AdjunctPair, AdjunctRep, realize
 from .canon import Certificate, canonical_certificate, padded_certificate
 from .errors import SizeLimitExceeded
 from .partitions import enumerate_partitions
@@ -55,7 +57,6 @@ from .poset import (
     _bits,
     as_lattice,
     build_poset,
-    chain,
     classify_elements,
 )
 from .reduction import FbbClass, classify_fbb
@@ -356,36 +357,15 @@ def _check_class(n: int, r: int) -> None:
         raise SizeLimitExceeded(f"class search capped at {CLASS_SEARCH_LIMIT} elements")
 
 
-@dataclass(frozen=True)
-class Member:
-    """A lattice of a reducible class: its maximal block padded by a chain of
-    ``below`` elements under it and ``above`` over it.
-
-    ``block`` is the first realized recipe with the block's certificate and
-    ``fbb`` the block's fundamental basic block class, which the padding
-    does not change.  A block is the member with no padding.
-    """
-
-    block: Lattice
-    fbb: FbbClass
-    below: int = 0
-    above: int = 0
-
-    def lattice(self) -> Lattice:
-        """The padded lattice, built on each call."""
-        return _pad(self.block, self.below, self.above)
+# The block certificates of each (m, r) with their F-classes, in recipe
+# order of first realization; filled once per process, like ``_LEVELS``.
+_BLOCKS: dict[tuple[int, int], dict[Certificate, FbbClass]] = {}
 
 
-# Distinct blocks by (m, r), each in recipe order of its first realization;
-# filled once per process, like ``_LEVELS``.
-_BLOCKS: dict[tuple[int, int], dict[Certificate, Member]] = {}
-
-
-def _block_table(m: int, r: int) -> dict[Certificate, Member]:
-    """Every block on m elements with exactly r in {2, 3} reducibles, one
-    realization per recipe, keyed by certificate, with its F-class; the
-    first block in recipe order wins.
-    Each (m, r) is realized, canonicalized and classified once per process."""
+def _block_table(m: int, r: int) -> dict[Certificate, FbbClass]:
+    """Every block on m elements with exactly r in {2, 3} reducibles, by
+    certificate, with its F-class.  Each (m, r) is realized, canonicalized
+    and classified once per process; no realized block is kept."""
     table = _BLOCKS.get((m, r))
     if table is None:
         table = {}
@@ -394,39 +374,28 @@ def _block_table(m: int, r: int) -> dict[Certificate, Member]:
             block = realize(rep)
             cert = canonical_certificate(block.digraph)
             if cert not in table:
-                table[cert] = Member(block, classify_fbb(block))
+                table[cert] = classify_fbb(block)
         _BLOCKS[m, r] = table
     return table
 
 
-def _padding_slice(n: int, r: int, j: int) -> list[tuple[Certificate, Member]]:
-    """Members whose maximal block has n - j elements, sorted by key.
+def _padding_slice(n: int, r: int, j: int) -> list[tuple[Certificate, FbbClass]]:
+    """The members whose maximal block has n - j elements, with their
+    F-classes, sorted by certificate.
 
-    Padding chains add no reducible element.  Each padded key is read off
-    its block's certificate; a key's member is the first block in recipe
-    order with that padding.
+    Padding chains add no reducible element.  Each padded certificate is
+    read off its block's certificate, and no two paddings share one.
     """
-    found: dict[Certificate, Member] = {}
-    for cert, block in _block_table(n - j, r).items():
-        for below in range(j + 1):
-            key = padded_certificate(cert, below, j - below)
-            if key not in found:
-                found[key] = Member(block.block, block.fbb, below, j - below)
-    return sorted(found.items(), key=lambda kv: kv[0])
+    return sorted(
+        (padded_certificate(cert, below, j - below), fbb)
+        for cert, fbb in _block_table(n - j, r).items()
+        for below in range(j + 1)
+    )
 
 
-def _pad(block: Lattice, below: int, above: int) -> Lattice:
-    digraph = block.digraph
-    if below:
-        digraph = direct_sum(chain(below).digraph, digraph)
-    if above:
-        digraph = direct_sum(digraph, chain(above).digraph)
-    return as_lattice(digraph) if (below or above) else block
-
-
-def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Member]:
+def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, FbbClass]:
     """All unlabeled n-element lattices with exactly r in {2, 3} reducibles,
-    as members that build their lattice on request.
+    by certificate, with their F-classes.
 
     ``workers`` > 1 builds the missing block tables over processes, no more
     than there are missing tables or CPUs; the padding runs here, and the
@@ -436,10 +405,9 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, Membe
     if n < 1:
         return {}
     _build_tables([(n - j, r) for j in range(n)], workers)
-    out: dict[Certificate, Member] = {}
+    out: dict[Certificate, FbbClass] = {}
     for j in range(n):
-        for cert, member in _padding_slice(n, r, j):
-            out.setdefault(cert, member)
+        out.update(_padding_slice(n, r, j))
     return out
 
 
@@ -473,13 +441,13 @@ def enumerate_by_reducible(n: int, r: int, workers: int = 1) -> frozenset[Certif
     return frozenset(reducible_class(n, r, workers=workers))
 
 
-def block_census(m: int, r: int) -> dict[int, dict[Certificate, Member]]:
-    """Blocks with exactly r reducibles on m elements, keyed by edge surplus k;
-    a view of the block table."""
+def block_census(m: int, r: int) -> dict[int, dict[Certificate, FbbClass]]:
+    """Blocks with exactly r reducibles on m elements, keyed by edge surplus
+    k, read off each certificate; a view of the block table."""
     _check_class(m, r)
-    out: dict[int, dict[Certificate, Member]] = {}
-    for cert, block in _block_table(m, r).items():
-        out.setdefault(len(block.block.covers) - m, {})[cert] = block
+    out: dict[int, dict[Certificate, FbbClass]] = {}
+    for cert, fbb in _block_table(m, r).items():
+        out.setdefault(len(canon.decode_certificate(cert).covers) - m, {})[cert] = fbb
     return out
 
 
@@ -487,8 +455,8 @@ def three_block_fibers(m: int) -> dict[tuple[FbbClass, int], int]:
     """Counts of 3-reducible blocks on m elements by (class, edge surplus)."""
     fibers: dict[tuple[FbbClass, int], int] = {}
     for k, blocks in block_census(m, 3).items():
-        for block in blocks.values():
-            fibers[(block.fbb, k)] = fibers.get((block.fbb, k), 0) + 1
+        for fbb in blocks.values():
+            fibers[(fbb, k)] = fibers.get((fbb, k), 0) + 1
     return fibers
 
 
@@ -540,7 +508,8 @@ class VerifyRecord:
     that compares certificate sets instead.  ``ok`` is None for a cell that
     is recorded only (``other``, ``total``: no closed form).  ``witness`` is
     the sorted cover list of one oracle member of a disagreeing cell, when
-    the cell has members.
+    the cell has members, in the canonical labels its certificate decodes
+    to: the covers ``enumerate --format edges`` prints.
     """
 
     n: int
@@ -568,28 +537,25 @@ def verify(n_max: int, workers: int = 1) -> list[VerifyRecord]:
 def _verify_one(n: int) -> list[VerifyRecord]:
     records: list[VerifyRecord] = []
 
-    def cell(name, formula_value, members):
-        """Compare a formula value with the number of oracle ``members``."""
-        ok = formula_value == len(members)
-        first = next(iter(members), None)
+    def cell(name, formula_value, certs):
+        """Compare a formula value with the number of oracle members, given
+        by their certificates."""
+        ok = formula_value == len(certs)
+        first = next(iter(certs), None)
         witness = None
         if not ok and first is not None:
-            witness = [list(c) for c in first.lattice().covers]
-        records.append(VerifyRecord(n, name, formula_value, len(members), ok, witness))
+            witness = [list(c) for c in canon.decode_certificate(first).covers]
+        records.append(VerifyRecord(n, name, formula_value, len(certs), ok, witness))
 
     two = reducible_class(n, 2)
     three = reducible_class(n, 3)
 
     def tagged(members, tag):
-        return [member for member in members.values() if member.fbb is tag]
+        return [cert for cert, fbb in members.items() if fbb is tag]
 
-    cell("two_reducible", formulas.two_reducible_lattices(n), two.values())
-    cell(
-        "two_reducible_thakare",
-        formulas.two_reducible_lattices(n, "thakare"),
-        two.values(),
-    )
-    cell("three_reducible", formulas.three_reducible_lattices(n), three.values())
+    cell("two_reducible", formulas.two_reducible_lattices(n), two)
+    cell("two_reducible_thakare", formulas.two_reducible_lattices(n, "thakare"), two)
+    cell("three_reducible", formulas.three_reducible_lattices(n), three)
     for name, func, tag in (
         ("f1", formulas.l1_lattices, FbbClass.F1),
         ("f2", formulas.l2_lattices, FbbClass.F2),
@@ -618,7 +584,7 @@ def _verify_one(n: int) -> list[VerifyRecord]:
         cell(
             f"two_reducible_blocks[k={k}]",
             formulas.two_reducible_blocks(n, k),
-            strata2.get(k, {}).values(),
+            strata2.get(k, {}),
         )
     if n >= 6:
         strata3 = block_census(n, 3)

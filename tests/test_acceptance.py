@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 from latcount import formulas, oracle
 from latcount.adjunct import decompose, realize
-from latcount.canon import canonical_certificate as cert
+from latcount.canon import canonical_certificate as cert, decode_certificate
 from latcount.partitions import enumerate_partitions, partition_count
 from latcount.poset import (
     as_lattice,
@@ -82,8 +82,8 @@ def test_criterion_2_two_reducible_block_strata():
             strata = oracle.block_census(m, 2)
             for k in range(0, m - 3):
                 members = strata.get(k, {})
-                for block in members.values():
-                    assert len(block.block.covers) == m + k
+                for c in members:
+                    assert len(decode_certificate(c).covers) == m + k
                 assert len(members) == partition_count(m - 2, k + 2)
             assert not any(k < 0 or k > m - 4 for k in strata)
 
@@ -115,8 +115,8 @@ def test_criterion_5_class_split():
     with criterion("5 (class split)", 600.0):
         for n in range(6, 11):
             fibers: dict[FbbClass, int] = {}
-            for member in oracle.reducible_class(n, 3).values():
-                tag = classify_fbb(member.lattice())
+            for c in oracle.reducible_class(n, 3):
+                tag = classify_fbb(as_lattice(decode_certificate(c)))
                 fibers[tag] = fibers.get(tag, 0) + 1
             assert fibers.get(FbbClass.F1, 0) == formulas.l1_lattices(n)
             assert fibers.get(FbbClass.F2, 0) == formulas.l1_lattices(n)
@@ -156,7 +156,8 @@ def _structure_suite_members():
                     yield lattices[c]
     for n in range(8, 10):
         for r in (2, 3):
-            yield from (m.lattice() for m in oracle.reducible_class(n, r).values())
+            for c in oracle.reducible_class(n, r):
+                yield as_lattice(decode_certificate(c))
 
 
 def test_criterion_7_decomposition_laws():

@@ -24,6 +24,7 @@ from latcount.poset import (
     relabel,
 )
 from latcount.reduction import f1, f2, f3, f4, m2
+from class_reference import pad, reference_blocks, reference_class
 from search_reference import automorphisms, orbits, reference_lattices
 
 
@@ -133,22 +134,20 @@ def test_certificate_decodes_to_isomorphic_digraph():
 @pytest.mark.parametrize("r", [2, 3])
 def test_padded_certificate_equals_canonical(r):
     """Padding a block with chains below and above pads its certificate:
-    every block of ``block_census(m, r)``, m <= 10, every padding to n <= 11."""
+    every block on m <= 10 elements, every padding to n <= 11."""
     checked = 0
     for m in range(1, 11):
-        for members in (oracle.block_census(m, r) if m >= 4 else {}).values():
-            for cert, member in members.items():
-                block = member.block
-                perm = canonical_labeling(block.digraph)
-                assert (perm[0], perm[-1]) == (block.bottom, block.top)
-                for below, above in itertools.product(range(12 - m), repeat=2):
-                    if m + below + above > 11:
-                        continue
-                    padded = oracle._pad(block, below, above)
-                    assert padded_certificate(cert, below, above) == canonical_certificate(
-                        padded.digraph
-                    ), (cert, below, above)
-                    checked += 1
+        for cert, block in reference_blocks(m, r).items():
+            perm = canonical_labeling(block.digraph)
+            assert (perm[0], perm[-1]) == (block.bottom, block.top)
+            for below, above in itertools.product(range(12 - m), repeat=2):
+                if m + below + above > 11:
+                    continue
+                padded = pad(block, below, above)
+                assert padded_certificate(cert, below, above) == canonical_certificate(
+                    padded.digraph
+                ), (cert, below, above)
+                checked += 1
     assert checked == {2: 513, 3: 1882}[r]
 
 
@@ -157,7 +156,7 @@ def test_padded_certificate_of_small_lattices():
         cert = canonical_certificate(lat.digraph)
         assert padded_certificate(cert, 0, 0) == cert
         for below, above in ((1, 0), (0, 1), (2, 3)):
-            padded = oracle._pad(lat, below, above)
+            padded = pad(lat, below, above)
             assert padded_certificate(cert, below, above) == canonical_certificate(
                 padded.digraph
             )
@@ -203,8 +202,7 @@ def test_found_automorphisms_generate_the_whole_group():
     ]
     for m in range(4, 10):
         for r in (2, 3):
-            for stratum in oracle.block_census(m, r).values():
-                digraphs += [member.block.digraph for member in stratum.values()]
+            digraphs += [block.digraph for block in reference_blocks(m, r).values()]
     for d in digraphs:
         up = d.up_adjacency()
         _, _, found = canon._certificate(d.n, up)
@@ -220,20 +218,22 @@ def _block_certs(m, r):
 
 
 def _canonical_covers(n):
-    members = sorted(oracle.reducible_class(n, 3).items())
-    text = "".join(repr(canonical_digraph(m.lattice().digraph).covers) for _, m in members)
+    members = sorted(reference_class(n, 3).items())
+    text = "".join(repr(canonical_digraph(lat.digraph).covers) for _, lat in members)
     return text.encode()
 
 
 def _labelings(n):
     """Canonical labelings of the n-element lattices (n <= 8) as the search
     built them while it kept the first child per certificate, and of the
-    blocks on n elements, each as it was built."""
+    blocks on n elements as their recipes realize them, stratum by stratum
+    of ``block_census`` in the order the strata first appear."""
     lattices = sorted(reference_lattices(n).items()) if n <= 8 else []
     digraphs = [lat.digraph for _, lat in lattices]
     for r in (2, 3):
+        blocks = reference_blocks(n, r)
         for stratum in oracle.block_census(n, r).values():
-            digraphs += [member.block.digraph for _, member in sorted(stratum.items())]
+            digraphs += [blocks[cert].digraph for cert in sorted(stratum)]
     return b"".join(bytes(canonical_labeling(d)) for d in digraphs)
 
 

@@ -261,3 +261,20 @@ def test_every_private_function_is_referenced():
         and node.name not in everywhere
     ]
     assert orphans == []
+
+
+def test_every_class_is_referenced_or_public():
+    """Each module-level class is read somewhere in the package outside its
+    own body, or is a public name of ``latcount``."""
+    statements = [node for tree in MODULES.values() for node in tree.body]
+    orphans = [
+        f"{name}.{node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and node.name not in latcount.__all__
+        and not any(
+            node.name in referenced(other) for other in statements if other is not node
+        )
+    ]
+    assert orphans == []

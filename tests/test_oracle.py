@@ -28,6 +28,7 @@ from latcount.poset import (
     is_dismantlable,
 )
 from latcount.reduction import FbbClass, classify_fbb
+from class_reference import reference_class
 from search_reference import automorphisms, reference_level, top_adjoined
 
 # A006966, the number of unlabeled lattices on n elements, for n = 1..10
@@ -299,10 +300,21 @@ class TestClassSearch:
 
     def test_members_have_claimed_reducible_count(self):
         for n, r in [(7, 2), (7, 3), (8, 3)]:
-            for member in reducible_class(n, r).values():
-                lat = member.lattice()
+            for cert in reducible_class(n, r):
+                lat = as_lattice(decode_certificate(cert))
                 assert lat.n == n
                 assert len(classify_elements(lat).red) == r
+
+    @pytest.mark.parametrize(
+        "n", [*range(1, 11), *(pytest.param(n, marks=pytest.mark.slow) for n in (11, 12))]
+    )
+    def test_members_are_the_reference_paddings(self, n):
+        """Padding every realized block in every way and canonicalizing each
+        padding on its own gives the class's keys, in order, and no two
+        paddings share a certificate (``reference_class`` asserts both), so
+        no rule needs to choose between paddings."""
+        for r in (2, 3):
+            assert len(reference_class(n, r)) == len(reducible_class(n, r))
 
     def test_matches_full_search_fibers(self):
         for n in range(4, 8):
@@ -311,28 +323,28 @@ class TestClassSearch:
             assert full.classes.get(3, frozenset()) == enumerate_by_reducible(n, 3)
 
     def test_carried_tag_is_the_members_own_class(self):
-        """Members inherit their block's tag; classifying each padded member
+        """Members inherit their block's tag; classifying each member
         itself is the reference."""
         for n in range(1, 11):
             for r in (2, 3):
-                for member in reducible_class(n, r).values():
-                    assert member.fbb is classify_fbb(member.lattice()), (n, r)
+                for cert, fbb in reducible_class(n, r).items():
+                    lat = as_lattice(decode_certificate(cert))
+                    assert fbb is classify_fbb(lat), (n, r)
 
     def test_carried_tags_match_full_search_fibers(self):
         """The search classifies its own lattices, independently of the
         recipes and of the block table."""
         for n in range(1, FULL_SEARCH_LIMIT + 1):
             fibers: dict[FbbClass, set] = {}
-            for cert, member in reducible_class(n, 3).items():
-                fibers.setdefault(member.fbb, set()).add(cert)
+            for cert, fbb in reducible_class(n, 3).items():
+                fibers.setdefault(fbb, set()).add(cert)
             assert fibers == census(n).fbb_fibers, n
 
     def test_duality_closure_and_fiber_swap(self):
-        members = reducible_class(7, 3)
-        certs = set(members)
+        certs = set(reducible_class(7, 3))
         swap = {FbbClass.F1: FbbClass.F2, FbbClass.F2: FbbClass.F1}
-        for cert, member in members.items():
-            lat = member.lattice()
+        for cert in certs:
+            lat = as_lattice(decode_certificate(cert))
             mirrored = as_lattice(dual(lat.digraph))
             mirror_cert = canonical_certificate(mirrored.digraph)
             assert mirror_cert in certs
@@ -396,16 +408,13 @@ class TestClassSearch:
 
         def members(workers):
             monkeypatch.setattr(oracle, "_BLOCKS", {})
-            return [
-                (cert, m.fbb, m.below, m.above, m.block.covers)
-                for cert, m in reducible_class(8, 3, workers=workers).items()
-            ]
+            return list(reducible_class(8, 3, workers=workers).items())
 
         solo = members(1)
         assert pools == [0]
         assert members(2) == solo
         assert pools == [1]
-        assert enumerate_by_reducible(8, 3, workers=2) == {item[0] for item in solo}
+        assert enumerate_by_reducible(8, 3, workers=2) == {cert for cert, _ in solo}
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
@@ -455,8 +464,8 @@ class TestBlockCensus:
 
     def test_blocks_have_reducible_extremes(self):
         for k, members in block_census(7, 3).items():
-            for member in members.values():
-                lat = member.block
+            for cert in members:
+                lat = as_lattice(decode_certificate(cert))
                 cls = classify_elements(lat)
                 assert lat.bottom in cls.red and lat.top in cls.red
                 assert len(lat.covers) == 7 + k
@@ -469,6 +478,12 @@ class TestBlockCensus:
 
 def _by_cell(records):
     return {(r.n, r.name): r for r in records}
+
+
+def _decoded(certs):
+    """The cover lists the certificates decode to, in canonical labels, as
+    a ``VerifyRecord`` carries its witness."""
+    return [[list(c) for c in decode_certificate(cert).covers] for cert in certs]
 
 
 class TestVerify:
@@ -515,9 +530,38 @@ class TestVerify:
         bad = _by_cell(records)[5, "two_reducible"]
         assert bad.ok is False
         assert (bad.formula, bad.oracle) == (5, 4)
-        assert bad.witness  # a cover list is attached
+        # the witness is a member, as ``enumerate --format edges`` prints it
+        assert bad.witness in _decoded(reducible_class(5, 2))
         flagged = {(r.n, r.name) for r in records if r.ok is False}
         assert flagged == {(5, "two_reducible"), (5, "two_reducible_thakare")}
+
+    def test_injected_block_fault_is_flagged_with_witness(self, monkeypatch):
+        """An F1 block count off by one at m = 7 flags every stratum of F1
+        blocks, and of F2 blocks, which ``b2_blocks`` counts as their duals;
+        a stratum with blocks names one of them in canonical labels."""
+        healthy = formulas.b1_blocks
+
+        def wrong(m, k):
+            return healthy(m, k) + (m == 7)
+
+        monkeypatch.setattr(formulas, "b1_blocks", wrong)
+        records = verify(7)
+        flagged = {(r.n, r.name) for r in records if r.ok is False}
+        cells = [
+            (f"{name}_blocks[k={k}]", tag, k)
+            for name, tag in (("b1", FbbClass.F1), ("b2", FbbClass.F2))
+            for k in range(4)
+        ]
+        assert flagged == {(7, name) for name, _, _ in cells}
+        strata = block_census(7, 3)
+        for name, tag, k in cells:
+            bad = _by_cell(records)[7, name]
+            certs = [c for c, fbb in strata.get(k, {}).items() if fbb is tag]
+            assert (bad.formula, bad.oracle) == (len(certs) + 1, len(certs)), name
+            if certs:
+                assert bad.witness in _decoded(certs), name
+            else:
+                assert bad.witness is None, name
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from latcount import oracle, reduction
 from latcount.adjunct import AdjunctPair, AdjunctRep, direct_sum, realize
-from latcount.canon import canonical_certificate as cert
+from latcount.canon import canonical_certificate as cert, decode_certificate
 from latcount.oracle import reducible_class
 from latcount.poset import (
     as_lattice,
@@ -36,6 +36,7 @@ from latcount.reduction import (
     is_retractible,
     m2,
 )
+from class_reference import reference_blocks, reference_class
 from search_reference import reference_lattices
 
 
@@ -204,10 +205,9 @@ class TestClassMemo:
         checked = 0
         for m in range(4, 11):
             for r in (2, 3):
-                for stratum in oracle.block_census(m, r).values():
-                    for member in stratum.values():
-                        assert classify_fbb(member.block) is _uncached_class(member.block)
-                        checked += 1
+                for block in reference_blocks(m, r).values():
+                    assert classify_fbb(block) is _uncached_class(block)
+                    checked += 1
         assert checked == 443
 
     def test_unrecognized_block_is_never_stored(self, monkeypatch):
@@ -221,7 +221,7 @@ class TestClassMemo:
 
 @cache
 def three_reducible_members(n):
-    return [m.lattice() for _, m in sorted(reducible_class(n, 3).items())]
+    return [as_lattice(decode_certificate(c)) for c in sorted(reducible_class(n, 3))]
 
 
 @settings(deadline=None, max_examples=250)
@@ -258,7 +258,7 @@ def _reduction_line(cert, lat):
 
 def _class_lattices(r):
     return [
-        (cert, m.lattice()) for n in range(1, 10) for cert, m in sorted(reducible_class(n, r).items())
+        kv for n in range(1, 10) for kv in sorted(reference_class(n, r).items())
     ]
 
 
