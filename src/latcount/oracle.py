@@ -32,9 +32,11 @@ Two deliberately separate generation paths:
   block's certificate (:func:`canon.padded_certificate`), not searched
   again, and each member inherits its block's F-class, which padding does
   not change.  The tables are the costly part and the only unit of parallel
-  work: with more than one worker, a fork pool builds the tables this
-  process lacks, one table per task, and this process pads their
-  certificates.
+  work: with more than one worker, once the largest table this process
+  lacks has ``POOL_BREAK_EVEN`` elements or more, a fork pool builds the
+  tables it lacks, one table per task, and this process pads their
+  certificates; below that the pool would cost more than it saves, and
+  each table is built here when it is first read.
 
 Where the paths overlap they must produce identical certificate sets; the
 verify driver checks that, plus every formula cell, and reports witnesses on
@@ -63,6 +65,16 @@ from .reduction import FbbClass, classify_fbb
 
 FULL_SEARCH_LIMIT = 8
 CLASS_SEARCH_LIMIT = 12
+# The smallest block size m at which a fork pool pays for itself: a run
+# forks only if the largest (m, r) table it lacks has at least this many
+# elements.  With a pool forked at every size, over 12 alternating cold
+# pairs of ``enumerate --n N --reducible 3`` with one worker against two on
+# a 2-core x86 host (Python 3.11), two were faster at N = 10 in 4 pairs
+# (medians 0.29 s against 0.33 s), at N = 11 in 3 (0.78 s against 0.82 s)
+# and at N = 12 in 9 (1.65 s against 1.36 s).  On two CPUs a pool worker
+# built the (10, 3) table in 0.24-0.26 s, a lone process in 0.14-0.16 s,
+# and importing ``multiprocessing`` and starting the pool cost about 0.03 s.
+POOL_BREAK_EVEN = 12
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +410,9 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, FbbCl
     by certificate, with their F-classes.
 
     ``workers`` > 1 builds the missing block tables over processes, no more
-    than there are missing tables or CPUs; the padding runs here, and the
-    result does not depend on the worker count.
+    than there are missing tables or CPUs, once the largest of them reaches
+    ``POOL_BREAK_EVEN`` elements; the padding runs here, and the result does
+    not depend on the worker count.
     """
     _check_class(n, r)
     if n < 1:
@@ -414,12 +427,15 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, FbbCl
 def _build_tables(keys, workers: int) -> None:
     """Build the block tables of the (m, r) ``keys`` that this process lacks
     over a fork pool of up to ``workers`` processes, largest m first, and
-    keep them in ``_BLOCKS``.  With one worker this builds nothing here:
-    ``_block_table`` then builds each table when it is first read, as it
-    does for every m < 2r, where no block exists (the smallest are M2 on 4
-    elements and F1/F2 on 6)."""
+    keep them in ``_BLOCKS``.  The pool starts only if the largest missing
+    table has at least ``POOL_BREAK_EVEN`` elements.  Otherwise, and with
+    one worker, this builds nothing here: ``_block_table`` then builds each
+    table when it is first read, as it does for every m < 2r, where no
+    block exists (the smallest are M2 on 4 elements and F1/F2 on 6)."""
     wanted = {(m, r) for m, r in keys if m >= 2 * r}
     missing = sorted(wanted - _BLOCKS.keys(), reverse=True)
+    if not missing or missing[0][0] < POOL_BREAK_EVEN:
+        return
     size = _pool_size(workers, len(missing))
     if size > 1:
         import multiprocessing  # loaded only by a run that forks
@@ -432,8 +448,12 @@ def _build_tables(keys, workers: int) -> None:
 
 def _pool_size(requested: int, tasks: int) -> int:
     """Worker processes to start: at least one, and no more than the tasks
-    or the CPUs of this machine."""
-    return max(1, min(requested, tasks, os.cpu_count() or 1))
+    or the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, tasks, cpus))
 
 
 def enumerate_by_reducible(n: int, r: int, workers: int = 1) -> frozenset[Certificate]:

@@ -33,3 +33,17 @@ def fresh_tables(monkeypatch):
     built before the test come back after it."""
     monkeypatch.setattr(oracle, "_BLOCKS", {})
     monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let this process see two CPUs, so that two workers may fork."""
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def eager_pool(monkeypatch, two_cpus):
+    """Let a run with two or more workers fork a pool of two whatever the
+    size of its tables, so that the pool stays tested on tables far below
+    ``oracle.POOL_BREAK_EVEN``."""
+    monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 0)

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -285,15 +286,32 @@ class TestEnumerate:
             rebuilt = lattice_document(document_to_lattice(doc))
             assert document_json(rebuilt) == line
 
-    def test_deterministic_order(self, capsys, monkeypatch, fresh_tables):
+    def test_deterministic_order(self, capsys, monkeypatch, fresh_tables, eager_pool):
         """From empty tables each time, a pool of two prints what one
         process prints."""
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         main(["enumerate", "--n", "7", "--reducible", "2"])
         first = capsys.readouterr().out
         monkeypatch.setattr(oracle, "_BLOCKS", {})
         main(["enumerate", "--n", "7", "--reducible", "2", "--workers", "2"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.slow
+    def test_pool_at_full_size(self, capsys, monkeypatch, fresh_tables, two_cpus):
+        """At n = 12 the largest table reaches the break-even: from empty
+        tables each time, two workers fork one pool and print what one
+        process prints."""
+        context = multiprocessing.get_context("fork")
+        pools = []
+        pool = context.Pool
+        monkeypatch.setattr(context, "Pool", lambda *a: pools.append(a) or pool(*a))
+        args = ["enumerate", "--n", "12", "--reducible", "3"]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert pools == []
+        monkeypatch.setattr(oracle, "_BLOCKS", {})
+        assert main([*args, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == first
+        assert pools == [(2,)]
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "class.jsonl"

@@ -102,6 +102,20 @@ def _count_calls(monkeypatch, module, name) -> list[int]:
     return calls
 
 
+def _record_starmap(monkeypatch) -> list:
+    """Record the task arguments of every ``Pool.starmap`` from now on."""
+    sent = []
+    starmap = multiprocessing.pool.Pool.starmap
+
+    def recorded(self, func, iterable, *args, **kwargs):
+        iterable = list(iterable)
+        sent.extend(iterable)
+        return starmap(self, func, iterable, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", recorded)
+    return sent
+
+
 class TestFullSearch:
     def test_counts_up_to_limit(self):
         for n in range(1, FULL_SEARCH_LIMIT + 1):
@@ -351,13 +365,19 @@ class TestClassSearch:
             tag = classify_fbb(lat)
             assert classify_fbb(mirrored) is swap.get(tag, tag)
 
-    def test_pool_size_is_clamped(self, monkeypatch):
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    def test_pool_size_is_clamped(self, monkeypatch, two_cpus):
+        """The CPUs this process may run on bound the pool, not the CPUs of
+        the machine; without an affinity call the machine's count does."""
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
         assert _pool_size(10**9, 12) == 2
         assert _pool_size(8, 1) == 1
         assert _pool_size(1, 12) == 1
         assert _pool_size(0, 12) == 1
         assert _pool_size(-3, 12) == 1
+        # pinned to one CPU, as under ``taskset -c 0``
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0})
+        assert _pool_size(2, 10) == 1
+        monkeypatch.delattr(oracle.os, "sched_getaffinity")
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
         assert _pool_size(4, 12) == 1
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
@@ -391,19 +411,22 @@ class TestClassSearch:
             assert all(not oracle._block_table(m, r) for m in range(2 * r)), r
             assert oracle._block_table(2 * r, r), r
 
-    def test_tables_without_blocks_fork_no_pool(self, monkeypatch, fresh_tables):
+    def test_tables_without_blocks_fork_no_pool(
+        self, monkeypatch, fresh_tables, eager_pool
+    ):
         """Below m = 2r every table is empty, so a class search that reads
-        only such tables builds them in-process, however many workers."""
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        only such tables builds them in-process, however many workers, even
+        with no break-even to reach."""
         pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
         assert reducible_class(3, 2, workers=2) == {}
         assert reducible_class(5, 3, workers=2) == {}
         assert pools == [0]
 
-    def test_worker_count_does_not_change_output(self, monkeypatch, fresh_tables):
+    def test_worker_count_does_not_change_output(
+        self, monkeypatch, fresh_tables, eager_pool
+    ):
         """From empty tables each time, one process and a pool of two give
         the same members in the same order; only the pool forks."""
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
 
         def members(workers):
@@ -415,6 +438,21 @@ class TestClassSearch:
         assert members(2) == solo
         assert pools == [1]
         assert enumerate_by_reducible(8, 3, workers=2) == {cert for cert, _ in solo}
+
+    def test_tables_below_break_even_fork_no_pool(
+        self, monkeypatch, fresh_tables, two_cpus
+    ):
+        """From empty tables each time, the tables of n = 10 are too small
+        for a pool to pay: two workers build them in-process, as one does,
+        and give the same members in the same order."""
+        pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
+
+        def members(workers):
+            monkeypatch.setattr(oracle, "_BLOCKS", {})
+            return list(reducible_class(10, 3, workers=workers).items())
+
+        assert members(2) == members(1)
+        assert pools == [0]
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
@@ -586,31 +624,23 @@ class TestVerify:
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
         assert calls == {"realize": 187, "classify_fbb": 187}
 
-    def test_one_pool_per_run(self, monkeypatch, fresh_tables):
+    def test_one_pool_per_run(self, monkeypatch, fresh_tables, eager_pool):
         """From empty tables, a pooled ``verify`` forks its workers once; a
         later class search whose tables are all present forks none."""
         context = multiprocessing.get_context("fork")
         pools = _count_calls(monkeypatch, context, "Pool")
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         assert _agrees(verify(9, workers=2))
         assert pools == [1]
         reducible_class(9, 3, workers=2)
         assert pools == [1]
 
-    def test_pool_builds_each_table_once_per_run(self, monkeypatch, fresh_tables):
+    def test_pool_builds_each_table_once_per_run(
+        self, monkeypatch, fresh_tables, eager_pool
+    ):
         """A pooled ``verify`` sends the pool every (m, r) table it reads
         that holds a block, each once and the largest first, and the parent
         keeps them all."""
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
-        sent = []
-        starmap = multiprocessing.pool.Pool.starmap
-
-        def recorded(self, func, iterable, *args, **kwargs):
-            iterable = list(iterable)
-            sent.extend(iterable)
-            return starmap(self, func, iterable, *args, **kwargs)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", recorded)
+        sent = _record_starmap(monkeypatch)
         # the run still goes through the public entry point, which the
         # benchmark's tracer times
         classes = []
@@ -630,12 +660,40 @@ class TestVerify:
         assert all(not oracle._BLOCKS[key] for key in oracle._BLOCKS.keys() - set(sent))
         assert len(classes) == 18  # two per size
 
-    def test_worker_tables_reach_the_parent(self, monkeypatch, fresh_tables):
+    def test_verify_below_break_even_forks_no_pool(
+        self, monkeypatch, fresh_tables, two_cpus
+    ):
+        """From empty tables each time, ``verify(9)`` with two workers
+        forks nothing and reports what one worker reports."""
+        pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
+        solo = verify(9)
+        monkeypatch.setattr(oracle, "_BLOCKS", {})
+        assert verify(9, workers=2) == solo
+        assert _agrees(solo)
+        assert pools == [0]
+
+    def test_pool_starts_at_break_even(self, monkeypatch, fresh_tables, two_cpus):
+        """The pool starts once the largest table a run still lacks reaches
+        the break-even, and builds only the tables the run lacks.  The
+        break-even drops to 9 here, so no table of 12 elements is built."""
+        # some class search can reach the real break-even
+        assert oracle.POOL_BREAK_EVEN <= CLASS_SEARCH_LIMIT
+        monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 9)
+        pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
+        sent = _record_starmap(monkeypatch)
+        reducible_class(8, 3, workers=2)  # lacks (8, 3), (7, 3), (6, 3)
+        assert pools == [0]
+        assert _agrees(verify(9, workers=2))
+        assert pools == [1]
+        assert sent == [(9, 3), (9, 2), (8, 2), (7, 2), (6, 2), (5, 2), (4, 2)]
+
+    def test_worker_tables_reach_the_parent(
+        self, monkeypatch, fresh_tables, eager_pool
+    ):
         """Block tables built in pool workers are sent back to the parent,
         so its padding and ``block_census`` realize nothing again."""
         # counts in the parent only: workers count in their own copy
         calls = _count_calls(monkeypatch, oracle, "realize")
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         assert _agrees(verify(9, workers=2))
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
         assert calls == [0]
