@@ -221,8 +221,8 @@ def spine_and_components(
             continue
         elems = _offspine_chain(v, up, dn, spine_pos)
         seen.update(elems)
-        low = next(iter(_bits(dn[elems[0]])))
-        high = next(iter(_bits(up[elems[-1]])))
+        low = _bits(dn[elems[0]])[0]
+        high = _bits(up[elems[-1]])[0]
         components.append((spine_pos[low], spine_pos[high], tuple(elems)))
     components.sort(key=lambda t: (t[0], t[1], len(t[2])))
     return spine, components

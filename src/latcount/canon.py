@@ -192,10 +192,10 @@ def _canonical(
     return best_rows, best_perm, automorphisms
 
 
-def _neighbours(up) -> tuple[list[list[int]], list[list[int]]]:
+def _neighbours(up) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Upper and lower cover lists, ascending, of the bitmask rows ``up`` of
     upper covers."""
-    ups = [list(_bits(row)) for row in up]
+    ups = [_bits(row) for row in up]
     dns: list[list[int]] = [[] for _ in up]
     for v, row in enumerate(ups):
         for w in row:

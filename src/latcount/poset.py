@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import LatticeError
 
@@ -43,12 +43,32 @@ class NotComparable(LatticeError):
     pass
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+# Bit positions of every mask below 2**10, the rows of any lattice on at
+# most 10 elements; entry ``m`` is ``_bits(m)``.  Doubling the table each
+# round appends bit ``b`` to every mask below 2**b.
+_BITS_TABLE: tuple[tuple[int, ...], ...] = ((),)
+for _b in range(10):
+    _BITS_TABLE += tuple(bits + (_b,) for bits in _BITS_TABLE)
+del _b
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask`` in increasing order.
+
+    ``mask`` is non-negative.  Masks below ``len(_BITS_TABLE)`` (2**10) read
+    a shared tuple from the table; larger masks are scanned, so the table
+    never grows.
+    """
+    try:
+        return _BITS_TABLE[mask]
+    except IndexError:
+        pass
+    found = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        found.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -131,9 +151,7 @@ def build_poset(n: int, covers: Iterable[tuple[int, int]]) -> CoverDigraph:
     up = [0] * n
     for a, b in pairs:
         up[a] |= 1 << b
-    order = _strict_up_order(n, up)
-    if order is None:
-        raise CycleDetected("cover relation contains a directed cycle")
+    order = _strict_up_order(up, _topological_order(n, up))
     # (a, b) is redundant when b is reachable from some other upper cover of a
     for a, b in pairs:
         for c in _bits(up[a] & ~(1 << b)):
@@ -142,8 +160,11 @@ def build_poset(n: int, covers: Iterable[tuple[int, int]]) -> CoverDigraph:
     return CoverDigraph(n, tuple(pairs))
 
 
-def _strict_up_order(n: int, up: list[int] | tuple[int, ...]) -> list[int] | None:
-    """Strict reachability masks over a cover adjacency, or None on a cycle."""
+def _topological_order(n: int, up: list[int] | tuple[int, ...]) -> list[int]:
+    """A linear extension of the cover adjacency ``up`` (Kahn's algorithm).
+
+    Raises :class:`CycleDetected` when ``up`` has a directed cycle.
+    """
     indeg = [0] * n
     for a in range(n):
         for b in _bits(up[a]):
@@ -158,8 +179,14 @@ def _strict_up_order(n: int, up: list[int] | tuple[int, ...]) -> list[int] | Non
             if indeg[w] == 0:
                 queue.append(w)
     if len(topo) != n:
-        return None
-    order = [0] * n
+        raise CycleDetected("cover relation contains a directed cycle")
+    return topo
+
+
+def _strict_up_order(up: list[int] | tuple[int, ...], topo: list[int]) -> list[int]:
+    """Strict reachability masks over the cover adjacency ``up``, closed in
+    reverse along its linear extension ``topo``."""
+    order = [0] * len(up)
     for v in reversed(topo):
         acc = 0
         for w in _bits(up[v]):
@@ -172,21 +199,28 @@ def as_lattice(p: CoverDigraph) -> Lattice:
     """Check that every pair has a unique meet and join; return the lattice.
 
     Raises :class:`NotALattice` with a witness pair, the first in label
-    order, join before meet, otherwise.
+    order, join before meet, otherwise; :class:`LabelOutOfRange` when ``p``
+    is empty and :class:`CycleDetected` when its covers have a cycle.
 
-    The test per pair takes constant time on masks over positions in a
-    linear extension.  The common upper bounds of a pair form an up-set,
-    whose first element in the extension is minimal in it; it has a unique
-    minimal element exactly when it is the up-set of that first element.
-    Dually for the common lower bounds and their last element.
+    One pass of Kahn's algorithm gives a linear extension, which closes the
+    order, names the bottom (its first element) and the top (its last), and
+    orders the positions of the test below.  The test per pair takes
+    constant time on masks over those positions.  The common upper bounds of
+    a pair form an up-set, whose first element in any linear extension is
+    minimal in it; it has a unique minimal element exactly when it is the
+    up-set of that first element.  Dually for the common lower bounds and
+    their last element.  So the verdict, witness and kind are the same for
+    every linear extension.
     """
     n = p.n
-    strict = _strict_up_order(n, p.up_adjacency())
-    assert strict is not None  # p is validated
+    if n < 1:
+        raise LabelOutOfRange(f"need at least one element, got n={n}")
+    rows = p.up_adjacency()
+    topo = _topological_order(n, rows)
+    strict = _strict_up_order(rows, topo)
     up = tuple(strict[i] | (1 << i) for i in range(n))
-    # a strictly larger up-set comes earlier: a linear extension
     pos = [0] * n
-    for i, v in enumerate(sorted(range(n), key=lambda v: -up[v].bit_count())):
+    for i, v in enumerate(topo):
         pos[v] = i
     down = [0] * n
     ups, downs = [0] * n, [0] * n  # up- and down-sets over positions
@@ -204,9 +238,7 @@ def as_lattice(p: CoverDigraph) -> Lattice:
             below = down_x & downs[pos[y]]
             if not below or downs[below.bit_length() - 1] != below:
                 raise NotALattice((x, y), "meet")
-    bottom = next(i for i in range(n) if down[i] == 1 << i)
-    top = next(i for i in range(n) if up[i] == 1 << i)
-    return Lattice(p, up, tuple(down), bottom, top)
+    return Lattice(p, up, tuple(down), topo[0], topo[-1])
 
 
 def _unique_extreme(mask: int, reflexive: list[int] | tuple[int, ...]) -> int | None:
@@ -289,8 +321,7 @@ def induced_subposet(p: CoverDigraph, keep: Iterable[int]) -> CoverDigraph:
     kept = sorted(set(keep))
     index = {v: i for i, v in enumerate(kept)}
     up = p.up_adjacency()
-    order = _strict_up_order(p.n, up)
-    assert order is not None
+    order = _strict_up_order(up, _topological_order(p.n, up))
     keep_mask = 0
     for v in kept:
         keep_mask |= 1 << v
@@ -355,7 +386,7 @@ def _irreducible(up, down, v: int) -> bool:
 def _live_digraph(up: list[int], live: int) -> tuple[CoverDigraph, tuple[int, ...]]:
     """The cover digraph on the vertices of ``live``, relabeled densely in
     ascending label order, and the old labels, position = new label."""
-    kept = tuple(_bits(live))
+    kept = _bits(live)
     index = {v: i for i, v in enumerate(kept)}
     covers = tuple((index[v], index[w]) for v in kept for w in _bits(up[v]))
     return CoverDigraph(len(kept), covers), kept

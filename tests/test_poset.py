@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from latcount import poset
 from latcount.oracle import all_lattices
 from latcount.poset import (
+    CoverDigraph,
     CycleDetected,
     LabelOutOfRange,
     NotALattice,
@@ -16,8 +18,8 @@ from latcount.poset import (
     classify_elements,
     contains_crown,
     _delete,
+    _bits,
     _live_digraph,
-    _strict_up_order,
     _unique_extreme,
     dual,
     induced_subposet,
@@ -76,24 +78,106 @@ class TestAsLattice:
             as_lattice(build_poset(4, [(0, 1), (1, 2), (1, 3)]))
         assert exc.value.kind == "join"
 
+    @pytest.mark.parametrize(
+        "covers", [((0, 1), (1, 2), (2, 0)), ((0, 1), (1, 1)), ((0, 1), (1, 0))]
+    )
+    def test_cycle_raises_cycle_detected(self, covers):
+        # a CoverDigraph built without build_poset, as decode_certificate,
+        # dual and relabel build them
+        with pytest.raises(CycleDetected):
+            as_lattice(CoverDigraph(3, covers))
+
+    def test_empty_raises_label_out_of_range(self):
+        with pytest.raises(LabelOutOfRange):
+            as_lattice(CoverDigraph(0, ()))
+
+    def test_sorts_once_per_call(self, monkeypatch):
+        calls = []
+        kahn = poset._topological_order
+
+        def counted(n, up):
+            calls.append(n)
+            return kahn(n, up)
+
+        monkeypatch.setattr(poset, "_topological_order", counted)
+        p = build_poset(8, CUBE_COVERS)
+        assert calls == [8]
+        as_lattice(p)
+        assert calls == [8, 8]
+        with pytest.raises(NotALattice):
+            as_lattice(build_poset(4, [(0, 1), (1, 2), (1, 3)]))
+        assert calls == [8, 8, 4, 4]
+
+
+def _reference_bits(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class TestBits:
+    def test_every_mask_in_the_table(self):
+        bound = len(poset._BITS_TABLE)
+        assert bound == 1 << 10
+        assert _bits(0) == ()
+        for mask in range(bound):
+            assert _bits(mask) == _reference_bits(mask)
+
+    def test_masks_around_the_bound(self):
+        bound = len(poset._BITS_TABLE)
+        for mask in (bound - 1, bound, bound + 1):
+            assert _bits(mask) == _reference_bits(mask)
+
+    def test_random_wide_masks(self):
+        rng = random.Random(20)
+        for _ in range(1000):
+            mask = rng.getrandbits(rng.randint(1, 64))
+            assert _bits(mask) == _reference_bits(mask)
+
+    def test_table_stays_bounded(self):
+        size = len(poset._BITS_TABLE)
+        as_lattice(chain(40).digraph)
+        assert len(poset._BITS_TABLE) == size
+
+
+def _reachable(p):
+    """Reflexive reachability along the covers of ``p``, found by a
+    depth-first walk from each element: ``reach[i]`` is the set of ``j``
+    with ``i <= j``."""
+    above = {v: set() for v in range(p.n)}
+    for a, b in p.covers:
+        above[a].add(b)
+    reach = []
+    for i in range(p.n):
+        seen, stack = {i}, [i]
+        while stack:
+            for w in above[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        reach.append(seen)
+    return reach
+
 
 def _pairwise_as_lattice(p):
     """Reference for ``as_lattice``: scan each pair's common bounds for a
     unique minimal upper and a unique maximal lower one.  Returns
     ``(up, down, bottom, top)``, or ``(witness, kind)`` of the first failing
-    pair in label order, join before meet."""
+    pair in label order, join before meet.  Every field comes from the
+    reachability sets of :func:`_reachable`, not from the code under test."""
     n = p.n
-    strict = _strict_up_order(n, p.up_adjacency())
-    up = tuple(strict[i] | (1 << i) for i in range(n))
-    down = tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n))
+    reach = _reachable(p)
+    up = tuple(sum(1 << j for j in reach[i]) for i in range(n))
+    down = tuple(sum(1 << i for i in range(n) if j in reach[i]) for j in range(n))
     for x, y in combinations(range(n), 2):
         if _unique_extreme(up[x] & up[y], down) is None:
             return (x, y), "join"
         if _unique_extreme(down[x] & down[y], up) is None:
             return (x, y), "meet"
-    bottom = next(i for i in range(n) if down[i] == 1 << i)
-    top = next(i for i in range(n) if up[i] == 1 << i)
+    (bottom,) = [i for i in range(n) if len(reach[i]) == n]
+    (top,) = [j for j in range(n) if all(j in reach[i] for i in range(n))]
     return up, down, bottom, top
+
+
+def _is_linear_extension(p):
+    return all(a < b for a, b in p.covers)
 
 
 def _random_poset(rng):
@@ -132,13 +216,19 @@ def _same_as_pairwise(p):
 class TestAsLatticeMatchesPairwiseScan:
     def test_every_lattice_up_to_seven_elements(self):
         rng = random.Random(3)
+        unsorted = 0
         for n in range(1, 8):
             for lat in all_lattices(n).values():
                 assert _same_as_pairwise(lat.digraph)
                 perm = list(range(n))
                 rng.shuffle(perm)
-                moved = build_poset(n, [(perm[a], perm[b]) for a, b in lat.covers])
-                assert _same_as_pairwise(moved)
+                # reversed labels put every cover against the label order
+                for pi in (perm, [n - 1 - v for v in range(n)]):
+                    moved = build_poset(n, [(pi[a], pi[b]) for a, b in lat.covers])
+                    unsorted += not _is_linear_extension(moved)
+                    assert _same_as_pairwise(moved)
+        # most relabelings are not linear extensions
+        assert unsorted > 100
 
     def test_random_posets(self):
         rng = random.Random(11)
