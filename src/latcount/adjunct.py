@@ -9,8 +9,8 @@ are pairwise comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .poset import (
     CoverDigraph,
@@ -42,16 +42,21 @@ class IncomparableReducibles(LatticeError):
     pass
 
 
-@dataclass(frozen=True)
-class AdjunctPair:
+class AdjunctPair(NamedTuple):
     """A glue pair ``a < b`` with ``b`` not covering ``a``."""
 
     a: int
     b: int
 
 
-@dataclass(frozen=True)
-class AdjunctRep:
+class _AdjunctRepFields(NamedTuple):
+    """The fields of :class:`AdjunctRep`, which checks them at construction."""
+
+    chains: tuple[int, ...]
+    pairs: tuple[AdjunctPair, ...]
+
+
+class AdjunctRep(_AdjunctRepFields):
     """An adjunct-of-chains recipe.
 
     ``chains[0]`` is the spine length; attachment ``i`` glues a fresh chain of
@@ -61,14 +66,19 @@ class AdjunctRep:
     is ``sum(chains) + len(chains) - 2``.
     """
 
-    chains: tuple[int, ...]
-    pairs: tuple[AdjunctPair, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.chains) != len(self.pairs) + 1:
+    def __new__(cls, chains: tuple[int, ...], pairs: tuple[AdjunctPair, ...]):
+        if len(chains) != len(pairs) + 1:
             raise ValueError("need exactly one pair per attached chain")
-        if any(c < 1 for c in self.chains):
+        if any(c < 1 for c in chains):
             raise ValueError("chain lengths must be positive")
+        return super().__new__(cls, chains, pairs)
+
+    @classmethod
+    def _make(cls, iterable) -> AdjunctRep:
+        # the inherited ``_make``, which ``_replace`` calls, skips ``__new__``
+        return cls(*iterable)
 
 
 def adjunct_sum(l1: Lattice, l2: Lattice, a: int, b: int) -> Lattice:

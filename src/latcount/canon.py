@@ -26,13 +26,12 @@ and canonical labelings are exactly those of the unpruned search.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poset import CoverDigraph, _bits
 
 
-@dataclass(frozen=True, order=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Canonical byte string; equal exactly for isomorphic cover digraphs."""
 
     data: bytes

@@ -22,10 +22,11 @@ EXIT_USAGE = 2
 EXIT_SCALE = 3
 
 # ``count``, ``table`` and ``blocks`` read ``series`` alone: the lattice
-# layers, ``json`` and ``dataclasses`` load inside the commands that use
-# them.  perfbench/tracer.py wraps ``cli.canonical_digraph`` (which has no
-# caller here) and ``cli.lattice_document`` by name, so both still resolve
-# as attributes of ``cli``, on first access.
+# layers load inside the commands that use them, and ``verify`` loads
+# ``json`` only when it writes a ``--json`` report.  perfbench/tracer.py
+# wraps ``cli.canonical_digraph`` (which has no caller here) and
+# ``cli.lattice_document`` by name, so both still resolve as attributes of
+# ``cli``, on first access.
 _LAZY = {"canonical_digraph": "canon", "lattice_document": "documents"}
 
 
@@ -127,9 +128,6 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    import json
-    from dataclasses import asdict
-
     from . import oracle
 
     with args.json or nullcontext() as report:
@@ -149,8 +147,10 @@ def _cmd_verify(args, parser) -> int:
         ok = mismatched == 0
         print(f"verify: {'all cells agree' if ok else f'{mismatched} cells disagree'}")
         if report:
+            import json
+
             _empty(report)
-            json.dump([asdict(r) for r in records], report)
+            json.dump([r._asdict() for r in records], report)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

@@ -46,7 +46,7 @@ any disagreement.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import canon, formulas
 from .adjunct import AdjunctPair, AdjunctRep, realize
@@ -485,8 +485,7 @@ def three_block_fibers(m: int) -> dict[tuple[FbbClass, int], int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleCensus:
+class OracleCensus(NamedTuple):
     """Certificates of all n-element lattices, split by reducible count,
     with the 3-reducible class further split by fundamental basic block."""
 
@@ -520,8 +519,7 @@ def _reducible_split(n: int) -> dict[int, dict[Certificate, Lattice]]:
     return classes
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
+class VerifyRecord(NamedTuple):
     """One verification cell of one size.
 
     ``formula`` and ``oracle`` are the two counts; both are None for a cell

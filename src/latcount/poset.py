@@ -8,9 +8,8 @@ is immutable after construction, so values can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import LatticeError
 
@@ -71,8 +70,7 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class CoverDigraph:
+class CoverDigraph(NamedTuple):
     """An irredundant, acyclic cover relation on labels ``0..n-1``.
 
     ``covers`` is sorted ascending; ``(lo, hi)`` means ``lo`` is covered by
@@ -97,8 +95,7 @@ class CoverDigraph:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """A validated lattice: cover digraph plus order matrix and bounds.
 
     ``up`` and ``down`` hold the reflexive up-set and down-set bitmasks: bit
@@ -124,8 +121,7 @@ class Lattice:
         return bool(self.up[x] >> y & 1)
 
 
-@dataclass(frozen=True)
-class ElementClassification:
+class ElementClassification(NamedTuple):
     """Reducible / doubly irreducible split of a lattice's elements."""
 
     red: frozenset[int]
@@ -200,7 +196,8 @@ def as_lattice(p: CoverDigraph) -> Lattice:
 
     Raises :class:`NotALattice` with a witness pair, the first in label
     order, join before meet, otherwise; :class:`LabelOutOfRange` when ``p``
-    is empty and :class:`CycleDetected` when its covers have a cycle.
+    is empty or a cover holds a label outside ``0..n-1``, and
+    :class:`CycleDetected` when its covers have a cycle.
 
     One pass of Kahn's algorithm gives a linear extension, which closes the
     order, names the bottom (its first element) and the top (its last), and
@@ -215,7 +212,11 @@ def as_lattice(p: CoverDigraph) -> Lattice:
     n = p.n
     if n < 1:
         raise LabelOutOfRange(f"need at least one element, got n={n}")
-    rows = p.up_adjacency()
+    rows = [0] * n
+    for a, b in p.covers:
+        if not (0 <= a < n and 0 <= b < n):
+            raise LabelOutOfRange(f"cover ({a}, {b}) outside 0..{n - 1}")
+        rows[a] |= 1 << b
     topo = _topological_order(n, rows)
     strict = _strict_up_order(rows, topo)
     up = tuple(strict[i] | (1 << i) for i in range(n))

@@ -196,3 +196,21 @@ class TestDecompose:
             realized = realize(rep)  # rep pairs are labels of the realization
             total = sum(pair_multiplicity(realized, a, b) for a, b in distinct)
             assert total == len(rep.chains) - 1
+
+
+class TestAdjunctRep:
+    def test_one_pair_per_attached_chain(self):
+        with pytest.raises(ValueError, match="one pair per attached chain"):
+            AdjunctRep((3, 1), ())
+
+    def test_chain_lengths_positive(self):
+        with pytest.raises(ValueError, match="chain lengths must be positive"):
+            AdjunctRep((3, 0), (AdjunctPair(0, 2),))
+
+    def test_replace_checks_too(self):
+        rep = AdjunctRep((3, 1), (AdjunctPair(0, 2),))
+        assert rep._replace(chains=(3, 2)) == AdjunctRep((3, 2), rep.pairs)
+        with pytest.raises(ValueError, match="chain lengths must be positive"):
+            rep._replace(chains=(3, 0))
+        with pytest.raises(ValueError, match="one pair per attached chain"):
+            AdjunctRep._make(((3,), rep.pairs))

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from latcount import canon, oracle
 from latcount.adjunct import AdjunctPair, AdjunctRep, realize
 from latcount.canon import (
+    Certificate,
     canonical_certificate,
     canonical_digraph,
     canonical_labeling,
@@ -418,3 +420,19 @@ def test_refine_matches_reference_on_random_colourings():
         assert canon._refine(n, ups, dns, split) == _reference_refine(
             n, ups, dns, split
         ), (up, split)
+
+
+def test_certificates_order_and_hash_as_their_bytes():
+    certs = [c for n in range(1, 7) for c in oracle.all_lattices(n)]
+    assert sorted(certs) == sorted(certs, key=lambda c: c.data)
+    for c in certs:
+        twin = Certificate(bytes(bytearray(c.data)))  # a distinct bytes object
+        assert twin == c and hash(twin) == hash(c)
+
+
+def test_class_table_survives_pickle():
+    """The fork pool returns block tables through pickle."""
+    table = oracle.reducible_class(8, 3)
+    copy = pickle.loads(pickle.dumps(table))
+    assert list(copy.items()) == list(table.items())
+    assert all(type(c) is Certificate for c in copy)

@@ -3,10 +3,12 @@ must keep: ``count``, ``table`` and ``blocks`` read ``series`` alone, so a
 cold call must not pay for the search, the canonizer or a process pool."""
 
 import ast
+import hashlib
 import importlib
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 from types import ModuleType
 
@@ -64,9 +66,10 @@ PUBLIC_NAMES = [
 ]
 
 
-def loaded_by(code: str) -> set[str]:
+@cache
+def loaded_by(code: str) -> frozenset[str]:
     """The modules a fresh interpreter loads to import latcount and its CLI
-    and run ``code``."""
+    and run ``code``; each distinct ``code`` runs once per session."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", CHILD, code],
@@ -75,7 +78,7 @@ def loaded_by(code: str) -> set[str]:
         text=True,
         check=True,
     )
-    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    return frozenset(ast.literal_eval(done.stdout.splitlines()[-1]))
 
 
 def test_import_loads_no_submodule():
@@ -99,18 +102,40 @@ def test_series_commands_load_no_lattice_layer(argv):
     assert loaded_by(f"latcount.cli.main({argv!r})") & LATTICE_LAYERS == set()
 
 
-@pytest.mark.parametrize(
-    "code",
-    [
-        "latcount.cli.main(['verify', '--n-max', '6', '--workers', '1'])",
-        "latcount.cli.main(['enumerate', '--n', '7', '--reducible', '3'])",
-        "latcount.census(6)",
-    ],
-)
+VERIFY_6 = "latcount.cli.main(['verify', '--n-max', '6', '--workers', '1'])"
+LATTICE_RUNS = [
+    VERIFY_6,
+    "latcount.cli.main(['enumerate', '--n', '7', '--reducible', '3'])",
+    "latcount.census(6)",
+]
+
+# sha256 of the ``verify --n-max 6 --json`` report.
+REPORT_6_SHA256 = "d77d7bd8669d76c7331fb506192b68c54b5c74a07a169c6edfebdf663d3caa30"
+
+
+@pytest.mark.parametrize("code", LATTICE_RUNS)
 def test_single_process_runs_load_no_pool(code):
     loaded = loaded_by(code)
     assert "latcount.oracle" in loaded
     assert "multiprocessing" not in loaded
+
+
+@pytest.mark.parametrize("code", LATTICE_RUNS)
+def test_lattice_runs_load_no_dataclasses(code):
+    """The value types are NamedTuples, so no layer pays for
+    ``dataclasses`` and the ``inspect`` it pulls in."""
+    assert loaded_by(code) & {"dataclasses", "inspect"} == set()
+
+
+def test_verify_loads_json_only_for_its_report(tmp_path):
+    assert "json" not in loaded_by(VERIFY_6)
+    target = tmp_path / "report.json"
+    report = (
+        "latcount.cli.main(['verify', '--n-max', '6', '--workers', '1',"
+        f" '--json', {str(target)!r}])"
+    )
+    assert "json" in loaded_by(report)
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == REPORT_6_SHA256
 
 
 # -- the public surface --------------------------------------------------------

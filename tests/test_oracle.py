@@ -5,11 +5,12 @@ import multiprocessing.pool
 import pytest
 
 from latcount import canon, formulas, oracle, reduction
-from latcount.canon import canonical_certificate, decode_certificate
+from latcount.canon import Certificate, canonical_certificate, decode_certificate
 from latcount.oracle import (
     CLASS_SEARCH_LIMIT,
     FULL_SEARCH_LIMIT,
     SizeLimitExceeded,
+    VerifyRecord,
     all_lattices,
     block_census,
     census,
@@ -21,8 +22,10 @@ from latcount.oracle import (
     verify,
 )
 from latcount.poset import (
+    CoverDigraph,
     as_lattice,
     build_poset,
+    chain,
     classify_elements,
     dual,
     is_dismantlable,
@@ -704,3 +707,23 @@ def test_certificates_decode_to_members():
         lat = as_lattice(decode_certificate(cert))
         assert is_dismantlable(lat)
         assert len(classify_elements(lat).red) == 3
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (Certificate(b"\x01"), "data"),
+        (CoverDigraph(1, ()), "covers"),
+        (chain(2), "top"),
+        (VerifyRecord(1, "x", 1, 1, True), "ok"),
+    ],
+)
+def test_value_fields_are_read_only(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_verify_record_repr():
+    assert repr(VerifyRecord(1, "x", 1, 1, True)) == (
+        "VerifyRecord(n=1, name='x', formula=1, oracle=1, ok=True, witness=None)"
+    )

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -90,6 +91,12 @@ class TestAsLattice:
     def test_empty_raises_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             as_lattice(CoverDigraph(0, ()))
+
+    @pytest.mark.parametrize("cover", [(0, 5), (0, -1), (-1, 0)])
+    def test_label_outside_range_raises_label_out_of_range(self, cover):
+        # the message build_poset gives for the same cover
+        with pytest.raises(LabelOutOfRange, match=re.escape(f"cover {cover} outside 0..1")):
+            as_lattice(CoverDigraph(2, (cover,)))
 
     def test_sorts_once_per_call(self, monkeypatch):
         calls = []
