@@ -94,7 +94,7 @@ def adjunct_sum(l1: Lattice, l2: Lattice, a: int, b: int) -> Lattice:
     covers.extend((x + shift, y + shift) for x, y in l2.covers)
     covers.append((a, l2.bottom + shift))
     covers.append((l2.top + shift, b))
-    return as_lattice(build_poset(l1.n + l2.n, covers))
+    return as_lattice(CoverDigraph(l1.n + l2.n, tuple(sorted(covers))))
 
 
 def direct_sum(m: CoverDigraph, p: CoverDigraph) -> CoverDigraph:
@@ -113,8 +113,9 @@ def realize(rep: AdjunctRep) -> Lattice:
     """Fold the adjunct sums of ``rep`` into a lattice.
 
     The covers of every attachment go into one list, each pair checked
-    against the order built so far, and the lattice is built once at the
-    end: an adjunct sum of lattices at a non-cover pair is a lattice.
+    against the order built so far, and :func:`as_lattice` checks the
+    sorted list once at the end: an adjunct sum of lattices at a non-cover
+    pair is a lattice.
     """
     n = rep.chains[0]
     covers = [(v, v + 1) for v in range(n - 1)]
@@ -141,7 +142,7 @@ def realize(rep: AdjunctRep) -> Lattice:
                 up[v] |= glued
         up.extend(((1 << (n + length)) - (2 << v)) | above_b for v in range(n, n + length))
         n += length
-    return as_lattice(build_poset(n, covers))
+    return as_lattice(CoverDigraph(n, tuple(sorted(covers))))
 
 
 def pair_multiplicity(l: Lattice, a: int, b: int) -> int:

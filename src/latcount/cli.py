@@ -22,7 +22,8 @@ EXIT_USAGE = 2
 EXIT_SCALE = 3
 
 # ``count``, ``table`` and ``blocks`` read ``series`` alone: the lattice
-# layers load inside the commands that use them, and ``verify`` loads
+# layers load inside the commands that use them, ``enumerate`` loads
+# ``documents`` only for ``--format json`` and ``dot``, and ``verify`` loads
 # ``json`` only when it writes a ``--json`` report.  perfbench/tracer.py
 # wraps ``cli.canonical_digraph`` (which has no caller here) and
 # ``cli.lattice_document`` by name, so both still resolve as attributes of
@@ -94,36 +95,36 @@ def _cmd_blocks(args, parser) -> int:
 
 
 def _cmd_enumerate(args, parser) -> int:
-    from . import documents, oracle
+    from . import oracle
     from .canon import decode_certificate
-    from .poset import as_lattice
 
     with args.out or nullcontext(sys.stdout) as sink:
         members = oracle.reducible_class(args.n, args.reducible, workers=args.workers)
         certs = sorted(members)
         # each key is its member's certificate: the canonical form, encoded
-        ordered = [as_lattice(decode_certificate(cert)) for cert in certs]
+        digraphs = [decode_certificate(cert) for cert in certs]
         if args.format == "json":
+            from .documents import document_json, lattice_document
+
             text = "\n".join(
-                documents.document_json(
-                    documents.lattice_document(lat, members[cert])
-                )
-                for cert, lat in zip(certs, ordered)
+                document_json(lattice_document(p, members[cert]))
+                for cert, p in zip(certs, digraphs)
             )
         elif args.format == "dot":
+            from .documents import dot_digraph
+
             text = "\n\n".join(
-                documents.dot_digraph(lat, f"lattice_{i}")
-                for i, lat in enumerate(ordered)
+                dot_digraph(p, f"lattice_{i}") for i, p in enumerate(digraphs)
             )
         else:  # edges: one "lo hi" line per cover, blank line between lattices
             text = "\n\n".join(
-                "\n".join(f"{a} {b}" for a, b in sorted(lat.covers)) for lat in ordered
+                "\n".join(f"{a} {b}" for a, b in p.covers) for p in digraphs
             )
         if args.out:
             _empty(args.out)
-        if ordered:
+        if digraphs:
             sink.write(text + "\n")
-    print(len(ordered), file=sys.stderr)
+    print(len(digraphs), file=sys.stderr)
     return EXIT_OK
 
 

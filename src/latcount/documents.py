@@ -10,21 +10,23 @@ from __future__ import annotations
 import json
 
 from .canon import _longest_paths, _neighbours
-from .poset import Lattice, as_lattice, build_poset, classify_elements, nullity
+from .poset import CoverDigraph, Lattice, as_lattice, build_poset, nullity
+from .poset import poset_classification
 from .reduction import FbbClass, classify_fbb
 
 
-def lattice_document(l: Lattice, fbb: FbbClass | None = None) -> dict:
-    """The document of ``l``.  ``fbb`` is its fundamental basic block class
-    when the caller knows it already; otherwise it is derived from ``l``."""
-    cls = classify_elements(l)
+def lattice_document(p: CoverDigraph, fbb: FbbClass | None = None) -> dict:
+    """The document of the lattice with cover digraph ``p``.  ``fbb`` is its
+    fundamental basic block class when the caller knows it already; only
+    otherwise is ``p`` checked as a lattice, to derive the class."""
+    cls = poset_classification(p)
     if fbb is None and len(cls.red) in (2, 3):
-        fbb = classify_fbb(l)
+        fbb = classify_fbb(as_lattice(p))
     return {
-        "n": l.n,
-        "covers": [list(c) for c in sorted(l.covers)],
+        "n": p.n,
+        "covers": [list(c) for c in sorted(p.covers)],
         "red": sorted(cls.red),
-        "nullity": nullity(l.digraph),
+        "nullity": nullity(p),
         "fbb": None if fbb is None else fbb.value,
     }
 
@@ -39,15 +41,16 @@ def document_to_lattice(doc: dict) -> Lattice:
     )
 
 
-def dot_digraph(l: Lattice, name: str) -> str:
-    """A DOT digraph whose ranks follow element height, covers drawn upward."""
-    height = _longest_paths(l.n, *_neighbours(l.digraph.up_adjacency()))
+def dot_digraph(p: CoverDigraph, name: str) -> str:
+    """A DOT digraph of the cover digraph ``p`` whose ranks follow element
+    height, covers drawn upward."""
+    height = _longest_paths(p.n, *_neighbours(p.up_adjacency()))
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for h in range(max(height) + 1 if l.n else 0):
-        level = [str(v) for v in range(l.n) if height[v] == h]
+    for h in range(max(height) + 1 if p.n else 0):
+        level = [str(v) for v in range(p.n) if height[v] == h]
         if level:
             lines.append("  { rank=same; " + "; ".join(level) + "; }")
-    for a, b in sorted(l.covers):
+    for a, b in sorted(p.covers):
         lines.append(f"  {a} -> {b};")
     lines.append("}")
     return "\n".join(lines)

@@ -58,7 +58,6 @@ from .poset import (
     Lattice,
     _bits,
     as_lattice,
-    build_poset,
     classify_elements,
 )
 from .reduction import FbbClass, classify_fbb
@@ -272,7 +271,7 @@ def all_lattices(n: int) -> dict[Certificate, Lattice]:
     """The full census with validated Lattice values in canonical labels,
     decoded from their certificates (n <= ``FULL_SEARCH_LIMIT``)."""
     return {
-        cert: as_lattice(build_poset(n, canon.decode_certificate(cert).covers))
+        cert: as_lattice(canon.decode_certificate(cert))
         for cert in _lattice_certificates(n)
     }
 

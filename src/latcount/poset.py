@@ -1,9 +1,11 @@
 """Finite posets and lattices represented by their cover (Hasse) relation.
 
-Elements are dense integer labels ``0..n-1``.  A :class:`CoverDigraph` is a
-validated, irredundant cover relation; a :class:`Lattice` additionally carries
-the full order relation as bitmask rows, plus its bottom and top.  Everything
-is immutable after construction, so values can be shared freely.
+Elements are dense integer labels ``0..n-1``.  A :class:`CoverDigraph` is an
+irredundant cover relation; a :class:`Lattice` additionally carries the full
+order relation as bitmask rows, plus its bottom and top.  One helper checks
+cover relations for both :func:`build_poset` and :func:`as_lattice`, so
+:func:`as_lattice` checks a digraph however it was made.  Everything is
+immutable after construction, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ class CoverDigraph(NamedTuple):
     """An irredundant, acyclic cover relation on labels ``0..n-1``.
 
     ``covers`` is sorted ascending; ``(lo, hi)`` means ``lo`` is covered by
-    ``hi``.  Construct through :func:`build_poset`, which validates.
+    ``hi``.  The fields are not checked when the value is built:
+    :func:`build_poset` normalizes and checks any pairs, and
+    :func:`as_lattice` checks the covers it is given.
     """
 
     n: int
@@ -130,30 +134,43 @@ class ElementClassification(NamedTuple):
 
 
 def build_poset(n: int, covers: Iterable[tuple[int, int]]) -> CoverDigraph:
-    """Validate and freeze a cover relation on ``n`` elements.
+    """Normalize a cover relation on ``n`` elements (integer labels, each
+    pair once, sorted) and check it as :func:`as_lattice` does.
 
     Raises :class:`LabelOutOfRange`, :class:`CycleDetected` or
     :class:`RedundantCover` when the input is not an irredundant acyclic
     cover set.
     """
+    pairs = tuple(sorted(set((int(a), int(b)) for a, b in covers)))
+    _checked_order(n, pairs)
+    return CoverDigraph(n, pairs)
+
+
+def _checked_order(n: int, covers) -> tuple[list[int], list[int]]:
+    """Check that ``covers`` is an irredundant acyclic cover relation on
+    ``n`` >= 1 elements; return a linear extension (one pass of Kahn's
+    algorithm) and the strict up-set masks.  Every error names the first
+    offending pair in the order of ``covers``.
+    """
     if n < 1:
         raise LabelOutOfRange(f"need at least one element, got n={n}")
-    pairs = sorted(set((int(a), int(b)) for a, b in covers))
-    for a, b in pairs:
+    rows = [0] * n
+    for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
             raise LabelOutOfRange(f"cover ({a}, {b}) outside 0..{n - 1}")
         if a == b:
             raise CycleDetected(f"self-loop at {a}")
-    up = [0] * n
-    for a, b in pairs:
-        up[a] |= 1 << b
-    order = _strict_up_order(up, _topological_order(n, up))
+        if rows[a] >> b & 1:
+            raise RedundantCover(f"cover ({a}, {b}) listed twice")
+        rows[a] |= 1 << b
+    topo = _topological_order(n, rows)
+    strict = _strict_up_order(rows, topo)
     # (a, b) is redundant when b is reachable from some other upper cover of a
-    for a, b in pairs:
-        for c in _bits(up[a] & ~(1 << b)):
-            if order[c] >> b & 1:
+    for a, b in covers:
+        for c in _bits(rows[a] & ~(1 << b)):
+            if strict[c] >> b & 1:
                 raise RedundantCover(f"cover ({a}, {b}) implied through {c}")
-    return CoverDigraph(n, tuple(pairs))
+    return topo, strict
 
 
 def _topological_order(n: int, up: list[int] | tuple[int, ...]) -> list[int]:
@@ -192,33 +209,25 @@ def _strict_up_order(up: list[int] | tuple[int, ...], topo: list[int]) -> list[i
 
 
 def as_lattice(p: CoverDigraph) -> Lattice:
-    """Check that every pair has a unique meet and join; return the lattice.
+    """Check that ``p`` is a cover relation whose every pair has a unique
+    meet and join; return the lattice.
 
-    Raises :class:`NotALattice` with a witness pair, the first in label
-    order, join before meet, otherwise; :class:`LabelOutOfRange` when ``p``
-    is empty or a cover holds a label outside ``0..n-1``, and
-    :class:`CycleDetected` when its covers have a cycle.
+    Raises what :func:`build_poset` raises on the covers as listed
+    (:class:`RedundantCover` also for a cover listed twice), then
+    :class:`NotALattice` with a witness pair, the first in label order,
+    join before meet.
 
-    One pass of Kahn's algorithm gives a linear extension, which closes the
-    order, names the bottom (its first element) and the top (its last), and
-    orders the positions of the test below.  The test per pair takes
-    constant time on masks over those positions.  The common upper bounds of
-    a pair form an up-set, whose first element in any linear extension is
-    minimal in it; it has a unique minimal element exactly when it is the
-    up-set of that first element.  Dually for the common lower bounds and
-    their last element.  So the verdict, witness and kind are the same for
-    every linear extension.
+    The checks give a linear extension, which closes the order, names the
+    bottom (its first element) and the top (its last), and orders the
+    positions of the test below.  The test per pair takes constant time on
+    masks over those positions.  The common upper bounds of a pair form an
+    up-set, whose first element in any linear extension is minimal in it; it
+    has a unique minimal element exactly when it is the up-set of that first
+    element.  Dually for the common lower bounds and their last element.  So
+    the verdict, witness and kind are the same for every linear extension.
     """
     n = p.n
-    if n < 1:
-        raise LabelOutOfRange(f"need at least one element, got n={n}")
-    rows = [0] * n
-    for a, b in p.covers:
-        if not (0 <= a < n and 0 <= b < n):
-            raise LabelOutOfRange(f"cover ({a}, {b}) outside 0..{n - 1}")
-        rows[a] |= 1 << b
-    topo = _topological_order(n, rows)
-    strict = _strict_up_order(rows, topo)
+    topo, strict = _checked_order(n, p.covers)
     up = tuple(strict[i] | (1 << i) for i in range(n))
     pos = [0] * n
     for i, v in enumerate(topo):
@@ -314,7 +323,7 @@ def relabel(p: CoverDigraph, perm: Iterable[int]) -> CoverDigraph:
 
 def chain(k: int) -> Lattice:
     """The k-element chain 0 < 1 < ... < k-1."""
-    return as_lattice(build_poset(k, [(i, i + 1) for i in range(k - 1)]))
+    return as_lattice(CoverDigraph(k, tuple((i, i + 1) for i in range(k - 1))))
 
 
 def induced_subposet(p: CoverDigraph, keep: Iterable[int]) -> CoverDigraph:

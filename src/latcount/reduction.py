@@ -34,7 +34,6 @@ from .poset import (
     _live_digraph,
     _strip,
     as_lattice,
-    build_poset,
     classify_elements,
 )
 
@@ -58,29 +57,28 @@ class FbbClass(enum.Enum):
 
 def m2() -> Lattice:
     """The four-element diamond."""
-    return as_lattice(build_poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    return as_lattice(CoverDigraph(4, ((0, 1), (0, 2), (1, 3), (2, 3))))
 
 
 def f1() -> Lattice:
     """Six elements; the middle reducible element is meet-reducible only."""
     return as_lattice(
-        build_poset(6, [(0, 1), (1, 2), (1, 3), (2, 5), (3, 5), (0, 4), (4, 5)])
+        CoverDigraph(6, ((0, 1), (0, 4), (1, 2), (1, 3), (2, 5), (3, 5), (4, 5)))
     )
 
 
 def f2() -> Lattice:
     """The dual of F1: the middle reducible element is join-reducible only."""
     return as_lattice(
-        build_poset(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 5), (0, 4), (4, 5)])
+        CoverDigraph(6, ((0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 5), (4, 5)))
     )
 
 
 def f3() -> Lattice:
     """Seven elements; two diamonds stacked through the middle element."""
     return as_lattice(
-        build_poset(
-            7,
-            [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)],
+        CoverDigraph(
+            7, ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6))
         )
     )
 
@@ -88,20 +86,20 @@ def f3() -> Lattice:
 def f4() -> Lattice:
     """F3 plus one extra chain strung from bottom to top."""
     return as_lattice(
-        build_poset(
+        CoverDigraph(
             8,
-            [
+            (
                 (0, 1),
                 (0, 2),
+                (0, 6),
                 (1, 3),
                 (2, 3),
                 (3, 4),
                 (3, 5),
                 (4, 7),
                 (5, 7),
-                (0, 6),
                 (6, 7),
-            ],
+            ),
         )
     )
 

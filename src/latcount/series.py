@@ -41,7 +41,20 @@ the separate factor y/(1−x):
                                        + 2u R[d−1] + u² R[d−2] − [y^d] M²
 
 A third derivation of the counts, next to the published sums in ``formulas``
-and the enumerations in ``oracle``, sharing no table with either.
+and the enumerations in ``oracle``, sharing no table with either.  Which
+derivation backs which range of the printed counts:
+
+- to n = 12, the oracles: ``verify`` compares their members with
+  ``formulas``;
+- to n = 26 (classes) and m = 30 (strata), the flat sums in ``formulas``,
+  which the tests hold the series to;
+- to ``LIMIT``, the strata: summed over k = −1..m + 1, ``block_counts(m, k)``
+  gives every block total, and padding by L(n) = Σ_j (j + 1) B(n − j) every
+  lattice class (``tests/test_series.py``, to 120 by default and to
+  ``LIMIT`` under ``slow``).  The strata come from the shift identity, the
+  totals from the products of P and M; both rest on ``_divide`` and the
+  partition numbers, which the tests check against
+  ``partitions.partition_count``.
 """
 
 from __future__ import annotations

@@ -283,7 +283,7 @@ class TestEnumerate:
         assert len(lines) == 15
         for line in lines:
             doc = json.loads(line)
-            rebuilt = lattice_document(document_to_lattice(doc))
+            rebuilt = lattice_document(document_to_lattice(doc).digraph)
             assert document_json(rebuilt) == line
 
     def test_deterministic_order(self, capsys, monkeypatch, fresh_tables, eager_pool):
@@ -449,7 +449,7 @@ class TestVerify:
 
 class TestDocuments:
     def test_schema_fields(self):
-        doc = lattice_document(m2())
+        doc = lattice_document(m2().digraph)
         assert doc == {
             "n": 4,
             "covers": [[0, 1], [0, 2], [1, 3], [2, 3]],
@@ -461,16 +461,18 @@ class TestDocuments:
     def test_fbb_null_for_other_classes(self):
         from latcount.poset import chain
 
-        assert lattice_document(chain(3))["fbb"] is None
+        assert lattice_document(chain(3).digraph)["fbb"] is None
 
     def test_round_trip_is_byte_identical(self):
-        doc = lattice_document(f3())
+        doc = lattice_document(f3().digraph)
         text = document_json(doc)
-        again = document_json(lattice_document(document_to_lattice(json.loads(text))))
+        again = document_json(
+            lattice_document(document_to_lattice(json.loads(text)).digraph)
+        )
         assert again == text
 
     def test_dot_mentions_every_cover(self):
-        out = dot_digraph(f3(), "g")
+        out = dot_digraph(f3().digraph, "g")
         for a, b in f3().covers:
             assert f"{a} -> {b};" in out
 

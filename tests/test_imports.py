@@ -127,6 +127,14 @@ def test_lattice_runs_load_no_dataclasses(code):
     assert loaded_by(code) & {"dataclasses", "inspect"} == set()
 
 
+def test_enumerate_edges_loads_no_documents():
+    """``--format edges`` prints the decoded covers itself; only the
+    ``json`` and ``dot`` formats load the document layer."""
+    edges = "latcount.cli.main(['enumerate', '--n', '7', '--reducible', '3', '--format', 'edges'])"
+    assert loaded_by(edges) & {"latcount.documents", "json"} == set()
+    assert {"latcount.documents", "json"} <= loaded_by(LATTICE_RUNS[1])
+
+
 def test_verify_loads_json_only_for_its_report(tmp_path):
     assert "json" not in loaded_by(VERIFY_6)
     target = tmp_path / "report.json"
@@ -271,6 +279,28 @@ def test_every_import_is_used(name):
         for alias in node.names
     ]
     assert [bound for bound in imported if bound not in used] == []
+
+
+def called(node: ast.Call) -> str | None:
+    """The name a call reads its function from, bare or as an attribute."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def test_build_poset_feeds_as_lattice_only_for_documents():
+    """``as_lattice`` checks every cover digraph it is given, so a module
+    passes it ``build_poset(...)``, which checks the same covers, only to
+    normalize outside input: a JSON document's covers."""
+    sites = [
+        f"{name}.{func.name}"
+        for name, tree in MODULES.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and called(node) == "as_lattice"
+        and any(isinstance(a, ast.Call) and called(a) == "build_poset" for a in node.args)
+    ]
+    assert sites == ["documents.document_to_lattice"]
 
 
 def test_every_private_function_is_referenced():

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from latcount import poset
+from latcount import oracle, poset
+from latcount.cli import main
 from latcount.oracle import all_lattices
 from latcount.poset import (
     CoverDigraph,
@@ -43,6 +44,23 @@ def cube():
     return as_lattice(build_poset(8, CUBE_COVERS))
 
 
+# Error inputs of build_poset, with the type and message it gave before it
+# shared its checks with as_lattice.  A repeated pair is normalized away
+# before the checks.
+IMPLIED = "cover (0, 2) implied through 1"
+BUILD_ERRORS = [
+    (3, [(0, 1), (1, 2), (0, 2)], RedundantCover, IMPLIED),
+    (3, [(0, 1), (0, 1), (1, 2), (0, 2)], RedundantCover, IMPLIED),
+    (4, [(2, 3), (0, 1), (1, 2), (0, 3)], RedundantCover, "cover (0, 3) implied through 1"),
+    (3, [(0, 1), (1, 2), (2, 0)], CycleDetected, "cover relation contains a directed cycle"),
+    (2, [(1, 1)], CycleDetected, "self-loop at 1"),
+    (2, [(0, 2)], LabelOutOfRange, "cover (0, 2) outside 0..1"),
+    (2, [(-1, 0)], LabelOutOfRange, "cover (-1, 0) outside 0..1"),
+    (3, [(0, 1), (2, 2), (0, 5)], LabelOutOfRange, "cover (0, 5) outside 0..2"),
+    (0, [], LabelOutOfRange, "need at least one element, got n=0"),
+]
+
+
 class TestBuildPoset:
     def test_singleton(self):
         p = build_poset(1, [])
@@ -63,6 +81,25 @@ class TestBuildPoset:
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             build_poset(2, [(0, 2)])
+
+    @pytest.mark.parametrize("n, covers, error, message", BUILD_ERRORS)
+    def test_error_types_and_messages(self, n, covers, error, message):
+        with pytest.raises(error) as exc:
+            build_poset(n, covers)
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+def kahn_calls(monkeypatch):
+    """Record the size of every topological sort from here on."""
+    calls = []
+    kahn = poset._topological_order
+
+    def counted(n, up):
+        calls.append(n)
+        return kahn(n, up)
+
+    monkeypatch.setattr(poset, "_topological_order", counted)
+    return calls
 
 
 class TestAsLattice:
@@ -98,15 +135,21 @@ class TestAsLattice:
         with pytest.raises(LabelOutOfRange, match=re.escape(f"cover {cover} outside 0..1")):
             as_lattice(CoverDigraph(2, (cover,)))
 
+    @pytest.mark.parametrize(
+        "digraph, message",
+        [
+            (CoverDigraph(3, ((0, 1), (0, 2), (1, 2))), IMPLIED),
+            (CoverDigraph(2, ((0, 1), (0, 1))), "cover (0, 1) listed twice"),
+        ],
+    )
+    def test_repeated_or_implied_cover_raises_redundant_cover(self, digraph, message):
+        # kept, the non-cover (0, 2) would make 0 and 2 reducible, and the
+        # repeated cover would give the 2-chain nullity 1
+        with pytest.raises(RedundantCover, match=re.escape(message)):
+            as_lattice(digraph)
+
     def test_sorts_once_per_call(self, monkeypatch):
-        calls = []
-        kahn = poset._topological_order
-
-        def counted(n, up):
-            calls.append(n)
-            return kahn(n, up)
-
-        monkeypatch.setattr(poset, "_topological_order", counted)
+        calls = kahn_calls(monkeypatch)
         p = build_poset(8, CUBE_COVERS)
         assert calls == [8]
         as_lattice(p)
@@ -114,6 +157,21 @@ class TestAsLattice:
         with pytest.raises(NotALattice):
             as_lattice(build_poset(4, [(0, 1), (1, 2), (1, 3)]))
         assert calls == [8, 8, 4, 4]
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "edges"])
+def test_enumerate_checks_no_order_with_warm_tables(fmt, monkeypatch, capsys):
+    """``enumerate`` prints documents from the decoded cover digraphs: once
+    the block tables are built, no format closes an order."""
+    for r in (2, 3):
+        oracle.reducible_class(8, r)
+    calls = kahn_calls(monkeypatch)
+    for r in ("2", "3"):
+        assert main(["enumerate", "--n", "8", "--reducible", r, "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
+    chain(2)  # the counter sees a check
+    assert calls == [2]
 
 
 def _reference_bits(mask):

@@ -93,6 +93,40 @@ def test_strata_to_330_are_pinned(k, capsys):
     assert stdout_sha256(argv, capsys) == STRATA_TO_330[k]
 
 
+def strata_totals(m_max):
+    """Each block column of ``series.block_counts(m_max)``, summed over its
+    edge-surplus strata k = -1..m_max + 1."""
+    totals = {name: [0] * (m_max + 1) for name in BLOCK_FORMULAS}
+    for k in range(-1, m_max + 2):
+        for name, column in series.block_counts(m_max, k).items():
+            totals[name] = [a + b for a, b in zip(totals[name], column)]
+    return totals
+
+
+def padded(block):
+    """L(n) = sum_j (j + 1) B(n - j): j padding elements split below and
+    above the block in j + 1 ways."""
+    return [sum((j + 1) * block[n - j] for j in range(n + 1)) for n in range(len(block))]
+
+
+@pytest.mark.parametrize(
+    "m_max", [120, pytest.param(series.LIMIT, marks=pytest.mark.slow)]
+)
+def test_strata_rederive_every_count(m_max):
+    """A second derivation of every value ``count``, ``table`` and ``blocks``
+    print.  The strata come from Euler's shift identity, not from the P and M
+    products behind the totals, and the padding here is summed directly, not
+    by ``series._padded``.  Both routes share ``_divide`` and the partition
+    numbers, which ``TestRecurrence`` checks against ``partition_count``."""
+    totals = strata_totals(m_max)
+    assert totals == series.block_counts(m_max)
+    two = {"total": padded(totals["two_reducible"])}
+    assert two == series.lattice_counts(2, m_max)
+    three = {f"l{i}": padded(totals[f"b{i}"]) for i in range(1, 5)}
+    three["total"] = [sum(row) for row in zip(*three.values())]
+    assert three == series.lattice_counts(3, m_max)
+
+
 class TestRecurrence:
     """The series' own tables against the partition table."""
 
