@@ -12,15 +12,20 @@ vertices of colour cells with two or more members: a vertex alone in its
 cell cannot split, and its new colour is the next index in colour order.
 
 Symmetric branches are pruned (McKay and Piperno, "Practical graph
-isomorphism, II", 2014).  Two leaves with equal rows differ by an
-automorphism, which is kept for the rest of the call.  A node that has
-individualized a prefix of vertices skips a target-cell vertex lying in the
-orbit of an earlier vertex of the cell, under the automorphisms found so far
-that fix the prefix pointwise.  Such an automorphism maps the subtree of the
-earlier vertex onto the skipped one, leaf for leaf with equal rows, and every
-leaf it maps to comes later in search order.  So the smallest rows, and the
-first leaf that attains them, lie outside every skipped subtree: certificates
-and canonical labelings are exactly those of the unpruned search.
+isomorphism, II", 2014).  The search starts from the swaps of
+interchangeable chains (:func:`_chain_swaps`), the symmetries of the
+bundles of equal parallel chains that every adjunct of chains is made of.
+Two leaves with equal rows differ by one more automorphism, which is kept
+for the rest of the call.  A node that has individualized a prefix of
+vertices skips a target-cell vertex lying in the orbit of an earlier vertex
+of the cell, under the automorphisms known so far that fix the prefix
+pointwise.  Such an automorphism maps the subtree of the earlier vertex onto
+the skipped one, leaf for leaf with equal rows, and every leaf it maps to
+comes later in search order.  So the smallest rows, and the first leaf that
+attains them, lie outside every skipped subtree: certificates and canonical
+labelings are exactly those of the unpruned search.  The argument needs only
+that each is an automorphism, not how it became known, so the swaps read off
+before the search prune as soundly as the automorphisms found at leaves.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ def _certificate(
 ) -> tuple[Certificate, tuple[int, ...], list[list[int]]]:
     """The certificate of the cover digraph whose up-cover rows are ``up``,
     its canonical labeling (position i holds the old label), and the
-    automorphisms the search found on the way: ``g[v]`` is the image of
-    vertex ``v``.
+    automorphisms the search started from (the chain swaps) or found on the
+    way: ``g[v]`` is the image of vertex ``v``.
 
     They generate the whole automorphism group.  An automorphism maps the
     unpruned search tree onto itself, and a leaf onto a leaf with equal
@@ -55,9 +60,9 @@ def _certificate(
     one under the group, one leaf per automorphism.  Every such leaf that
     the search visits after the first is compared with it and yields its
     automorphism.  Every pruned subtree is the image of a searched one
-    under automorphisms already found, so every leaf of the unpruned tree
-    is the image of a visited leaf under the group they generate, and so is
-    every automorphism."""
+    under automorphisms already known, swaps or found, and all of them are
+    returned, so every leaf of the unpruned tree is the image of a visited
+    leaf under the group they generate, and so is every automorphism."""
     rows, labeling, automorphisms = _canonical(n, up)
     return Certificate(_encode(n, rows)), labeling, automorphisms
 
@@ -132,7 +137,7 @@ def _canonical(
     n: int, up: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
     """The smallest rows, the first labeling that attains them, and the
-    automorphisms found between equal leaves."""
+    chain swaps followed by the automorphisms found between equal leaves."""
     if n == 1:
         return (0,), (0,), []
     ups, dns = _neighbours(up)
@@ -145,7 +150,7 @@ def _canonical(
 
     best_rows: tuple[int, ...] | None = None
     best_perm: tuple[int, ...] | None = None
-    automorphisms: list[list[int]] = []
+    automorphisms = _chain_swaps(n, ups, dns)
 
     def leaf(order: list[int]) -> None:
         nonlocal best_rows, best_perm
@@ -173,11 +178,15 @@ def _canonical(
         if target is None:
             leaf([cell[0] for cell in ordered])
             return
+        stabilizer: list[list[int]] = []
+        known = 0  # how many automorphisms ``stabilizer`` has read
         for v in target:
-            # re-read per vertex: earlier subtrees may have found more
-            stabilizer = [
-                g for g in automorphisms if all(g[x] == x for x in fixed)
-            ]
+            if len(automorphisms) > known:
+                # earlier subtrees found more
+                stabilizer += [
+                    g for g in automorphisms[known:] if all(g[x] == x for x in fixed)
+                ]
+                known = len(automorphisms)
             if _orbit_min(v, stabilizer) < v:
                 continue  # an automorphic image of an earlier subtree
             # v gets its own colour, just below the rest of its cell; all
@@ -200,6 +209,35 @@ def _neighbours(up) -> tuple[list[tuple[int, ...]], list[list[int]]]:
         for w in row:
             dns[w].append(v)
     return ups, dns
+
+
+def _chain_swaps(n: int, ups, dns) -> list[list[int]]:
+    """Automorphisms that swap two interchangeable chains, as image lists.
+
+    A chain is a maximal run of vertices that each have exactly one upper
+    and one lower cover.  Two chains of one length whose bottoms share
+    their lower cover and whose tops share their upper cover can be
+    swapped, vertex by vertex, and no cover changes.  Each bundle of such
+    chains, in the order of their bottom vertices, gives the swaps of
+    neighbouring chains, which generate every permutation of the bundle.
+    """
+    inner = [len(ups[v]) == 1 and len(dns[v]) == 1 for v in range(n)]
+    bundles: dict[tuple[int, int, int], list[list[int]]] = {}
+    for v in range(n):
+        if inner[v] and not inner[dns[v][0]]:
+            run = [v]
+            while inner[ups[run[-1]][0]]:
+                run.append(ups[run[-1]][0])
+            key = (dns[v][0], ups[run[-1]][0], len(run))
+            bundles.setdefault(key, []).append(run)
+    swaps = []
+    for runs in bundles.values():
+        for a, b in zip(runs, runs[1:]):
+            g = list(range(n))
+            for x, y in zip(a, b):
+                g[x], g[y] = y, x
+            swaps.append(g)
+    return swaps
 
 
 def _orbit_min(v: int, generators: list[list[int]]) -> int:

@@ -7,8 +7,6 @@
 
 from __future__ import annotations
 
-import json
-
 from .canon import _longest_paths, _neighbours
 from .poset import CoverDigraph, Lattice, as_lattice, build_poset, nullity
 from .poset import poset_classification
@@ -32,6 +30,8 @@ def lattice_document(p: CoverDigraph, fbb: FbbClass | None = None) -> dict:
 
 
 def document_json(doc: dict) -> str:
+    import json  # only the json format pays for it
+
     return json.dumps(doc)
 
 

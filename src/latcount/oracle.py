@@ -68,10 +68,10 @@ CLASS_SEARCH_LIMIT = 12
 # forks only if the largest (m, r) table it lacks has at least this many
 # elements.  With a pool forked at every size, over 12 alternating cold
 # pairs of ``enumerate --n N --reducible 3`` with one worker against two on
-# a 2-core x86 host (Python 3.11), two were faster at N = 10 in 4 pairs
-# (medians 0.29 s against 0.33 s), at N = 11 in 3 (0.78 s against 0.82 s)
-# and at N = 12 in 9 (1.65 s against 1.36 s).  On two CPUs a pool worker
-# built the (10, 3) table in 0.24-0.26 s, a lone process in 0.14-0.16 s,
+# a 2-core x86 host (Python 3.11), two were faster at N = 10 in 0 pairs
+# (medians 0.26 s against 0.31 s), at N = 11 in 5 (0.52 s against 0.52 s)
+# and at N = 12 in 11 (1.26 s against 0.94 s).  On two CPUs a pool worker
+# built the (10, 3) table in 0.12-0.14 s, a lone process in 0.06-0.09 s,
 # and importing ``multiprocessing`` and starting the pool cost about 0.03 s.
 POOL_BREAK_EVEN = 12
 

@@ -220,7 +220,9 @@ def as_lattice(p: CoverDigraph) -> Lattice:
     The checks give a linear extension, which closes the order, names the
     bottom (its first element) and the top (its last), and orders the
     positions of the test below.  The test per pair takes constant time on
-    masks over those positions.  The common upper bounds of a pair form an
+    masks over those positions, and only incomparable pairs take it: a
+    comparable pair has its larger element as join and its smaller as meet.
+    The common upper bounds of a pair form an
     up-set, whose first element in any linear extension is minimal in it; it
     has a unique minimal element exactly when it is the up-set of that first
     element.  Dually for the common lower bounds and their last element.  So
@@ -239,9 +241,12 @@ def as_lattice(p: CoverDigraph) -> Lattice:
             down[j] |= 1 << i
             ups[pos[i]] |= 1 << pos[j]
             downs[pos[j]] |= 1 << pos[i]
+    full = (1 << n) - 1
     for x in range(n):
         up_x, down_x = ups[pos[x]], downs[pos[x]]
-        for y in range(x + 1, n):
+        # a comparable pair has a join and a meet: test only the later
+        # labels incomparable with x
+        for y in _bits(full >> (x + 1) << (x + 1) & ~(up[x] | down[x])):
             above = up_x & ups[pos[y]]
             if not above or ups[(above & -above).bit_length() - 1] != above:
                 raise NotALattice((x, y), "join")

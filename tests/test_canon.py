@@ -310,8 +310,8 @@ def _reference_refine(n, ups, dns, colors):
 
 
 def test_refine_matches_reference_on_search_and_block_inputs(monkeypatch, fresh_tables):
-    """Every colouring refined while ``census(7)`` and the block tables for
-    m <= 10 are built from scratch gets the reference's colours."""
+    """Every colouring refined while ``census(8)`` and the block tables for
+    m <= 11 are built from scratch gets the reference's colours."""
     refine = canon._refine
     seen = 0
 
@@ -324,11 +324,13 @@ def test_refine_matches_reference_on_search_and_block_inputs(monkeypatch, fresh_
 
     monkeypatch.setattr(canon, "_refine", checked)
     monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
-    assert oracle.census(7).total() == 53
-    for m in range(4, 11):
+    assert oracle.census(8).total() == 222
+    for m in range(4, 12):
         for r in (2, 3):
             oracle.block_census(m, r)
-    assert seen > 3000  # 3,924 when written
+    # 3,924 when written (census(7), m <= 10); the chain swaps cut that
+    # input to 1,388, so the sizes grew to keep the coverage: 3,506
+    assert seen > 3000
 
 
 def random_poset(rng, n, density):
@@ -436,3 +438,83 @@ def test_class_table_survives_pickle():
     copy = pickle.loads(pickle.dumps(table))
     assert list(copy.items()) == list(table.items())
     assert all(type(c) is Certificate for c in copy)
+
+
+def _swaps(d):
+    return canon._chain_swaps(d.n, *canon._neighbours(d.up_adjacency()))
+
+
+def _seed_inputs():
+    """Every block digraph with m <= 10, every lattice of the search levels
+    <= 7 (n <= 8), the non-lattice digraphs and the symmetric ones above,
+    each as built and under a random relabeling."""
+    digraphs = [
+        block.digraph
+        for m in range(1, 11)
+        for r in (2, 3)
+        for block in reference_blocks(m, r).values()
+    ]
+    digraphs += [
+        lat.digraph for n in range(1, 9) for lat in oracle.all_lattices(n).values()
+    ]
+    digraphs += _general_digraphs() + SYMMETRIC
+    rng = random.Random(20261019)
+    moved = []
+    for d in digraphs:
+        perm = list(range(d.n))
+        rng.shuffle(perm)
+        moved.append(relabel(d, perm))
+    return digraphs + moved
+
+
+def test_chain_swaps_are_automorphisms():
+    """Every seeded permutation maps the cover set onto itself."""
+    seeded = 0
+    for d in _seed_inputs():
+        covers = set(d.covers)
+        for g in _swaps(d):
+            assert sorted(g) == list(range(d.n))
+            assert {(g[a], g[b]) for a, b in covers} == covers, (d.covers, g)
+            seeded += 1
+    assert seeded > 2000
+
+
+def test_chain_swaps_of_bundles():
+    """Three bundles of three equal chains give two swaps each; chains of
+    one bundle with different lengths are not swapped."""
+    assert len(_swaps(bundles((1, 1, 1), (1, 1, 1), (1, 1, 1)))) == 6
+    assert len(_swaps(bundles((2, 2, 2), (1, 1), ()))) == 3
+    assert len(_swaps(bundles((1, 2, 3), (1, 1), ()))) == 1
+    assert len(_swaps(atoms(6))) == 5
+    assert _swaps(chain(5).digraph) == []
+
+
+def test_seeded_search_matches_unseeded(monkeypatch):
+    """The chain swaps prune only subtrees whose leaves the unseeded search
+    also reaches: the rows and the labeling are those of the search without
+    them, and both lists of automorphisms have the same vertex orbits."""
+    digraphs = _seed_inputs()
+    seeded = [canon._canonical(d.n, d.up_adjacency()) for d in digraphs]
+    monkeypatch.setattr(canon, "_chain_swaps", lambda n, ups, dns: [])
+    for d, (rows, perm, found) in zip(digraphs, seeded):
+        plain_rows, plain_perm, plain_found = canon._canonical(d.n, d.up_adjacency())
+        assert (rows, perm) == (plain_rows, plain_perm), d.covers
+        assert orbits(d.n, found) == orbits(d.n, plain_found), d.covers
+
+
+def test_chain_swaps_cut_the_block_table_search(monkeypatch, fresh_tables):
+    """Building the r = 3 block tables for m <= 10 from scratch refines
+    1,070 colourings (2,840 without the chain swaps) in 389
+    canonicalizations, which the swaps do not change."""
+    calls = {"_refine": 0, "_canonical": 0}
+    for name in calls:
+        original = getattr(canon, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(canon, name, counted)
+    for m in range(1, 11):
+        oracle._block_table(m, 3)
+    assert calls == {"_refine": 1070, "_canonical": 389}

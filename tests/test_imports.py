@@ -135,6 +135,15 @@ def test_enumerate_edges_loads_no_documents():
     assert {"latcount.documents", "json"} <= loaded_by(LATTICE_RUNS[1])
 
 
+def test_enumerate_dot_loads_no_json():
+    """``--format dot`` draws from the document layer, but only
+    ``document_json`` needs ``json``."""
+    dot = "latcount.cli.main(['enumerate', '--n', '7', '--reducible', '3', '--format', 'dot'])"
+    loaded = loaded_by(dot)
+    assert "latcount.documents" in loaded
+    assert "json" not in loaded
+
+
 def test_verify_loads_json_only_for_its_report(tmp_path):
     assert "json" not in loaded_by(VERIFY_6)
     target = tmp_path / "report.json"
