@@ -1,7 +1,7 @@
 """Command-line front end: count tables, class enumeration, verification.
 
 Exit codes: 0 success (and verification agreement), 1 verification mismatch,
-2 usage error, 3 size guard tripped.
+2 usage error, 3 size guard tripped, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_SCALE = 3
+EXIT_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 # ``count``, ``table`` and ``blocks`` read ``series`` alone: the lattice
 # layers load inside the commands that use them, ``enumerate`` loads
@@ -238,7 +239,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone (``latcount verify ... | head -1``):
+        # send what is still buffered to devnull, so that the interpreter's
+        # final flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ from .reduction import FbbClass, classify_fbb
 def lattice_document(p: CoverDigraph, fbb: FbbClass | None = None) -> dict:
     """The document of the lattice with cover digraph ``p``.  ``fbb`` is its
     fundamental basic block class when the caller knows it already; only
-    otherwise is ``p`` checked as a lattice, to derive the class."""
+    otherwise is ``p`` checked as a lattice, to derive the class.  With
+    ``fbb`` given, the covers of ``p`` are read as given, so ``p`` must be a
+    lattice's cover relation, as a decoded certificate is."""
     cls = poset_classification(p)
     if fbb is None and len(cls.red) in (2, 3):
         fbb = classify_fbb(as_lattice(p))

@@ -20,9 +20,12 @@ Two deliberately separate generation paths:
   the certificates of the lattices its states become, that keeps each state
   with the automorphisms its expansion reads: adjoining a top is a
   bijection on isomorphism classes, so these keys tell states apart exactly
-  as the states' own certificates would, and the census reads every
-  certificate off level n - 1 and decodes its lattice, in canonical labels,
-  without canonicalizing again, and
+  as the states' own certificates would.  The census reads every
+  certificate off level n - 1 without canonicalizing again, and each
+  lattice is its certificate: the reducible count is read off the decoded
+  covers, and only the 3-reducible lattices are built as ``Lattice``
+  values, in canonical labels, to classify their fundamental basic
+  blocks, and
 * a constructive path that realizes adjunct-of-chains recipes for the classes
   with exactly 2 or 3 reducible elements, which stays feasible past the full
   search limit.  Each member is a maximal block padded by chains below and
@@ -53,13 +56,7 @@ from .adjunct import AdjunctPair, AdjunctRep, realize
 from .canon import Certificate, canonical_certificate, padded_certificate
 from .errors import SizeLimitExceeded
 from .partitions import enumerate_partitions
-from .poset import (
-    CoverDigraph,
-    Lattice,
-    _bits,
-    as_lattice,
-    classify_elements,
-)
+from .poset import CoverDigraph, _bits, as_lattice, poset_classification
 from .reduction import FbbClass, classify_fbb
 
 FULL_SEARCH_LIMIT = 8
@@ -267,15 +264,6 @@ def enumerate_all_lattices(n: int) -> frozenset[Certificate]:
     return frozenset(_lattice_certificates(n))
 
 
-def all_lattices(n: int) -> dict[Certificate, Lattice]:
-    """The full census with validated Lattice values in canonical labels,
-    decoded from their certificates (n <= ``FULL_SEARCH_LIMIT``)."""
-    return {
-        cert: as_lattice(canon.decode_certificate(cert))
-        for cert in _lattice_certificates(n)
-    }
-
-
 # ---------------------------------------------------------------------------
 # Path two: constructive generation from adjunct-of-chains recipes.
 # ---------------------------------------------------------------------------
@@ -470,15 +458,6 @@ def block_census(m: int, r: int) -> dict[int, dict[Certificate, FbbClass]]:
     return out
 
 
-def three_block_fibers(m: int) -> dict[tuple[FbbClass, int], int]:
-    """Counts of 3-reducible blocks on m elements by (class, edge surplus)."""
-    fibers: dict[tuple[FbbClass, int], int] = {}
-    for k, blocks in block_census(m, 3).items():
-        for fbb in blocks.values():
-            fibers[(fbb, k)] = fibers.get((fbb, k), 0) + 1
-    return fibers
-
-
 # ---------------------------------------------------------------------------
 # Census and verification driver.
 # ---------------------------------------------------------------------------
@@ -497,10 +476,15 @@ class OracleCensus(NamedTuple):
 
 
 def census(n: int) -> OracleCensus:
-    """Full census by exhaustive search (n <= ``FULL_SEARCH_LIMIT``)."""
+    """Full census by exhaustive search (n <= ``FULL_SEARCH_LIMIT``).
+
+    Each member is its certificate; only the 3-reducible ones are built as
+    ``Lattice`` values, in the canonical labels their certificates decode
+    to, for ``classify_fbb`` to read."""
     classes = _reducible_split(n)
     fibers: dict[FbbClass, set[Certificate]] = {}
-    for cert, lat in classes.get(3, {}).items():
+    for cert in classes.get(3, ()):
+        lat = as_lattice(canon.decode_certificate(cert))
         fibers.setdefault(classify_fbb(lat), set()).add(cert)
     return OracleCensus(
         n,
@@ -509,12 +493,16 @@ def census(n: int) -> OracleCensus:
     )
 
 
-def _reducible_split(n: int) -> dict[int, dict[Certificate, Lattice]]:
-    """Every n-element lattice of the exhaustive search, keyed by its number
-    of reducible elements (n <= ``FULL_SEARCH_LIMIT``)."""
-    classes: dict[int, dict[Certificate, Lattice]] = {}
-    for cert, lat in all_lattices(n).items():
-        classes.setdefault(len(classify_elements(lat).red), {})[cert] = lat
+def _reducible_split(n: int) -> dict[int, list[Certificate]]:
+    """The certificate of every n-element lattice of the exhaustive search,
+    sorted, keyed by its number of reducible elements (n <=
+    ``FULL_SEARCH_LIMIT``).  The count reads the cover degrees of the
+    decoded digraph, as ``classify_elements`` does, and builds no
+    ``Lattice``: every certificate of the search is a lattice's."""
+    classes: dict[int, list[Certificate]] = {}
+    for cert in _lattice_certificates(n):
+        red = poset_classification(canon.decode_certificate(cert)).red
+        classes.setdefault(len(red), []).append(cert)
     return classes
 
 
@@ -593,7 +581,7 @@ def _verify_one(n: int) -> list[VerifyRecord]:
             ("search_two_reducible", 2, two),
             ("search_three_reducible", 3, three),
         ):
-            same = full.get(r, {}).keys() == members.keys()
+            same = set(full.get(r, ())) == members.keys()
             records.append(VerifyRecord(n, name, None, None, same))
 
     strata2 = block_census(n, 2) if n >= 4 else {}

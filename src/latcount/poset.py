@@ -78,7 +78,12 @@ class CoverDigraph(NamedTuple):
     ``covers`` is sorted ascending; ``(lo, hi)`` means ``lo`` is covered by
     ``hi``.  The fields are not checked when the value is built:
     :func:`build_poset` normalizes and checks any pairs, and
-    :func:`as_lattice` checks the covers it is given.
+    :func:`as_lattice` checks the covers it is given.  Functions that take a
+    ``CoverDigraph`` without building a :class:`Lattice` (:func:`nullity`,
+    :func:`poset_classification`, ``documents.lattice_document`` with its
+    class given) read the covers as given, so a repeated or implied cover
+    gives a wrong answer there: :func:`build_poset` and :func:`as_lattice`
+    are the checks.
     """
 
     n: int
@@ -290,7 +295,11 @@ def classify_elements(l: Lattice) -> ElementClassification:
 
 
 def poset_classification(p: CoverDigraph) -> ElementClassification:
-    """Degree-based Red/Irr split of an arbitrary poset (not only lattices)."""
+    """Degree-based Red/Irr split of an arbitrary poset (not only lattices).
+
+    Reads the covers of ``p`` as given: ``p`` is an irredundant cover
+    relation, as :func:`build_poset` and :func:`as_lattice` check.
+    """
     up, down = p.up_adjacency(), p.down_adjacency()
     irr = frozenset(v for v in range(p.n) if _irreducible(up, down, v))
     star = frozenset(v for v in irr if up[v] and down[v])
@@ -298,7 +307,11 @@ def poset_classification(p: CoverDigraph) -> ElementClassification:
 
 
 def nullity(p: CoverDigraph) -> int:
-    """Cycle rank of the cover graph: edges - vertices + components."""
+    """Cycle rank of the cover graph: edges - vertices + components.
+
+    Reads the covers of ``p`` as given: ``p`` is an irredundant cover
+    relation, as :func:`build_poset` and :func:`as_lattice` check.
+    """
     parent = list(range(p.n))
 
     def find(v: int) -> int:

@@ -214,8 +214,8 @@ def _fbb_digraph(l: Lattice) -> CoverDigraph:
 
 # The class of each labelled fundamental basic block recognized so far;
 # filled once per process, like ``oracle._BLOCKS``.  Blocks trim to few
-# labelled shapes, so most lookups skip the lattice check and the
-# canonizer.  A block that matches no reference is never stored.
+# labelled shapes, so most lookups skip the canonizer.  A block that
+# matches no reference is never stored.
 _FBB_CLASSES: dict[CoverDigraph, FbbClass] = {}
 
 
@@ -227,7 +227,9 @@ def classify_fbb(l: Lattice) -> FbbClass:
     fbb = _fbb_digraph(l)
     tag = _FBB_CLASSES.get(fbb)
     if tag is None:
-        tag = _REFERENCE.get(canonical_certificate(as_lattice(fbb).digraph))
+        # a certificate equal to a reference's proves fbb is that lattice;
+        # any other digraph, lattice or not, raises below
+        tag = _REFERENCE.get(canonical_certificate(fbb))
         if tag is not None:
             _FBB_CLASSES[fbb] = tag
     if tag is None or (r == 2) != (tag is FbbClass.M2):

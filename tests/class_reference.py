@@ -8,6 +8,9 @@ above and canonicalizes every padding on its own.  These are the members
 the constructive path kept, lattices and all, before its tables kept only
 certificates and F-classes.  The pins that hash labels of class members and
 blocks read these lattices, so they stay fixed whatever the oracle keeps.
+``three_block_fibers`` counts the 3-reducible blocks of
+``oracle.block_census`` by F-class and edge surplus, the cells the block
+formulas give.
 """
 
 from functools import cache
@@ -16,6 +19,7 @@ from latcount import oracle
 from latcount.adjunct import direct_sum, realize
 from latcount.canon import Certificate, canonical_certificate
 from latcount.poset import Lattice, as_lattice, chain
+from latcount.reduction import FbbClass
 
 RECIPES = {
     2: oracle._two_reducible_block_reps,
@@ -72,3 +76,13 @@ def reference_class(n: int, r: int) -> dict[Certificate, Lattice]:
         (j + 1) * len(oracle._block_table(n - j, r)) for j in range(n)
     ), (n, r)
     return members
+
+
+def three_block_fibers(m: int) -> dict[tuple[FbbClass, int], int]:
+    """The number of 3-reducible blocks on m elements of each (F-class,
+    edge surplus k), read off ``oracle.block_census(m, 3)``."""
+    fibers: dict[tuple[FbbClass, int], int] = {}
+    for k, blocks in oracle.block_census(m, 3).items():
+        for fbb in blocks.values():
+            fibers[fbb, k] = fibers.get((fbb, k), 0) + 1
+    return fibers

@@ -7,12 +7,15 @@ chose each class's state by canonical augmentation.  The pins that hash
 labels of search states read these states, so they stay fixed whichever
 representative the search keeps.  ``automorphisms`` lists every
 automorphism of a cover digraph, without the canonizer.
+``search_lattices`` builds the census lattices as ``Lattice`` values, which
+the census itself keeps as certificates.
 """
 
 from functools import cache
 from itertools import permutations, product
 
-from latcount.canon import Certificate, canonical_certificate
+from latcount import oracle
+from latcount.canon import Certificate, canonical_certificate, decode_certificate
 from latcount.poset import Lattice, NotALattice, as_lattice, build_poset
 
 
@@ -62,6 +65,17 @@ def reference_lattices(n: int) -> dict[Certificate, Lattice]:
     return {
         cert: as_lattice(build_poset(n, top_adjoined(downs)))
         for cert, downs in reference_level(n - 1).items()
+    }
+
+
+def search_lattices(n: int) -> dict[Certificate, Lattice]:
+    """Every n-element lattice of the exhaustive search (n <=
+    ``oracle.FULL_SEARCH_LIMIT``), by certificate in sorted order, decoded
+    into the canonical labels its certificate encodes and checked by
+    ``as_lattice``."""
+    return {
+        cert: as_lattice(decode_certificate(cert))
+        for cert in sorted(oracle.enumerate_all_lattices(n))
     }
 
 

@@ -27,7 +27,7 @@ from latcount.poset import (
 )
 from latcount.reduction import f1, f2, f3, f4, m2
 from class_reference import pad, reference_blocks, reference_class
-from search_reference import automorphisms, orbits, reference_lattices
+from search_reference import automorphisms, orbits, reference_lattices, search_lattices
 
 
 def test_all_diamond_relabelings_agree():
@@ -200,7 +200,7 @@ def test_found_automorphisms_generate_the_whole_group():
     the whole group, which brute force lists, on every search lattice with
     n <= 7 and every block with m <= 9."""
     digraphs = [
-        lat.digraph for n in range(1, 8) for lat in oracle.all_lattices(n).values()
+        lat.digraph for n in range(1, 8) for lat in search_lattices(n).values()
     ]
     for m in range(4, 10):
         for r in (2, 3):
@@ -425,7 +425,7 @@ def test_refine_matches_reference_on_random_colourings():
 
 
 def test_certificates_order_and_hash_as_their_bytes():
-    certs = [c for n in range(1, 7) for c in oracle.all_lattices(n)]
+    certs = [c for n in range(1, 7) for c in search_lattices(n)]
     assert sorted(certs) == sorted(certs, key=lambda c: c.data)
     for c in certs:
         twin = Certificate(bytes(bytearray(c.data)))  # a distinct bytes object
@@ -455,7 +455,7 @@ def _seed_inputs():
         for block in reference_blocks(m, r).values()
     ]
     digraphs += [
-        lat.digraph for n in range(1, 9) for lat in oracle.all_lattices(n).values()
+        lat.digraph for n in range(1, 9) for lat in search_lattices(n).values()
     ]
     digraphs += _general_digraphs() + SYMMETRIC
     rng = random.Random(20261019)

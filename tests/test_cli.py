@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 import json
 import multiprocessing
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -183,6 +185,37 @@ def test_series_size_limit_exit_3(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "8"],
+        ["count", "--reducible", "3", "--n", "40"],
+        # 30 kB of rows: the pipe breaks inside a print, not at the last flush
+        ["table", "--reducible", "3", "--n-from", "1", "--n-to", "300"],
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    """A reader that closes stdout early (``verify ... | head -1``) is not a
+    verification mismatch: the command exits 141, as a shell reports a
+    process killed by SIGPIPE, and prints no traceback."""
+    src = str(Path(series.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "latcount.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 141, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_ranges_may_start_at_minus_limit(capsys):

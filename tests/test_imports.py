@@ -327,6 +327,35 @@ def test_every_private_function_is_referenced():
     assert orphans == []
 
 
+# Public functions that nothing in the package reads and ``latcount`` does
+# not export, each kept for a reader outside the package.
+UNREAD_PUBLIC_FUNCTIONS = {
+    # perfbench/tracer.py wraps these by name until the package has its own
+    # stats layer (ROADMAP item 6)
+    "canon.canonical_rank",
+    "canon.canonical_digraph",
+    "poset.induced_subposet",
+    # the README's JSON round trip: lattice_document(document_to_lattice(doc))
+    "documents.document_to_lattice",
+}
+
+
+def test_every_public_function_is_exported_or_referenced():
+    """Each public module-level function is a public name of ``latcount``,
+    is read somewhere in the package, or is kept for a reader outside it."""
+    everywhere = set().union(*map(referenced, MODULES.values()))
+    orphans = {
+        f"{name}.{node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in latcount.__all__
+        and node.name not in everywhere
+    }
+    assert orphans == UNREAD_PUBLIC_FUNCTIONS
+
+
 def test_every_class_is_referenced_or_public():
     """Each module-level class is read somewhere in the package outside its
     own body, or is a public name of ``latcount``."""

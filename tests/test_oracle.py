@@ -11,13 +11,11 @@ from latcount.oracle import (
     FULL_SEARCH_LIMIT,
     SizeLimitExceeded,
     VerifyRecord,
-    all_lattices,
     block_census,
     census,
     enumerate_all_lattices,
     enumerate_by_reducible,
     reducible_class,
-    three_block_fibers,
     _pool_size,
     verify,
 )
@@ -31,8 +29,13 @@ from latcount.poset import (
     is_dismantlable,
 )
 from latcount.reduction import FbbClass, classify_fbb
-from class_reference import reference_class
-from search_reference import automorphisms, reference_level, top_adjoined
+from class_reference import reference_class, three_block_fibers
+from search_reference import (
+    automorphisms,
+    reference_level,
+    search_lattices,
+    top_adjoined,
+)
 
 # A006966, the number of unlabeled lattices on n elements, for n = 1..10
 A006966 = dict(enumerate((1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994), start=1))
@@ -279,31 +282,59 @@ class TestFullSearch:
                     nontrivial += g != list(range(k + 1))
         assert nontrivial
 
-    def test_lattices_are_decoded_from_their_certificates(self):
-        """Each census lattice is in the canonical labels its certificate
-        encodes, whichever state the search kept for it."""
+    def test_lattices_are_decoded_from_their_certificates(self, monkeypatch):
+        """Each lattice the census builds is in the canonical labels its
+        certificate encodes, whichever state the search kept for it: the
+        census checks the decoded certificate of each 3-reducible member,
+        in certificate order, and nothing else."""
+        built = []
+        check = oracle.as_lattice
+
+        def recorded(p):
+            built.append(p)
+            return check(p)
+
+        monkeypatch.setattr(oracle, "as_lattice", recorded)
         for n in range(1, FULL_SEARCH_LIMIT + 1):
-            lattices = all_lattices(n)
-            assert len(lattices) == A006966[n]
-            for cert, lat in lattices.items():
-                assert lat.covers == decode_certificate(cert).covers, n
+            built.clear()
+            threes = census(n).classes.get(3, frozenset())
+            assert built == [decode_certificate(c) for c in sorted(threes)], n
+
+    def test_census_builds_only_its_three_reducible_lattices(self, monkeypatch):
+        """``census(8)`` builds a ``Lattice`` for each of its 65
+        3-reducible members alone (222 when every member was built), and
+        ``verify(8)`` on warm block tables builds none (300 when the
+        search split built them all)."""
+        assert _agrees(verify(8))  # warms the block tables
+        calls = _count_calls(monkeypatch, oracle, "as_lattice")
+        assert _agrees(verify(8))
+        assert calls == [0]
+        census(8)
+        assert calls == [65]
 
     def test_members_are_valid_lattices(self):
-        for cert, lat in all_lattices(6).items():
-            assert canonical_certificate(lat.digraph) == cert
-            assert as_lattice(lat.digraph).n == 6
+        """Every certificate of the search decodes to a lattice whose own
+        certificate it is, and the census split, which reads the cover
+        degrees of the decoded digraph, is the split by
+        ``classify_elements`` of the checked lattice."""
+        for n in range(1, FULL_SEARCH_LIMIT + 1):
+            split: dict[int, list[Certificate]] = {}
+            for cert, lat in search_lattices(n).items():
+                assert lat.n == n
+                assert canonical_certificate(lat.digraph) == cert
+                split.setdefault(len(classify_elements(lat).red), []).append(cert)
+            assert oracle._reducible_split(n) == split, n
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
             enumerate_all_lattices(9)
-        for entry in (census, all_lattices, enumerate_all_lattices):
+        for entry in (census, enumerate_all_lattices):
             with pytest.raises(SizeLimitExceeded):
                 entry(FULL_SEARCH_LIMIT + 1)
 
     def test_sizes_below_one_are_empty(self):
         for n in (0, -1, -2):
             assert enumerate_all_lattices(n) == frozenset()
-            assert all_lattices(n) == {}
             report = census(n)
             assert report.classes == {} and report.fbb_fibers == {}
             assert report.total() == 0

@@ -37,7 +37,7 @@ from latcount.reduction import (
     m2,
 )
 from class_reference import reference_blocks, reference_class
-from search_reference import reference_lattices
+from search_reference import reference_lattices, search_lattices
 
 
 def subdivided_diamond():
@@ -193,11 +193,10 @@ class TestClassMemo:
     def test_matches_uncached_lookup_on_search_lattices(self):
         checked = 0
         for n in range(1, 9):
-            for r, lattices in oracle._reducible_split(n).items():
-                if r in (2, 3):
-                    for lat in lattices.values():
-                        assert classify_fbb(lat) is _uncached_class(lat), n
-                        checked += 1
+            for lat in search_lattices(n).values():
+                if len(classify_elements(lat).red) in (2, 3):
+                    assert classify_fbb(lat) is _uncached_class(lat), n
+                    checked += 1
         assert checked == 169  # every 2- and 3-reducible lattice, n <= 8
         assert reduction._FBB_CLASSES  # the lookups above went through the memo
 

@@ -9,6 +9,7 @@ from latcount import cli, formulas, oracle, series
 from latcount.oracle import SizeLimitExceeded
 from latcount.partitions import partition_count
 from latcount.reduction import FbbClass
+from class_reference import three_block_fibers
 
 # Looked up by name when called, so that ``memoized_sums`` can route them.
 BLOCK_FORMULAS = {
@@ -157,7 +158,7 @@ class TestRecurrence:
 class TestAgainstOracle:
     def test_three_reducible_strata(self):
         for m in range(10):
-            fibers = oracle.three_block_fibers(m)
+            fibers = three_block_fibers(m)
             for k in range(-1, m + 2):
                 strata = series.block_counts(m, k)
                 for tag, name in FIBER_COLUMNS.items():
