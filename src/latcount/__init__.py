@@ -3,7 +3,8 @@ by their number of reducible elements.
 
 The public names load their home module on first access (PEP 562), so a
 caller pays only for the layers it uses: ``series`` and the CLI's count
-commands load no lattice code.
+commands load no lattice code, and ``census`` loads the exhaustive search
+alone, not the constructive path or the formulas.
 """
 
 from importlib import import_module
@@ -38,14 +39,7 @@ _HOMES = {
         "two_reducible_blocks",
         "two_reducible_lattices",
     ),
-    "oracle": (
-        "OracleCensus",
-        "VerifyRecord",
-        "census",
-        "enumerate_all_lattices",
-        "enumerate_by_reducible",
-        "verify",
-    ),
+    "oracle": ("VerifyRecord", "enumerate_by_reducible", "verify"),
     "partitions": ("enumerate_partitions", "partition_count"),
     "poset": (
         "CoverDigraph",
@@ -78,11 +72,12 @@ _HOMES = {
         "fundamental_basic_block_of",
         "is_retractible",
     ),
+    "search": ("OracleCensus", "census", "enumerate_all_lattices"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-# The lattice modules are public as well; ``errors`` is not.
-__all__ = sorted([*_HOME, *(m for m in _HOMES if m != "errors")])
+# The lattice modules are public as well; ``errors`` and ``search`` are not.
+__all__ = sorted([*_HOME, *(m for m in _HOMES if m not in ("errors", "search"))])
 
 
 def __getattr__(name: str):

@@ -13,7 +13,6 @@ import sys
 from contextlib import nullcontext
 from importlib import import_module
 
-from . import series
 from .errors import SizeLimitExceeded
 
 EXIT_OK = 0
@@ -22,10 +21,11 @@ EXIT_USAGE = 2
 EXIT_SCALE = 3
 EXIT_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
-# ``count``, ``table`` and ``blocks`` read ``series`` alone: the lattice
-# layers load inside the commands that use them, ``enumerate`` loads
-# ``documents`` only for ``--format json`` and ``dot``, and ``verify`` loads
-# ``json`` only when it writes a ``--json`` report.  perfbench/tracer.py
+# Every layer loads inside the commands that use it: ``count``, ``table``
+# and ``blocks`` load ``series`` alone, ``enumerate`` and ``verify`` load
+# the lattice layers and not ``series``, ``enumerate`` loads ``documents``
+# only for ``--format json`` and ``dot``, and ``verify`` loads ``json`` only
+# when it writes a ``--json`` report.  perfbench/tracer.py
 # wraps ``cli.canonical_digraph`` (which has no caller here) and
 # ``cli.lattice_document`` by name, so both still resolve as attributes of
 # ``cli``, on first access.
@@ -44,16 +44,18 @@ def __getattr__(name: str):
 
 
 def _cmd_count(args, parser) -> int:
+    from . import series
+
     totals = series.lattice_counts(args.reducible, args.n)["total"]
     print(totals[args.n] if args.n >= 0 else 0)
     return EXIT_OK
 
 
-def _check_lowest(lo: int) -> None:
+def _check_lowest(lo: int, limit: int) -> None:
     """Sizes below zero print zero rows; a range may start no lower than
-    ``-series.LIMIT``."""
-    if lo < -series.LIMIT:
-        raise SizeLimitExceeded(f"ranges start at -{series.LIMIT} or above")
+    ``-limit``, where ``limit`` is ``series.LIMIT``."""
+    if lo < -limit:
+        raise SizeLimitExceeded(f"ranges start at -{limit} or above")
 
 
 def _sized_rows(key: str, lo: int, hi: int, columns: dict[str, list[int]]) -> list[dict]:
@@ -80,7 +82,9 @@ def _print_rows(rows: list[dict], fmt: str) -> None:
 def _cmd_table(args, parser) -> int:
     if args.n_from > args.n_to:
         parser.error("--n-from must not exceed --n-to")
-    _check_lowest(args.n_from)
+    from . import series
+
+    _check_lowest(args.n_from, series.LIMIT)
     columns = series.lattice_counts(args.reducible, args.n_to)
     _print_rows(_sized_rows("n", args.n_from, args.n_to, columns), args.format)
     return EXIT_OK
@@ -89,7 +93,9 @@ def _cmd_table(args, parser) -> int:
 def _cmd_blocks(args, parser) -> int:
     if args.m_from > args.m_to:
         parser.error("--m-from must not exceed --m-to")
-    _check_lowest(args.m_from)
+    from . import series
+
+    _check_lowest(args.m_from, series.LIMIT)
     columns = series.block_counts(args.m_to, args.k)
     _print_rows(_sized_rows("m", args.m_from, args.m_to, columns), args.format)
     return EXIT_OK

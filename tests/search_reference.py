@@ -1,4 +1,4 @@
-"""Brute-force references for the extension search in ``oracle``, shared by
+"""Brute-force references for the extension search in ``search``, shared by
 the test modules.
 
 ``reference_level`` rebuilds each search level the slow way and keeps the
@@ -14,7 +14,7 @@ the census itself keeps as certificates.
 from functools import cache
 from itertools import permutations, product
 
-from latcount import oracle
+from latcount import search
 from latcount.canon import Certificate, canonical_certificate, decode_certificate
 from latcount.poset import Lattice, NotALattice, as_lattice, build_poset
 
@@ -70,12 +70,12 @@ def reference_lattices(n: int) -> dict[Certificate, Lattice]:
 
 def search_lattices(n: int) -> dict[Certificate, Lattice]:
     """Every n-element lattice of the exhaustive search (n <=
-    ``oracle.FULL_SEARCH_LIMIT``), by certificate in sorted order, decoded
+    ``search.FULL_SEARCH_LIMIT``), by certificate in sorted order, decoded
     into the canonical labels its certificate encodes and checked by
     ``as_lattice``."""
     return {
         cert: as_lattice(decode_certificate(cert))
-        for cert in sorted(oracle.enumerate_all_lattices(n))
+        for cert in sorted(search.enumerate_all_lattices(n))
     }
 
 

@@ -8,7 +8,7 @@ the stated wall-clock budgets are asserted where the criterion names one.
 import time
 from contextlib import contextmanager
 
-from latcount import formulas, oracle
+from latcount import formulas, oracle, search
 from latcount.adjunct import decompose, realize
 from latcount.canon import canonical_certificate as cert, decode_certificate
 from latcount.partitions import enumerate_partitions, partition_count
@@ -150,7 +150,7 @@ def test_criterion_6_block_families():
 
 def _structure_suite_members():
     for n in range(1, 8):
-        full = oracle.census(n)
+        full = search.census(n)
         lattices = search_lattices(n)
         for r, certs in full.classes.items():
             if r <= 3:

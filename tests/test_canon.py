@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcount import canon, oracle
+from latcount import canon, oracle, search
 from latcount.adjunct import AdjunctPair, AdjunctRep, realize
 from latcount.canon import (
     Certificate,
@@ -245,7 +245,7 @@ def _labelings(n):
 # labelings were recorded before the neighbour rows were precomputed.
 PINS = {
     "census": (
-        lambda n: _certs(oracle.enumerate_all_lattices(n)),
+        lambda n: _certs(search.enumerate_all_lattices(n)),
         8,
         "b0abd87286f3bb9d0f941fff49ba98b0d3e3766eaf78cba161f2ae41218bd64c",
     ),
@@ -323,8 +323,8 @@ def test_refine_matches_reference_on_search_and_block_inputs(monkeypatch, fresh_
         return out
 
     monkeypatch.setattr(canon, "_refine", checked)
-    monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
-    assert oracle.census(8).total() == 222
+    monkeypatch.setattr(search, "_LEVELS", {1: search._LEVELS[1]})
+    assert search.census(8).total() == 222
     for m in range(4, 12):
         for r in (2, 3):
             oracle.block_census(m, r)

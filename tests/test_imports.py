@@ -1,6 +1,8 @@
 """What each entry point loads, and the package surface that lazy loading
 must keep: ``count``, ``table`` and ``blocks`` read ``series`` alone, so a
-cold call must not pay for the search, the canonizer or a process pool."""
+cold call must not pay for the search, the canonizer or a process pool, and
+``census`` reads the exhaustive search alone, not the constructive path or
+the formulas it is checked against."""
 
 import ast
 import hashlib
@@ -15,7 +17,7 @@ from types import ModuleType
 import pytest
 
 import latcount
-from latcount import canon, documents, errors, oracle, poset, series
+from latcount import canon, documents, errors, oracle, poset, search, series
 from latcount.cli import main
 
 SRC = Path(latcount.__file__).resolve().parents[1]
@@ -25,7 +27,7 @@ LATTICE_LAYERS = {
     *(
         f"latcount.{name}"
         for name in (
-            "oracle", "canon", "poset", "adjunct", "reduction",
+            "oracle", "search", "canon", "poset", "adjunct", "reduction",
             "formulas", "partitions", "documents",
         )
     ),
@@ -83,7 +85,7 @@ def loaded_by(code: str) -> frozenset[str]:
 
 def test_import_loads_no_submodule():
     assert {m for m in loaded_by("pass") if m.startswith("latcount")} == {
-        "latcount", "latcount.cli", "latcount.errors", "latcount.series",
+        "latcount", "latcount.cli", "latcount.errors",
     }
 
 
@@ -99,15 +101,20 @@ def test_import_loads_no_submodule():
     ],
 )
 def test_series_commands_load_no_lattice_layer(argv):
-    assert loaded_by(f"latcount.cli.main({argv!r})") & LATTICE_LAYERS == set()
+    loaded = loaded_by(f"latcount.cli.main({argv!r})")
+    assert "latcount.series" in loaded
+    assert loaded & LATTICE_LAYERS == set()
 
 
 VERIFY_6 = "latcount.cli.main(['verify', '--n-max', '6', '--workers', '1'])"
+CENSUS_6 = "latcount.census(6)"
 LATTICE_RUNS = [
     VERIFY_6,
     "latcount.cli.main(['enumerate', '--n', '7', '--reducible', '3'])",
-    "latcount.census(6)",
+    CENSUS_6,
 ]
+# The module each lattice run reads its enumeration from.
+ORACLE_MODULE = dict(zip(LATTICE_RUNS, ["oracle", "oracle", "search"]))
 
 # sha256 of the ``verify --n-max 6 --json`` report.
 REPORT_6_SHA256 = "d77d7bd8669d76c7331fb506192b68c54b5c74a07a169c6edfebdf663d3caa30"
@@ -116,8 +123,40 @@ REPORT_6_SHA256 = "d77d7bd8669d76c7331fb506192b68c54b5c74a07a169c6edfebdf663d3ca
 @pytest.mark.parametrize("code", LATTICE_RUNS)
 def test_single_process_runs_load_no_pool(code):
     loaded = loaded_by(code)
-    assert "latcount.oracle" in loaded
+    assert f"latcount.{ORACLE_MODULE[code]}" in loaded
     assert "multiprocessing" not in loaded
+
+
+def test_census_loads_the_search_alone():
+    """The search oracle is independent of what it checks: a cold census
+    loads neither the constructive path nor the recipes, partitions and
+    formulas that path and the closed forms share, nor the count series or
+    the document formats."""
+    loaded = loaded_by(CENSUS_6)
+    assert "latcount.search" in loaded
+    assert loaded & {
+        f"latcount.{name}"
+        for name in ("oracle", "adjunct", "partitions", "formulas", "series", "documents")
+    } == set()
+
+
+def test_oracle_loads_every_module_the_tracer_reads():
+    """perfbench/tracer.py imports ``latcount.oracle`` and then takes each
+    module it wraps from ``sys.modules``; a module that ``oracle`` stopped
+    loading would make every traced run fail.  It also rewraps each traced
+    function in every loaded module that binds it, so ``search`` must be
+    loaded for a traced census to be timed."""
+    tracer = ast.parse((SRC.parent / "perfbench" / "tracer.py").read_text())
+    read = {
+        node.value
+        for node in ast.walk(tracer)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("latcount.")
+        and node.value.removeprefix("latcount.").isidentifier()
+    }
+    assert {"latcount.adjunct", "latcount.partitions"} <= read
+    assert read | {"latcount.search"} <= loaded_by("import latcount.oracle")
 
 
 @pytest.mark.parametrize("code", LATTICE_RUNS)
@@ -169,7 +208,7 @@ def test_names_are_the_objects_their_modules_bind():
         importlib.import_module(f"latcount.{name}")
         for name in (
             "adjunct", "canon", "errors", "formulas", "oracle",
-            "partitions", "poset", "reduction",
+            "partitions", "poset", "reduction", "search",
         )
     ]
     for name in latcount.__all__:
@@ -190,7 +229,7 @@ def test_star_and_named_imports():
     exec("from latcount import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(latcount.__all__)
     exec("from latcount import OracleCensus", namespace)
-    assert namespace["OracleCensus"] is oracle.OracleCensus
+    assert namespace["OracleCensus"] is search.OracleCensus
 
 
 def test_lazy_attributes_resolve_or_raise_attribute_error():
@@ -277,7 +316,8 @@ def listed(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_every_import_is_used(name):
     """Each name a package module imports, at any depth, is read in that
-    module or listed in its ``__all__``."""
+    module or listed in its ``__all__``, except the names it binds for
+    perfbench/tracer.py alone."""
     tree = MODULES[name]
     used = referenced(tree) | listed(tree)
     imported = [
@@ -287,7 +327,8 @@ def test_every_import_is_used(name):
         and getattr(node, "module", None) != "__future__"
         for alias in node.names
     ]
-    assert [bound for bound in imported if bound not in used] == []
+    unread = [f"{name}.{bound}" for bound in imported if bound not in used]
+    assert sorted(unread) == sorted(n for n in TRACER_ONLY_IMPORTS if n.startswith(f"{name}."))
 
 
 def called(node: ast.Call) -> str | None:
@@ -338,6 +379,12 @@ UNREAD_PUBLIC_FUNCTIONS = {
     # the README's JSON round trip: lattice_document(document_to_lattice(doc))
     "documents.document_to_lattice",
 }
+
+# Names a package module imports and never reads.  perfbench/tracer.py
+# times the census and counts the search's states through ``oracle``, as
+# it did while the search lived there, until the package has its own stats
+# layer (ROADMAP item 6).
+TRACER_ONLY_IMPORTS = {"oracle.census", "oracle._LEVELS"}
 
 
 def test_every_public_function_is_exported_or_referenced():

@@ -4,21 +4,19 @@ import multiprocessing.pool
 
 import pytest
 
-from latcount import canon, formulas, oracle, reduction
+from latcount import canon, formulas, oracle, reduction, search
 from latcount.canon import Certificate, canonical_certificate, decode_certificate
 from latcount.oracle import (
     CLASS_SEARCH_LIMIT,
-    FULL_SEARCH_LIMIT,
     SizeLimitExceeded,
     VerifyRecord,
     block_census,
-    census,
-    enumerate_all_lattices,
     enumerate_by_reducible,
     reducible_class,
     _pool_size,
     verify,
 )
+from latcount.search import FULL_SEARCH_LIMIT, census, enumerate_all_lattices
 from latcount.poset import (
     CoverDigraph,
     as_lattice,
@@ -57,8 +55,8 @@ def levels_to_8():
     """Search levels 1..8, built on a copy of the level tables, so that
     the search never keeps level 8, past the census's reach."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_LEVELS", dict(oracle._LEVELS))
-        return {k: oracle._level(k) for k in range(1, 9)}
+        patch.setattr(search, "_LEVELS", dict(search._LEVELS))
+        return {k: search._level(k) for k in range(1, 9)}
 
 
 def _ranks(downs) -> dict[int, tuple]:
@@ -130,11 +128,11 @@ class TestFullSearch:
     def test_census_stops_one_level_below_limit(self):
         """n-element lattices are read off the (n - 1)-element states."""
         assert census(FULL_SEARCH_LIMIT).total() == A006966[FULL_SEARCH_LIMIT]
-        assert max(oracle._LEVELS) == FULL_SEARCH_LIMIT - 1
+        assert max(search._LEVELS) == FULL_SEARCH_LIMIT - 1
 
     def test_levels_are_keyed_by_the_lattice_each_state_becomes(self):
         for k in range(1, FULL_SEARCH_LIMIT):
-            for cert, (downs, _) in oracle._level(k).items():
+            for cert, (downs, _) in search._level(k).items():
                 covers = top_adjoined(downs)
                 assert canonical_certificate(build_poset(k + 1, covers)) == cert, k
 
@@ -173,14 +171,14 @@ class TestFullSearch:
         its isomorphism class alone, as canonical augmentation needs."""
         moved = 0
         for k in range(2, 7):
-            for downs, gens in oracle._level(k).values():
+            for downs, gens in search._level(k).values():
                 relabeled = _relabeled(downs)
                 moved += relabeled != downs
                 lattice = build_poset(k + 1, top_adjoined(relabeled))
                 _, _, found = canon._certificate(k + 1, lattice.up_adjacency())
                 kept, again = {}, {}
-                oracle._expand(downs, gens, kept)
-                oracle._expand(relabeled, found, again)
+                search._expand(downs, gens, kept)
+                search._expand(relabeled, found, again)
                 assert again.keys() == kept.keys(), downs
         assert moved
 
@@ -200,14 +198,14 @@ class TestFullSearch:
 
     @pytest.mark.slow
     def test_level_9_matches_the_reference_and_a006966(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_LEVELS", dict(oracle._LEVELS))
-        assert oracle._level(9).keys() == reference_level(9).keys()
-        assert len(oracle._level(9)) == A006966[10]
+        monkeypatch.setattr(search, "_LEVELS", dict(search._LEVELS))
+        assert search._level(9).keys() == reference_level(9).keys()
+        assert len(search._level(9)) == A006966[10]
 
     def test_lattices_are_read_off_the_level_below(self, monkeypatch):
         """Every size, the one-element lattice too, is read off the level
         below without a canonicalization."""
-        oracle._level(FULL_SEARCH_LIMIT - 1)
+        search._level(FULL_SEARCH_LIMIT - 1)
         calls = _count_calls(monkeypatch, canon, "_canonical")
         for n in range(1, FULL_SEARCH_LIMIT + 1):
             assert len(enumerate_all_lattices(n)) == A006966[n]
@@ -225,7 +223,7 @@ class TestFullSearch:
         after this cut); the second drops, before canonicalizing, every
         child whose new element does not rank highest as a canonical
         deletion."""
-        monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
+        monkeypatch.setattr(search, "_LEVELS", {1: search._LEVELS[1]})
         monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
         calls = _count_calls(monkeypatch, canon, "_canonical")
         assert census(8).total() == A006966[8]
@@ -235,9 +233,9 @@ class TestFullSearch:
     def test_levels_to_8_canonicalize_1403_children(self, monkeypatch):
         """Levels 2..8 canonicalize 1,403 children for their 1,376 states
         (2,677 before the rank cut)."""
-        monkeypatch.setattr(oracle, "_LEVELS", {1: oracle._LEVELS[1]})
+        monkeypatch.setattr(search, "_LEVELS", {1: search._LEVELS[1]})
         calls = _count_calls(monkeypatch, canon, "_canonical")
-        assert len(oracle._level(8)) == 1078
+        assert len(search._level(8)) == 1078
         assert calls == [1403]
 
     def test_a_level_built_on_a_copy_keeps_nothing_elsewhere(self):
@@ -247,24 +245,24 @@ class TestFullSearch:
         def sizes():
             return {
                 name: len(value)
-                for name, value in vars(oracle).items()
+                for name, value in vars(search).items()
                 if isinstance(value, dict)
             }
 
         before = sizes()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_LEVELS", dict(oracle._LEVELS))
-            assert len(oracle._level(8)) == A006966[9]
+            patch.setattr(search, "_LEVELS", dict(search._LEVELS))
+            assert len(search._level(8)) == A006966[9]
         assert sizes() == before
 
     def test_a_duplicate_child_is_an_internal_error(self):
         """Expanding a state twice into one level keeps its children twice,
         which canonical augmentation never does."""
         out = {}
-        oracle._expand((0, 1), [], out)
+        search._expand((0, 1), [], out)
         assert out
         with pytest.raises(RuntimeError, match="twice"):
-            oracle._expand((0, 1), [], out)
+            search._expand((0, 1), [], out)
 
     def test_generators_are_automorphisms_of_their_states(self):
         """Each stored generator permutes the state's elements and its top,
@@ -272,7 +270,7 @@ class TestFullSearch:
         down-set of the image: downs[g[i]] is the image of downs[i]."""
         nontrivial = 0
         for k in range(1, FULL_SEARCH_LIMIT):
-            for downs, gens in oracle._level(k).values():
+            for downs, gens in search._level(k).values():
                 for g in gens:
                     assert sorted(g) == list(range(k + 1)), downs
                     assert g[0] == 0 and g[k] == k, (downs, g)
@@ -288,13 +286,13 @@ class TestFullSearch:
         census checks the decoded certificate of each 3-reducible member,
         in certificate order, and nothing else."""
         built = []
-        check = oracle.as_lattice
+        check = search.as_lattice
 
         def recorded(p):
             built.append(p)
             return check(p)
 
-        monkeypatch.setattr(oracle, "as_lattice", recorded)
+        monkeypatch.setattr(search, "as_lattice", recorded)
         for n in range(1, FULL_SEARCH_LIMIT + 1):
             built.clear()
             threes = census(n).classes.get(3, frozenset())
@@ -306,7 +304,7 @@ class TestFullSearch:
         ``verify(8)`` on warm block tables builds none (300 when the
         search split built them all)."""
         assert _agrees(verify(8))  # warms the block tables
-        calls = _count_calls(monkeypatch, oracle, "as_lattice")
+        calls = _count_calls(monkeypatch, search, "as_lattice")
         assert _agrees(verify(8))
         assert calls == [0]
         census(8)
@@ -323,7 +321,7 @@ class TestFullSearch:
                 assert lat.n == n
                 assert canonical_certificate(lat.digraph) == cert
                 split.setdefault(len(classify_elements(lat).red), []).append(cert)
-            assert oracle._reducible_split(n) == split, n
+            assert search._reducible_split(n) == split, n
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
@@ -577,9 +575,9 @@ class TestVerify:
         assert cells[6, "total"].ok is None
         assert cells[6, "other"].ok is None
         assert cells[6, "two_reducible_blocks[k=0]"].formula == 2
-        search = cells[6, "search_three_reducible"]
-        assert search.ok is True
-        assert search.formula is None and search.oracle is None
+        same = cells[6, "search_three_reducible"]
+        assert same.ok is True
+        assert same.formula is None and same.oracle is None
         assert all(r.witness is None for r in cells.values())
 
     def test_oracle_class_cells_sum_to_total(self):
