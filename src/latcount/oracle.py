@@ -7,9 +7,14 @@ with exactly 2 or 3 reducible elements, and stays feasible past the full
 search limit.  Each member is a maximal block padded by chains below and
 above, and is its certificate.  Every block is realized, canonicalized and
 F-classified once per process, and its table keeps the certificate and the
-F-class alone; the certificate of each padding is read off the block's
-certificate (:func:`canon.padded_certificate`), not searched again, and
-each member inherits its block's F-class, which padding does not change.
+F-class alone.  The F-class comes from the paper's structure theorem, which
+the recipes assume already: the middle of the three reducible elements
+decides it (:func:`_block_class`), with no retraction.  The search tags its
+lattices with ``reduction.classify_fbb`` instead, so the two oracles'
+fibers come from two classifiers.  The certificate of each padding is read
+off the block's certificate (:func:`canon.padded_certificate`), not
+searched again, and each member inherits its block's F-class, which
+padding does not change.
 The tables are the costly part and the only unit of parallel work: with
 more than one worker, once the largest table this process lacks has
 ``POOL_BREAK_EVEN`` elements or more, a fork pool builds the tables it
@@ -33,7 +38,8 @@ from .adjunct import AdjunctPair, AdjunctRep, realize
 from .canon import Certificate, canonical_certificate, padded_certificate
 from .errors import SizeLimitExceeded
 from .partitions import enumerate_partitions
-from .reduction import FbbClass, classify_fbb
+from .poset import Lattice
+from .reduction import FbbClass, UnexpectedClass
 
 # ``verify`` reads the search through these.  ``census`` and ``_LEVELS``
 # are bound here for perfbench/tracer.py alone, which times and counts the
@@ -45,11 +51,11 @@ CLASS_SEARCH_LIMIT = 12
 # forks only if the largest (m, r) table it lacks has at least this many
 # elements.  With a pool forked at every size, over 12 alternating cold
 # pairs of ``enumerate --n N --reducible 3`` with one worker against two on
-# a 2-core x86 host (Python 3.11), two were faster at N = 10 in 0 pairs
-# (medians 0.26 s against 0.31 s), at N = 11 in 5 (0.52 s against 0.52 s)
-# and at N = 12 in 11 (1.26 s against 0.94 s).  On two CPUs a pool worker
-# built the (10, 3) table in 0.12-0.14 s, a lone process in 0.06-0.09 s,
-# and importing ``multiprocessing`` and starting the pool cost about 0.03 s.
+# a 2-core x86 host (Python 3.11), two were faster at N = 10 in 3 pairs
+# (medians 0.16 s against 0.21 s), at N = 11 in 11 (0.29 s against 0.27 s),
+# at N = 12 in 11 (0.59 s against 0.52 s) and at N = 13 in 12 (1.29 s
+# against 0.98 s).  Two cost more CPU time at every N (0.29 s against
+# 0.34 s at N = 11), so N = 11, which saves 0.02 s, stays in-process.
 POOL_BREAK_EVEN = 12
 
 
@@ -152,8 +158,9 @@ _BLOCKS: dict[tuple[int, int], dict[Certificate, FbbClass]] = {}
 
 def _block_table(m: int, r: int) -> dict[Certificate, FbbClass]:
     """Every block on m elements with exactly r in {2, 3} reducibles, by
-    certificate, with its F-class.  Each (m, r) is realized, canonicalized
-    and classified once per process; no realized block is kept."""
+    certificate, with its F-class by :func:`_block_class`.  Each (m, r) is
+    realized, canonicalized and classified once per process; no realized
+    block is kept."""
     table = _BLOCKS.get((m, r))
     if table is None:
         table = {}
@@ -162,9 +169,48 @@ def _block_table(m: int, r: int) -> dict[Certificate, FbbClass]:
             block = realize(rep)
             cert = canonical_certificate(block.digraph)
             if cert not in table:
-                table[cert] = classify_fbb(block)
+                table[cert] = _block_class(block)
         _BLOCKS[m, r] = table
     return table
+
+
+def _block_class(l: Lattice) -> FbbClass:
+    """The F-class of a lattice with two or three reducible elements, read
+    off the middle one.
+
+    The structure theorem the recipes assume: the reducible elements form
+    a chain.  Two make M2.  Of three, a < b < c, b alone decides: meet-
+    reducible only is F1, join-reducible only F2, both and comparable with
+    every element F3, both and not F4 (a chain from a to c bypasses b).
+    Cover degrees and ``l.up`` / ``l.down`` say all of it, without a
+    retraction or a canonicalization.  Any other count, or reducible
+    elements not in a chain, raise :class:`UnexpectedClass`.
+    """
+    uppers = [0] * l.n
+    lowers = [0] * l.n
+    for a, b in l.digraph.covers:
+        uppers[a] += 1
+        lowers[b] += 1
+    # lowest first: in a chain the up-sets shrink strictly
+    red = sorted(
+        (v for v in range(l.n) if uppers[v] > 1 or lowers[v] > 1),
+        key=lambda v: -l.up[v].bit_count(),
+    )
+    if all(l.up[x] >> y & 1 for x, y in zip(red, red[1:])):
+        if len(red) == 2:
+            return FbbClass.M2
+        if len(red) == 3:
+            b = red[1]
+            if lowers[b] < 2:
+                return FbbClass.F1
+            if uppers[b] < 2:
+                return FbbClass.F2
+            if l.up[b] | l.down[b] == (1 << l.n) - 1:
+                return FbbClass.F3
+            return FbbClass.F4
+    raise UnexpectedClass(
+        f"{len(red)} reducible elements, not a chain of two or three"
+    )
 
 
 def _padding_slice(n: int, r: int, j: int) -> list[tuple[Certificate, FbbClass]]:

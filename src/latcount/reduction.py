@@ -12,10 +12,13 @@ five fixed shapes: the diamond M2 and the six-to-eight element blocks F1,
 F2, F3, F4.
 
 Every step deletes vertices in place from one pair of cover rows; a cover
-digraph is built once, from the vertices left at the end.  Blocks trim to
-few distinct labelled fundamental basic blocks, so ``classify_fbb``
-remembers the class of each one it has recognized and canonicalizes only
-a labelled shape it has not seen before.
+digraph is built once, from the vertices left at the end.  ``classify_fbb``
+tags the lattices of the exhaustive search and the documents of lattices
+given without a class; the constructive block tables read the class off
+the middle reducible element instead (``oracle._block_class``).  Lattices
+trim to few distinct labelled fundamental basic blocks, so
+``classify_fbb`` remembers the class of each one it has recognized and
+canonicalizes only a labelled shape it has not seen before.
 """
 
 from __future__ import annotations
@@ -213,9 +216,10 @@ def _fbb_digraph(l: Lattice) -> CoverDigraph:
 
 
 # The class of each labelled fundamental basic block recognized so far;
-# filled once per process, like ``oracle._BLOCKS``.  Blocks trim to few
-# labelled shapes, so most lookups skip the canonizer.  A block that
-# matches no reference is never stored.
+# filled once per process, like ``search._LEVELS``.  It serves
+# ``search.census`` and ``documents.lattice_document``, not the block
+# tables.  Lattices trim to few labelled shapes, so most lookups skip the
+# canonizer.  A block that matches no reference is never stored.
 _FBB_CLASSES: dict[CoverDigraph, FbbClass] = {}
 
 

@@ -1,0 +1,64 @@
+"""Mutants: a deliberate fault, put in by ``monkeypatch`` on a package name
+and never by an edit to the source, must fail the exact check that guards
+against it.  Each test starts from empty block tables and an empty memo of
+fundamental basic block classes (``fresh_tables``), so the fault reaches
+every table it would reach in a new process, and the healthy tables come
+back after it."""
+
+from latcount import documents, formulas, oracle, reduction, search
+from latcount.poset import as_lattice, build_poset
+from latcount.reduction import FbbClass
+
+SWAP = {FbbClass.F3: FbbClass.F4, FbbClass.F4: FbbClass.F3}
+
+
+def _swapping(classify):
+    """``classify`` with F3 and F4 traded."""
+
+    def mutant(l):
+        tag = classify(l)
+        return SWAP.get(tag, tag)
+
+    return mutant
+
+
+def test_block_class_trading_f3_and_f4_fails_their_cells(monkeypatch, fresh_tables):
+    """Every f3 / f4 lattice cell and b3 / b4 block cell of ``verify(9)``
+    whose two healthy counts differ reads ``ok is False``; every other cell
+    agrees.  A flagged cell with members names one of them, which the
+    retracting classifier puts in the other class."""
+    monkeypatch.setattr(oracle, "_block_class", _swapping(oracle._block_class))
+    records = oracle.verify(9)
+    expected = set()
+    for n in range(1, 10):
+        if formulas.l3_lattices(n) != formulas.l4_lattices(n):
+            expected |= {(n, "f3"), (n, "f4")}
+        for k in range(max(n - 3, 1)):
+            if formulas.b3_blocks(n, k) != formulas.b4_blocks(n, k):
+                expected |= {(n, f"b3_blocks[k={k}]"), (n, f"b4_blocks[k={k}]")}
+    flagged = {(r.n, r.name): r for r in records if r.ok is False}
+    assert flagged.keys() == expected
+    assert {(9, "f3"), (9, "f4"), (9, "b3_blocks[k=2]"), (9, "b4_blocks[k=2]")} <= expected
+    for (n, name), record in flagged.items():
+        assert (record.witness is not None) == (record.oracle > 0), (n, name)
+        if record.witness is not None:
+            member = as_lattice(build_poset(n, record.witness))
+            claimed = FbbClass.F3 if name.startswith(("f3", "b3")) else FbbClass.F4
+            assert reduction.classify_fbb(member) is SWAP[claimed], (n, name)
+
+
+def test_classify_fbb_trading_f3_and_f4_splits_the_oracles(monkeypatch, fresh_tables):
+    """``classify_fbb`` with F3 and F4 traded, in every module that binds
+    it, moves the search's F3 and F4 fibers at n = 8 and leaves the
+    constructive tags as they were: the two oracles no longer agree."""
+    mutant = _swapping(reduction.classify_fbb)
+    for module in (reduction, search, documents):
+        monkeypatch.setattr(module, "classify_fbb", mutant)
+    tags: dict[FbbClass, set] = {}
+    for cert, fbb in oracle.reducible_class(8, 3).items():
+        tags.setdefault(fbb, set()).add(cert)
+    fibers = search.census(8).fbb_fibers
+    assert fibers != tags
+    assert fibers[FbbClass.F3] == tags[FbbClass.F4]
+    assert fibers[FbbClass.F4] == tags[FbbClass.F3]
+    assert fibers[FbbClass.F1] == tags[FbbClass.F1]

@@ -1,10 +1,11 @@
 import hashlib
 import multiprocessing
 import multiprocessing.pool
+import random
 
 import pytest
 
-from latcount import canon, formulas, oracle, reduction, search
+from latcount import canon, documents, formulas, oracle, reduction, search
 from latcount.canon import Certificate, canonical_certificate, decode_certificate
 from latcount.oracle import (
     CLASS_SEARCH_LIMIT,
@@ -25,8 +26,18 @@ from latcount.poset import (
     classify_elements,
     dual,
     is_dismantlable,
+    relabel,
 )
-from latcount.reduction import FbbClass, classify_fbb
+from latcount.reduction import (
+    FbbClass,
+    UnexpectedClass,
+    classify_fbb,
+    f1,
+    f2,
+    f3,
+    f4,
+    m2,
+)
 from class_reference import reference_class, three_block_fibers
 from search_reference import (
     automorphisms,
@@ -369,8 +380,9 @@ class TestClassSearch:
             assert full.classes.get(3, frozenset()) == enumerate_by_reducible(n, 3)
 
     def test_carried_tag_is_the_members_own_class(self):
-        """Members inherit their block's tag; classifying each member
-        itself is the reference."""
+        """Members inherit their block's tag, which ``_block_class`` reads
+        off the middle reducible element; ``classify_fbb``, retracting each
+        member itself, is the reference, so the two classifiers agree."""
         for n in range(1, 11):
             for r in (2, 3):
                 for cert, fbb in reducible_class(n, r).items():
@@ -378,8 +390,9 @@ class TestClassSearch:
                     assert fbb is classify_fbb(lat), (n, r)
 
     def test_carried_tags_match_full_search_fibers(self):
-        """The search classifies its own lattices, independently of the
-        recipes and of the block table."""
+        """The search classifies its own lattices with ``classify_fbb``,
+        independently of the recipes, of the block table and of the rule
+        ``_block_class`` that tags the blocks."""
         for n in range(1, FULL_SEARCH_LIMIT + 1):
             fibers: dict[FbbClass, set] = {}
             for cert, fbb in reducible_class(n, 3).items():
@@ -491,6 +504,47 @@ class TestClassSearch:
             enumerate_by_reducible(13, 2)
         with pytest.raises(ValueError):
             enumerate_by_reducible(6, 4)
+
+
+class TestBlockClass:
+    """``oracle._block_class`` tags the blocks by the structure theorem;
+    ``classify_fbb``, which retracts and canonicalizes, is the reference."""
+
+    @pytest.mark.parametrize(
+        "m", [*range(4, 12), *(pytest.param(m, marks=pytest.mark.slow) for m in (12, 13))]
+    )
+    def test_matches_classify_fbb_on_every_realized_block(self, m):
+        recipes = {
+            2: oracle._two_reducible_block_reps,
+            3: oracle._three_reducible_block_reps,
+        }
+        for r, reps in recipes.items():
+            for rep in reps(m):
+                block = oracle.realize(rep)
+                assert oracle._block_class(block) is classify_fbb(block), rep
+
+    def test_invariant_under_relabeling(self):
+        rng = random.Random(20240615)
+        blocks = [m2(), f1(), f2(), f3(), f4()] + [
+            oracle.realize(rep)
+            for m in (8, 9)
+            for reps in (oracle._two_reducible_block_reps, oracle._three_reducible_block_reps)
+            for rep in reps(m)
+        ]
+        for lat in blocks:
+            tag = oracle._block_class(lat)
+            for _ in range(3):
+                perm = list(range(lat.n))
+                rng.shuffle(perm)
+                shuffled = as_lattice(relabel(lat.digraph, perm))
+                assert oracle._block_class(shuffled) is tag
+
+    def test_other_reducible_counts_raise(self):
+        four = census(6).classes[4]
+        assert four
+        for lat in [chain(5)] + [as_lattice(decode_certificate(c)) for c in four]:
+            with pytest.raises(UnexpectedClass):
+                oracle._block_class(lat)
 
 
 class TestCensus:
@@ -638,7 +692,9 @@ class TestVerify:
             verify(42)
 
     def test_each_block_is_realized_and_classified_once(self, monkeypatch, fresh_tables):
-        calls = {"realize": 0, "classify_fbb": 0}
+        """Each block is realized and tagged by ``_block_class`` once; the
+        run reaches ``classify_fbb`` through no module that binds it."""
+        calls = {"realize": 0, "_block_class": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -649,12 +705,17 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "realize", counted("realize", oracle.realize))
         monkeypatch.setattr(
-            oracle, "classify_fbb", counted("classify_fbb", oracle.classify_fbb)
+            oracle, "_block_class", counted("_block_class", oracle._block_class)
         )
+        retractions = [
+            _count_calls(monkeypatch, module, "classify_fbb")
+            for module in (reduction, search, documents)
+        ]
         assert _agrees(verify(9))
         # 37 two-reducible plus 150 three-reducible blocks on m <= 9 elements
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
-        assert calls == {"realize": 187, "classify_fbb": 187}
+        assert calls == {"realize": 187, "_block_class": 187}
+        assert retractions == [[0], [0], [0]]
 
     def test_one_pool_per_run(self, monkeypatch, fresh_tables, eager_pool):
         """From empty tables, a pooled ``verify`` forks its workers once; a
