@@ -7,9 +7,22 @@ cover-adjacency encoding over all colour-respecting labelings, and the
 labeling is the first leaf, in search order, that attains it.  Sizes stay at
 desk scale, so no external dependency is warranted.  The up and down
 neighbour lists are built once per call; the seeds, every refinement round
-and every leaf read the same lists.  A refinement round signs only the
-vertices of colour cells with two or more members: a vertex alone in its
-cell cannot split, and its new colour is the next index in colour order.
+and every leaf read the same lists, and heights and depths come from one
+linear extension.  A refinement round signs only the vertices of colour
+cells with two or more members: a vertex alone in its cell cannot split,
+and its new colour is the next index in colour order.
+
+Two shortcuts skip work that cannot change a result.  A seed colouring
+that refines to a discrete one is the search's only leaf: its rows and
+order are returned at once, with no automorphism, since refined colours
+are invariant under automorphisms, so a discrete colouring admits none but
+the identity (and no chain swap).  An individualization whose vertex has
+every cover alone in its cell is ranked without a refinement round: only
+the covers of the vertex see its new colour, and a singleton cannot split,
+while every other signature changes by the same monotone map of colours,
+so the first round would split no cell.  The lower covers are always
+alone: the search individualizes in the first cell with two or more
+members, and colour order is height-major.
 
 Symmetric branches are pruned (McKay and Piperno, "Practical graph
 isomorphism, II", 2014).  The search starts from the swaps of
@@ -93,20 +106,20 @@ def _encode(n: int, rows) -> bytes:
 
 def _decode(cert: Certificate) -> tuple[int, list[int]]:
     """The size and the canonical up-cover rows that ``cert`` encodes."""
-    n = int.from_bytes(cert.data[:2], "big")
+    data = cert.data
+    n = int.from_bytes(data[:2], "big")
     width = (n + 7) // 8
-    rows = [
-        int.from_bytes(cert.data[2 + i * width : 2 + (i + 1) * width], "big")
-        for i in range(n)
-    ]
-    return n, rows
+    if width <= 1:
+        return n, list(data[2:])
+    end = 2 + n * width
+    return n, [int.from_bytes(data[i : i + width], "big") for i in range(2, end, width)]
 
 
 def decode_certificate(cert: Certificate) -> CoverDigraph:
-    """Rebuild the canonical cover digraph from its certificate bytes."""
+    """Rebuild the canonical cover digraph from its certificate bytes.  Its
+    covers come out sorted: row by row, and ascending within each row."""
     n, rows = _decode(cert)
-    covers = [(i, j) for i in range(n) for j in _bits(rows[i])]
-    return CoverDigraph(n, tuple(sorted(covers)))
+    return CoverDigraph(n, tuple((i, j) for i in range(n) for j in _bits(rows[i])))
 
 
 def padded_certificate(cert: Certificate, below: int, above: int) -> Certificate:
@@ -138,45 +151,44 @@ def _canonical(
 ) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
     """The smallest rows, the first labeling that attains them, and the
     chain swaps followed by the automorphisms found between equal leaves."""
-    if n == 1:
-        return (0,), (0,), []
     ups, dns = _neighbours(up)
-    height = _longest_paths(n, ups, dns)
-    depth = _longest_paths(n, dns, ups)
+    height, depth = _height_depth(n, ups, dns)
     # height-major seeds make every canonical labeling a linear extension
     seeds = [(height[v], len(dns[v]), len(ups[v]), depth[v]) for v in range(n)]
     ranking = {s: i for i, s in enumerate(sorted(set(seeds)))}
     colors = _refine(n, ups, dns, [ranking[s] for s in seeds])
+    if max(colors) == n - 1:
+        # discrete already: one leaf, and no automorphism but the identity
+        order = [0] * n
+        for v, c in enumerate(colors):
+            order[c] = v
+        return _rows(ups, order, colors), tuple(order), []
 
     best_rows: tuple[int, ...] | None = None
     best_perm: tuple[int, ...] | None = None
     automorphisms = _chain_swaps(n, ups, dns)
 
-    def leaf(order: list[int]) -> None:
-        nonlocal best_rows, best_perm
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        rows = tuple(sum(1 << pos[w] for w in ups[v]) for v in order)
-        if best_rows is None or rows < best_rows:
-            best_rows = rows
-            best_perm = tuple(order)
-        elif rows == best_rows:
-            # two labelings with equal rows: best_perm[i] -> order[i] is an
-            # automorphism
-            image = [0] * n
-            for a, b in zip(best_perm, order):
-                image[a] = b
-            automorphisms.append(image)
-
     def descend(colors: list[int], fixed: tuple[int, ...]) -> None:
+        nonlocal best_rows, best_perm
         # refined colours are 0..k-1, so every cell is non-empty
         ordered: list[list[int]] = [[] for _ in range(max(colors) + 1)]
         for v, c in enumerate(colors):
             ordered[c].append(v)
         target = next((cell for cell in ordered if len(cell) > 1), None)
         if target is None:
-            leaf([cell[0] for cell in ordered])
+            # a leaf: the discrete colouring is each vertex's position
+            order = [cell[0] for cell in ordered]
+            rows = _rows(ups, order, colors)
+            if best_rows is None or rows < best_rows:
+                best_rows = rows
+                best_perm = tuple(order)
+            elif rows == best_rows:
+                # two labelings with equal rows: best_perm[i] -> order[i] is
+                # an automorphism
+                image = [0] * n
+                for a, b in zip(best_perm, order):
+                    image[a] = b
+                automorphisms.append(image)
             return
         stabilizer: list[list[int]] = []
         known = 0  # how many automorphisms ``stabilizer`` has read
@@ -189,15 +201,40 @@ def _canonical(
                 known = len(automorphisms)
             if _orbit_min(v, stabilizer) < v:
                 continue  # an automorphic image of an earlier subtree
-            # v gets its own colour, just below the rest of its cell; all
-            # colours stay non-negative, as ``_refine`` needs
-            split = [2 * c + 1 for c in colors]
-            split[v] -= 1
-            descend(_refine(n, ups, dns, split), fixed + (v,))
+            descend(_individualize(n, ups, dns, colors, ordered, v), fixed + (v,))
 
     descend(colors, ())
     assert best_rows is not None and best_perm is not None
     return best_rows, best_perm, automorphisms
+
+
+def _rows(ups, order: list[int], pos: list[int]) -> tuple[int, ...]:
+    """The up-cover rows of the labeling that puts vertex ``order[i]`` at
+    position ``i``; ``pos`` is its inverse."""
+    return tuple(sum(1 << pos[w] for w in ups[v]) for v in order)
+
+
+def _individualize(
+    n: int, ups, dns, colors: list[int], cells: list[list[int]], v: int
+) -> list[int]:
+    """The equitable colouring that refines ``colors``, an equitable one
+    with ``cells[c]`` the vertices of colour ``c``, once ``v`` takes a colour
+    of its own, just below the rest of its cell.
+
+    ``v`` lies in the first cell with two or more members, and colour order
+    is height-major, so every lower cover of ``v`` is alone in its cell.
+    When every upper cover is too, no round of refinement splits a cell,
+    and the colours are ranked without one.
+    """
+    cv = colors[v]
+    if all(len(cells[colors[w]]) == 1 for w in ups[v]):
+        split = [c if c < cv else c + 1 for c in colors]
+        split[v] = cv
+        return split
+    # all colours stay non-negative, as ``_refine`` needs
+    split = [2 * c + 1 for c in colors]
+    split[v] -= 1
+    return _refine(n, ups, dns, split)
 
 
 def _neighbours(up) -> tuple[list[tuple[int, ...]], list[list[int]]]:
@@ -296,18 +333,25 @@ def _refine(n: int, ups, dns, colors: list[int]) -> list[int]:
         colors = refined
 
 
-def _longest_paths(n: int, ups, dns) -> list[int]:
-    """Longest cover-path length ending at each vertex, walking along the
-    neighbour lists ``ups``; ``dns`` lists the reverse neighbours."""
-    indeg = [len(dns[v]) for v in range(n)]
-    queue = [v for v in range(n) if indeg[v] == 0]
-    dist = [0] * n
-    while queue:
-        v = queue.pop()
+def _height_depth(n: int, ups, dns) -> tuple[list[int], list[int]]:
+    """The longest cover-path length ending at (height) and starting from
+    (depth) each vertex of the acyclic digraph whose upper and lower cover
+    lists are ``ups`` and ``dns``.  Both are read along one linear extension
+    (Kahn's algorithm); longest paths do not depend on which."""
+    indeg = [len(d) for d in dns]
+    order = [v for v in range(n) if not indeg[v]]
+    height = [0] * n
+    for v in order:  # the list grows as vertices lose their last lower cover
+        h = height[v] + 1
         for w in ups[v]:
-            if dist[v] + 1 > dist[w]:
-                dist[w] = dist[v] + 1
+            if h > height[w]:
+                height[w] = h
             indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return dist
+            if not indeg[w]:
+                order.append(w)
+    depth = [0] * n
+    for v in reversed(order):
+        for w in ups[v]:
+            if depth[w] >= depth[v]:
+                depth[v] = depth[w] + 1
+    return height, depth

@@ -38,7 +38,7 @@ from .adjunct import AdjunctPair, AdjunctRep, realize
 from .canon import Certificate, canonical_certificate, padded_certificate
 from .errors import SizeLimitExceeded
 from .partitions import enumerate_partitions
-from .poset import Lattice
+from .poset import Lattice, _cover_degrees
 from .reduction import FbbClass, UnexpectedClass
 
 # ``verify`` reads the search through these.  ``census`` and ``_LEVELS``
@@ -186,11 +186,7 @@ def _block_class(l: Lattice) -> FbbClass:
     retraction or a canonicalization.  Any other count, or reducible
     elements not in a chain, raise :class:`UnexpectedClass`.
     """
-    uppers = [0] * l.n
-    lowers = [0] * l.n
-    for a, b in l.digraph.covers:
-        uppers[a] += 1
-        lowers[b] += 1
+    uppers, lowers = _cover_degrees(l.digraph)
     # lowest first: in a chain the up-sets shrink strictly
     red = sorted(
         (v for v in range(l.n) if uppers[v] > 1 or lowers[v] > 1),

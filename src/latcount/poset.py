@@ -300,10 +300,21 @@ def poset_classification(p: CoverDigraph) -> ElementClassification:
     Reads the covers of ``p`` as given: ``p`` is an irredundant cover
     relation, as :func:`build_poset` and :func:`as_lattice` check.
     """
-    up, down = p.up_adjacency(), p.down_adjacency()
-    irr = frozenset(v for v in range(p.n) if _irreducible(up, down, v))
-    star = frozenset(v for v in irr if up[v] and down[v])
+    uppers, lowers = _cover_degrees(p)
+    irr = frozenset(v for v in range(p.n) if uppers[v] <= 1 and lowers[v] <= 1)
+    star = frozenset(v for v in irr if uppers[v] and lowers[v])
     return ElementClassification(frozenset(range(p.n)) - irr, irr, star)
+
+
+def _cover_degrees(p: CoverDigraph) -> tuple[list[int], list[int]]:
+    """How many upper and how many lower covers each element of ``p`` has,
+    in one pass over its covers as given."""
+    uppers = [0] * p.n
+    lowers = [0] * p.n
+    for a, b in p.covers:
+        uppers[a] += 1
+        lowers[b] += 1
+    return uppers, lowers
 
 
 def nullity(p: CoverDigraph) -> int:

@@ -39,7 +39,7 @@ from typing import NamedTuple
 from . import canon
 from .canon import Certificate, canonical_certificate
 from .errors import SizeLimitExceeded
-from .poset import CoverDigraph, _bits, as_lattice, poset_classification
+from .poset import CoverDigraph, _bits, _cover_degrees, as_lattice
 from .reduction import FbbClass, classify_fbb
 
 FULL_SEARCH_LIMIT = 8
@@ -279,6 +279,7 @@ def _reducible_split(n: int) -> dict[int, list[Certificate]]:
     ``Lattice``: every certificate of the search is a lattice's."""
     classes: dict[int, list[Certificate]] = {}
     for cert in _lattice_certificates(n):
-        red = poset_classification(canon.decode_certificate(cert)).red
-        classes.setdefault(len(red), []).append(cert)
+        uppers, lowers = _cover_degrees(canon.decode_certificate(cert))
+        red = sum(u > 1 or d > 1 for u, d in zip(uppers, lowers))
+        classes.setdefault(red, []).append(cert)
     return classes

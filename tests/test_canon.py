@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +15,12 @@ from latcount.canon import (
     canonical_certificate,
     canonical_digraph,
     canonical_labeling,
+    canonical_rank,
     decode_certificate,
     padded_certificate,
 )
 from latcount.poset import (
+    _bits,
     as_lattice,
     build_poset,
     chain,
@@ -26,6 +29,7 @@ from latcount.poset import (
     relabel,
 )
 from latcount.reduction import f1, f2, f3, f4, m2
+import canon_reference
 from class_reference import pad, reference_blocks, reference_class
 from search_reference import automorphisms, orbits, reference_lattices, search_lattices
 
@@ -181,16 +185,18 @@ def test_canonical_form_is_linear_extension():
 
 def test_pruning_skips_symmetric_branches(monkeypatch):
     """Without pruning the search on M_6 visits 6! leaves, one per order of
-    its atoms, and more nodes still."""
+    its atoms, and more nodes still.  Nodes are counted as
+    individualizations: each atom's one cover is alone in its cell, so
+    none of them refines."""
     nodes = 0
-    refine = canon._refine
+    individualize = canon._individualize
 
     def counted(*args):
         nonlocal nodes
         nodes += 1
-        return refine(*args)
+        return individualize(*args)
 
-    monkeypatch.setattr(canon, "_refine", counted)
+    monkeypatch.setattr(canon, "_individualize", counted)
     canonical_certificate(atoms(6))
     assert nodes < math.factorial(6)
 
@@ -310,8 +316,9 @@ def _reference_refine(n, ups, dns, colors):
 
 
 def test_refine_matches_reference_on_search_and_block_inputs(monkeypatch, fresh_tables):
-    """Every colouring refined while ``census(8)`` and the block tables for
-    m <= 11 are built from scratch gets the reference's colours."""
+    """Every colouring refined while ``census(8)``, search level 8 and the
+    block tables for m <= 12 are built from scratch gets the reference's
+    colours."""
     refine = canon._refine
     seen = 0
 
@@ -325,11 +332,15 @@ def test_refine_matches_reference_on_search_and_block_inputs(monkeypatch, fresh_
     monkeypatch.setattr(canon, "_refine", checked)
     monkeypatch.setattr(search, "_LEVELS", {1: search._LEVELS[1]})
     assert search.census(8).total() == 222
-    for m in range(4, 12):
+    assert len(search._level(8)) == 1078  # the 9-element lattices
+    for m in range(4, 13):
         for r in (2, 3):
             oracle.block_census(m, r)
     # 3,924 when written (census(7), m <= 10); the chain swaps cut that
-    # input to 1,388, so the sizes grew to keep the coverage: 3,506
+    # input to 1,388, so the sizes grew to keep the coverage: 3,506.  The
+    # canonizer's two shortcuts refine no discrete seed colouring and no
+    # individualization that splits nothing, which cut census(8) and m <= 11
+    # to 1,561, so level 8 and m = 12 joined: 4,280
     assert seen > 3000
 
 
@@ -349,6 +360,13 @@ def random_poset(rng, n, density):
         and not any(below[b] >> c & 1 and below[c] >> a & 1 for c in range(a + 1, b))
     ]
     return build_poset(n, covers)
+
+
+def disjoint_copies(d, k):
+    """``k`` disjoint copies of the cover digraph ``d``."""
+    return build_poset(
+        d.n * k, [(a + i * d.n, b + i * d.n) for i in range(k) for a, b in d.covers]
+    )
 
 
 def _general_digraphs():
@@ -384,6 +402,14 @@ def test_refine_matches_reference_on_general_digraphs(monkeypatch):
     )
     for digraph in _general_digraphs():
         canonical_certificate(digraph)
+    # 3,430 refinements when the general digraphs alone were the input; the
+    # canonizer's shortcuts cut that to 600, so two disjoint copies of each
+    # of 300 random posets joined: refinement cannot tell the copies apart,
+    # and individualizing a vertex splits the cells of its covers (2,247)
+    rng = random.Random(20261019)
+    for _ in range(300):
+        d = random_poset(rng, rng.randint(3, 6), rng.random() * 0.6)
+        canonical_certificate(disjoint_copies(d, 2))
     assert seen > 2000
 
 
@@ -504,8 +530,9 @@ def test_seeded_search_matches_unseeded(monkeypatch):
 
 def test_chain_swaps_cut_the_block_table_search(monkeypatch, fresh_tables):
     """Building the r = 3 block tables for m <= 10 from scratch refines
-    1,060 colourings (2,822 without the chain swaps) in 385
-    canonicalizations, one per block, which the swaps do not change."""
+    441 colourings (521 without the chain swaps) in 385 canonicalizations,
+    one per block, which the swaps do not change.  Before the canonizer's
+    two shortcuts these were 1,060 and 2,822."""
     calls = {"_refine": 0, "_canonical": 0}
     for name in calls:
         original = getattr(canon, name)
@@ -517,4 +544,113 @@ def test_chain_swaps_cut_the_block_table_search(monkeypatch, fresh_tables):
         monkeypatch.setattr(canon, name, counted)
     for m in range(1, 11):
         oracle._block_table(m, 3)
-    assert calls == {"_refine": 1060, "_canonical": 385}
+    assert calls == {"_refine": 441, "_canonical": 385}
+
+
+def _search_children(top):
+    """The (n, up-cover rows) of every child that building search levels
+    2..``top`` from scratch canonicalizes."""
+    children = []
+    certificate = canon._certificate
+
+    def recording(n, up):
+        children.append((n, tuple(up)))
+        return certificate(n, up)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_LEVELS", {1: search._LEVELS[1]})
+        mp.setattr(canon, "_certificate", recording)
+        search._level(top)
+    return children
+
+
+def _relabeled(n, up, perm):
+    """The up-cover rows ``up`` with vertex ``v`` renamed ``perm[v]``."""
+    rows = [0] * n
+    for v in range(n):
+        rows[perm[v]] = sum(1 << perm[w] for w in _bits(up[v]))
+    return tuple(rows)
+
+
+@cache
+def _shortcut_inputs():
+    """Every search child of levels <= 7, every block of m <= 11 with r in
+    {2, 3} and every general digraph, as (n, up-cover rows), each as built
+    and under 3 seeded relabelings; built once per test run."""
+    built = _search_children(7)
+    built += [
+        (block.n, block.digraph.up_adjacency())
+        for m in range(1, 12)
+        for r in (2, 3)
+        for block in reference_blocks(m, r).values()
+    ]
+    built += [(d.n, d.up_adjacency()) for d in _general_digraphs()]
+    rng = random.Random(20261020)
+    inputs = []
+    for n, up in built:
+        inputs.append((n, up))
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inputs.append((n, _relabeled(n, up, perm)))
+    return inputs
+
+
+def test_canonical_matches_reference():
+    """The discrete root, the individualizations that split nothing and the
+    single pass for heights and depths change no result: rows, labeling and
+    the list of automorphisms equal those of the canonizer without them."""
+    inputs = _shortcut_inputs()
+    assert len(inputs) == 4 * (303 + 979 + 411)
+    for n, up in inputs:
+        assert canon._canonical(n, up) == canon_reference._canonical(n, up), up
+
+
+def test_split_free_individualization_is_refinement(monkeypatch):
+    """Every lower cover of an individualized vertex is alone in its cell.
+    Wherever every upper cover is too, the colouring ranked without a round
+    of refinement is the one ``_refine`` reaches from the split colouring;
+    so is every other individualization, which refines."""
+    inputs = _shortcut_inputs()  # built before the count starts
+    individualize = canon._individualize
+    refine = canon._refine
+    applied = 0
+
+    def checked(n, ups, dns, colors, cells, v):
+        nonlocal applied
+        assert all(len(cells[colors[w]]) == 1 for w in dns[v]), (ups, colors, v)
+        out = individualize(n, ups, dns, colors, cells, v)
+        split = [2 * c + 1 for c in colors]
+        split[v] -= 1
+        assert out == refine(n, ups, dns, split), (ups, colors, v)
+        applied += all(len(cells[colors[w]]) == 1 for w in ups[v])
+        return out
+
+    monkeypatch.setattr(canon, "_individualize", checked)
+    for n, up in inputs:
+        canon._canonical(n, up)
+    # 19,023 of the 20,879 individualizations when written
+    assert applied > 18000
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+def test_decode_round_trips_across_row_widths(n):
+    """Rows take one byte up to n = 8, two up to 16 and three at 17: each
+    decoded certificate encodes back to its bytes, is the canonical form,
+    and lists its covers sorted."""
+    rng = random.Random(n)
+    digraphs = [
+        chain(n).digraph,
+        atoms(n - 2),
+        build_poset(n, []),
+        random_poset(rng, n, 0.3),
+        random_poset(rng, n, 0.1),
+    ]
+    for d in digraphs:
+        cert = canonical_certificate(d)
+        size, rows = canon._decode(cert)
+        assert size == n and canon._encode(n, rows) == cert.data
+        rebuilt = decode_certificate(cert)
+        assert list(rebuilt.covers) == sorted(rebuilt.covers)
+        assert rebuilt == relabel(d, canonical_rank(d)), d.covers
+        assert canonical_certificate(rebuilt) == cert

@@ -18,7 +18,14 @@ from latcount.documents import (
     dot_digraph,
     lattice_document,
 )
-from latcount.reduction import f3, m2
+from latcount.poset import (
+    CoverDigraph,
+    as_lattice,
+    build_poset,
+    nullity,
+    poset_classification,
+)
+from latcount.reduction import classify_fbb, f3, m2
 
 VERIFY_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-n9.txt"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -480,7 +487,50 @@ class TestVerify:
         ) + "\n"
 
 
+def reference_document(p, fbb=None) -> dict:
+    """``lattice_document`` as it read the reducible elements and the
+    nullity off ``poset_classification`` and ``nullity``, and sorted the
+    covers."""
+    cls = poset_classification(p)
+    if fbb is None and len(cls.red) in (2, 3):
+        fbb = classify_fbb(as_lattice(p))
+    return {
+        "n": p.n,
+        "covers": [list(c) for c in sorted(p.covers)],
+        "red": sorted(cls.red),
+        "nullity": nullity(p),
+        "fbb": None if fbb is None else fbb.value,
+    }
+
+
 class TestDocuments:
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_members_match_reference(self, r):
+        """Every member of the class on n <= 10 elements, with its carried
+        tag as ``enumerate`` passes it, and without one for n <= 8."""
+        checked = 0
+        for n in range(1, 11):
+            for cert, fbb in oracle.reducible_class(n, r).items():
+                p = canon.decode_certificate(cert)
+                assert lattice_document(p, fbb) == reference_document(p, fbb)
+                if n <= 8:
+                    assert lattice_document(p) == reference_document(p)
+                checked += 1
+        assert checked == {2: 313, 3: 897}[r]
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            CoverDigraph(4, ((0, 1), (2, 3))),  # two disjoint 2-chains
+            build_poset(5, []),  # an antichain
+            CoverDigraph(3, ((0, 2), (1, 2))),  # two minimal elements, joined
+            CoverDigraph(4, ((0, 1), (0, 2), (0, 3))),  # a bottom and no top
+            CoverDigraph(4, ((2, 3), (0, 2), (1, 3), (0, 1))),  # M2, unsorted
+        ],
+    )
+    def test_hand_built_digraphs_match_reference(self, p):
+        assert lattice_document(p) == reference_document(p)
+
     def test_schema_fields(self):
         doc = lattice_document(m2().digraph)
         assert doc == {

@@ -62,3 +62,21 @@ def test_classify_fbb_trading_f3_and_f4_splits_the_oracles(monkeypatch, fresh_ta
     assert fibers[FbbClass.F3] == tags[FbbClass.F4]
     assert fibers[FbbClass.F4] == tags[FbbClass.F3]
     assert fibers[FbbClass.F1] == tags[FbbClass.F1]
+
+
+def test_cover_degrees_without_lower_covers_fail_the_split(monkeypatch, fresh_tables):
+    """The cover-degree helper, as the search's reducible split reads it,
+    counting no lower covers: join-reducible elements go uncounted, and
+    ``verify(8)`` flags exactly the cells that compare the split with the
+    constructive classes wherever those are non-empty."""
+    count = search._cover_degrees
+
+    def mutant(p):
+        uppers, lowers = count(p)
+        return uppers, [0] * len(lowers)
+
+    monkeypatch.setattr(search, "_cover_degrees", mutant)
+    flagged = {(r.n, r.name) for r in oracle.verify(8) if r.ok is False}
+    assert flagged == {(n, "search_two_reducible") for n in range(4, 9)} | {
+        (n, "search_three_reducible") for n in range(6, 9)
+    }
