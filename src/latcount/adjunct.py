@@ -17,6 +17,7 @@ from .poset import (
     Lattice,
     LatticeError,
     _bits,
+    _joined,
     as_lattice,
     build_poset,
     classify_elements,
@@ -112,37 +113,31 @@ def direct_sum(m: CoverDigraph, p: CoverDigraph) -> CoverDigraph:
 def realize(rep: AdjunctRep) -> Lattice:
     """Fold the adjunct sums of ``rep`` into a lattice.
 
-    The covers of every attachment go into one list, each pair checked
-    against the order built so far, and :func:`as_lattice` checks the
-    sorted list once at the end: an adjunct sum of lattices at a non-cover
-    pair is a lattice.
+    Only a bitmask row of upper covers per element is kept while the chains
+    are glued, each pair checked against the covers built so far.  The rows
+    emit the covers in sorted order, and :func:`as_lattice` works out the
+    order and checks it once at the end: an adjunct sum of lattices at a
+    non-cover pair is a lattice.
     """
     n = rep.chains[0]
-    covers = [(v, v + 1) for v in range(n - 1)]
-    # strict up-set masks of the order built so far
-    up = [(1 << n) - (2 << v) for v in range(n)]
+    rows = [1 << (v + 1) for v in range(n - 1)] + [0]
     for i, (length, pair) in enumerate(zip(rep.chains[1:], rep.pairs)):
         a, b = pair.a, pair.b
         if not (0 <= a < n and 0 <= b < n):
             raise PairNotComparable(f"attachment {i}: pair ({a}, {b}) not realized yet")
-        if not up[a] >> b & 1:
+        if not _joined(rows, a, b, 0):
             raise PairNotComparable(f"attachment {i}: need a < b, got ({a}, {b})")
-        if (a, b) in covers:
+        if rows[a] >> b & 1:
             raise PairIsCover(
                 f"attachment {i}: ({a}, {b}) is a cover; nothing fits in between"
             )
         # the chain n < ... < n + length - 1 glued between a and b
-        covers.append((a, n))
-        covers.extend((v, v + 1) for v in range(n, n + length - 1))
-        covers.append((n + length - 1, b))
-        glued = (1 << (n + length)) - (1 << n)
-        above_b = up[b] | 1 << b
-        for v in range(n):
-            if v == a or up[v] >> a & 1:
-                up[v] |= glued
-        up.extend(((1 << (n + length)) - (2 << v)) | above_b for v in range(n, n + length))
+        rows[a] |= 1 << n
+        rows.extend(1 << (v + 1) for v in range(n, n + length - 1))
+        rows.append(1 << b)
         n += length
-    return as_lattice(CoverDigraph(n, tuple(sorted(covers))))
+    covers = [(a, b) for a in range(n) for b in _bits(rows[a])]
+    return as_lattice(CoverDigraph(n, tuple(covers)))
 
 
 def pair_multiplicity(l: Lattice, a: int, b: int) -> int:

@@ -8,8 +8,8 @@
 from __future__ import annotations
 
 from .canon import _height_depth, _neighbours
-from .poset import CoverDigraph, Lattice, _cover_degrees, as_lattice, build_poset
-from .poset import nullity
+from .poset import CoverDigraph, Lattice, _cover_degrees, _reducibles, as_lattice
+from .poset import build_poset, nullity
 from .reduction import FbbClass, classify_fbb
 
 
@@ -23,7 +23,7 @@ def lattice_document(p: CoverDigraph, fbb: FbbClass | None = None) -> dict:
     A finite poset with one minimal element is connected, so then the
     nullity is read off the sizes; any other digraph goes to ``nullity``."""
     uppers, lowers = _cover_degrees(p)
-    red = [v for v in range(p.n) if uppers[v] > 1 or lowers[v] > 1]
+    red = _reducibles(uppers, lowers)
     if fbb is None and len(red) in (2, 3):
         fbb = classify_fbb(as_lattice(p))
     return {

@@ -38,7 +38,7 @@ from .adjunct import AdjunctPair, AdjunctRep, realize
 from .canon import Certificate, canonical_certificate, padded_certificate
 from .errors import SizeLimitExceeded
 from .partitions import enumerate_partitions
-from .poset import Lattice, _cover_degrees
+from .poset import Lattice, _cover_degrees, _reducibles
 from .reduction import FbbClass, UnexpectedClass
 
 # ``verify`` reads the search through these.  ``census`` and ``_LEVELS``
@@ -67,17 +67,15 @@ POOL_BREAK_EVEN = 12
 def _two_reducible_block_reps(m: int):
     """Adjunct recipes for blocks on m elements with exactly 2 reducibles.
 
-    One spine from bottom to top plus k + 1 parallel chains at the
-    bottom/top pair; chain sizes sweep the partitions of the m - 2
-    non-extreme elements.
+    A bundle (:func:`_bundles`) of two or more parallel chains holds the
+    m - 2 elements between bottom and top; its first chain lies on the
+    spine, and every other chain is glued at the bottom/top pair.
     """
-    for k in range(0, m - 3):
-        for parts in enumerate_partitions(m - 2, k + 2):
-            spine = parts[0] + 2
-            pair = AdjunctPair(0, spine - 1)
-            yield AdjunctRep(
-                chains=(spine, *parts[1:]), pairs=(pair,) * (k + 1)
-            )
+    for bundle in _bundles(m - 2):
+        if len(bundle) > 1:
+            spine = bundle[0] + 2
+            pairs = (AdjunctPair(0, spine - 1),) * (len(bundle) - 1)
+            yield AdjunctRep(chains=(spine, *bundle[1:]), pairs=pairs)
 
 
 def _three_reducible_block_reps(m: int):
@@ -188,10 +186,7 @@ def _block_class(l: Lattice) -> FbbClass:
     """
     uppers, lowers = _cover_degrees(l.digraph)
     # lowest first: in a chain the up-sets shrink strictly
-    red = sorted(
-        (v for v in range(l.n) if uppers[v] > 1 or lowers[v] > 1),
-        key=lambda v: -l.up[v].bit_count(),
-    )
+    red = sorted(_reducibles(uppers, lowers), key=lambda v: -l.up[v].bit_count())
     if all(l.up[x] >> y & 1 for x, y in zip(red, red[1:])):
         if len(red) == 2:
             return FbbClass.M2
@@ -233,8 +228,6 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, FbbCl
     not depend on the worker count.
     """
     _check_class(n, r)
-    if n < 1:
-        return {}
     _build_tables([(n - j, r) for j in range(n)], workers)
     out: dict[Certificate, FbbClass] = {}
     for j in range(n):
@@ -372,7 +365,7 @@ def _verify_one(n: int) -> list[VerifyRecord]:
             same = set(full.get(r, ())) == members.keys()
             records.append(VerifyRecord(n, name, None, None, same))
 
-    strata2 = block_census(n, 2) if n >= 4 else {}
+    strata2 = block_census(n, 2)
     for k in range(0, max(n - 3, 1)):
         cell(
             f"two_reducible_blocks[k={k}]",

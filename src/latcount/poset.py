@@ -301,9 +301,10 @@ def poset_classification(p: CoverDigraph) -> ElementClassification:
     relation, as :func:`build_poset` and :func:`as_lattice` check.
     """
     uppers, lowers = _cover_degrees(p)
-    irr = frozenset(v for v in range(p.n) if uppers[v] <= 1 and lowers[v] <= 1)
+    red = frozenset(_reducibles(uppers, lowers))
+    irr = frozenset(range(p.n)) - red
     star = frozenset(v for v in irr if uppers[v] and lowers[v])
-    return ElementClassification(frozenset(range(p.n)) - irr, irr, star)
+    return ElementClassification(red, irr, star)
 
 
 def _cover_degrees(p: CoverDigraph) -> tuple[list[int], list[int]]:
@@ -315,6 +316,13 @@ def _cover_degrees(p: CoverDigraph) -> tuple[list[int], list[int]]:
         uppers[a] += 1
         lowers[b] += 1
     return uppers, lowers
+
+
+def _reducibles(uppers: list[int], lowers: list[int]) -> list[int]:
+    """The reducible elements, ascending, from the degrees that
+    :func:`_cover_degrees` counts: those with two or more upper or two or
+    more lower covers."""
+    return [v for v, (u, d) in enumerate(zip(uppers, lowers)) if u > 1 or d > 1]
 
 
 def nullity(p: CoverDigraph) -> int:

@@ -55,7 +55,6 @@ class FbbClass(enum.Enum):
     F3 = "F3"
     F4 = "F4"
     M2 = "M2"
-    OTHER = "Other"
 
 
 def m2() -> Lattice:

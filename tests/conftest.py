@@ -2,7 +2,7 @@ from functools import cache
 
 import pytest
 
-from latcount import formulas, oracle, reduction
+from latcount import formulas, oracle, reduction, search
 
 # One flat F4 lattice sum takes about 2 s at n = 30, and several tests in
 # different modules read the same lattice and block values.  Each memo keeps
@@ -28,10 +28,12 @@ def memoized_sums(monkeypatch):
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Start one test from empty block tables and an empty memo of
-    fundamental basic block classes, as a new process would; the tables
-    built before the test come back after it."""
+    """Start one test from the process-wide caches a new process starts
+    with: empty block tables, the search's two seed levels alone and an
+    empty memo of fundamental basic block classes.  The caches built before
+    the test come back after it."""
     monkeypatch.setattr(oracle, "_BLOCKS", {})
+    monkeypatch.setattr(search, "_LEVELS", {k: search._LEVELS[k] for k in (0, 1)})
     monkeypatch.setattr(reduction, "_FBB_CLASSES", {})
 
 

@@ -330,7 +330,6 @@ def test_refine_matches_reference_on_search_and_block_inputs(monkeypatch, fresh_
         return out
 
     monkeypatch.setattr(canon, "_refine", checked)
-    monkeypatch.setattr(search, "_LEVELS", {1: search._LEVELS[1]})
     assert search.census(8).total() == 222
     assert len(search._level(8)) == 1078  # the 9-element lattices
     for m in range(4, 13):

@@ -312,10 +312,11 @@ class TestEnumerate:
         assert len(captured.out.splitlines()) == 2
 
     def test_empty_class(self, capsys):
-        assert main(["enumerate", "--n", "5", "--reducible", "3"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.strip() == "0"
+        for n in ("5", "0"):
+            assert main(["enumerate", "--n", n, "--reducible", "3"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.strip() == "0"
 
     def test_documents_round_trip(self, capsys):
         assert main(["enumerate", "--n", "7", "--reducible", "3"]) == 0

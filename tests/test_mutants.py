@@ -1,13 +1,17 @@
 """Mutants: a deliberate fault, put in by ``monkeypatch`` on a package name
 and never by an edit to the source, must fail the exact check that guards
-against it.  Each test starts from empty block tables and an empty memo of
+against it.  Each mutant that a process-wide cache could hide starts from
+empty block tables, the search's two seed levels and an empty memo of
 fundamental basic block classes (``fresh_tables``), so the fault reaches
-every table it would reach in a new process, and the healthy tables come
+every table it would reach in a new process, and the healthy caches come
 back after it."""
+
+import pytest
 
 from latcount import documents, formulas, oracle, reduction, search
 from latcount.poset import as_lattice, build_poset
 from latcount.reduction import FbbClass
+from test_oracle import A006966
 
 SWAP = {FbbClass.F3: FbbClass.F4, FbbClass.F4: FbbClass.F3}
 
@@ -80,3 +84,46 @@ def test_cover_degrees_without_lower_covers_fail_the_split(monkeypatch, fresh_ta
     assert flagged == {(n, "search_two_reducible") for n in range(4, 9)} | {
         (n, "search_three_reducible") for n in range(6, 9)
     }
+
+
+def test_l4_off_by_one_fails_f4_and_its_total(monkeypatch):
+    """``l4_lattices`` one too high at n = 9 fails the ``f4`` cell and the
+    ``three_reducible`` total, which reads ``l4_lattices`` by module name;
+    no other cell moves."""
+    l4 = formulas.l4_lattices
+    monkeypatch.setattr(formulas, "l4_lattices", lambda n: l4(n) + (n == 9))
+    flagged = {(r.n, r.name) for r in oracle.verify(9) if r.ok is False}
+    assert flagged == {(9, "f4"), (9, "three_reducible")}
+
+
+def test_dropped_block_recipe_fails_its_cells(monkeypatch, fresh_tables):
+    """The recipe at index 5 of the three-reducible recipes on 8 elements
+    dropped: its F1 block is lost from the block stratum, from both
+    lattice classes it pads into, and from the comparison with the
+    search."""
+    recipes = oracle._three_reducible_block_reps
+
+    def mutant(m):
+        for i, rep in enumerate(recipes(m)):
+            if (m, i) != (8, 5):
+                yield rep
+
+    monkeypatch.setattr(oracle, "_three_reducible_block_reps", mutant)
+    flagged = {(r.n, r.name) for r in oracle.verify(9) if r.ok is False}
+    assert flagged == {
+        (8, "b1_blocks[k=2]"), (8, "f1"),
+        (8, "three_reducible"), (8, "search_three_reducible"),
+        (9, "f1"), (9, "three_reducible"),
+    }
+
+
+def test_rank_reading_labels_keeps_a_certificate_twice(monkeypatch, fresh_tables):
+    """A canonical deletion ranked by the down-set's labels, which is no
+    isomorphism invariant: the search still counts A006966 for n <= 6, and
+    at n = 7 it keeps one certificate twice, which the duplicate guard
+    raises."""
+    monkeypatch.setattr(search, "_rank", lambda down, low, sizes: (down,))
+    for n in range(1, 7):
+        assert len(search._lattice_certificates(n)) == A006966[n], n
+    with pytest.raises(RuntimeError, match="kept certificate [0-9a-f]+ twice"):
+        search._lattice_certificates(7)

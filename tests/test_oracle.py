@@ -354,6 +354,9 @@ class TestClassSearch:
         assert len(enumerate_by_reducible(4, 2)) == 1
         assert len(enumerate_by_reducible(6, 3)) == 2
         assert len(enumerate_by_reducible(5, 3)) == 0
+        for n in (0, -1):
+            for r in (2, 3):
+                assert reducible_class(n, r) == {}, (n, r)
 
     def test_members_have_claimed_reducible_count(self):
         for n, r in [(7, 2), (7, 3), (8, 3)]:

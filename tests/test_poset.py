@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from latcount import oracle, poset
+from latcount import canon, oracle, poset, search
 from latcount.cli import main
 from latcount.poset import (
     CoverDigraph,
@@ -353,6 +353,23 @@ class TestClassify:
                     for x, y in combinations(range(n), 2)
                 )
                 assert (r == 0) == total_order
+
+    def test_reducibles_are_proper_meets_or_joins(self):
+        """The cover-degree rule gives the lattice-theoretic reducibles, the
+        elements that are the meet or the join of two elements other than
+        themselves, on every lattice of the census on 8 elements and every
+        member of both classes on n <= 9."""
+        certs = [c for members in search.census(8).classes.values() for c in members]
+        for n in range(1, 10):
+            for r in (2, 3):
+                certs.extend(oracle.reducible_class(n, r))
+        for cert in certs:
+            lat = as_lattice(canon.decode_certificate(cert))
+            proper = set()
+            for x, y in combinations(range(lat.n), 2):
+                proper.update(v for v in meet_join(lat, x, y) if v not in (x, y))
+            degrees = poset._cover_degrees(lat.digraph)
+            assert poset._reducibles(*degrees) == sorted(proper), lat.covers
 
     def test_dual_preserves_red_set(self):
         for l in (m2(), f1(), f3(), f4()):

@@ -151,6 +151,8 @@ class TestClassify:
         assert classify_fbb(f3()) is FbbClass.F3
         assert classify_fbb(f4()) is FbbClass.F4
         assert classify_fbb(m2()) is FbbClass.M2
+        # the document schema's "fbb" values, besides null
+        assert {c.value for c in FbbClass} == {"F1", "F2", "F3", "F4", "M2"}
 
     def test_elongated_f1_recipe(self):
         rep = AdjunctRep((6, 2, 1), (AdjunctPair(1, 5), AdjunctPair(0, 5)))
