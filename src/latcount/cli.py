@@ -51,53 +51,44 @@ def _cmd_count(args, parser) -> int:
     return EXIT_OK
 
 
-def _check_lowest(lo: int, limit: int) -> None:
-    """Sizes below zero print zero rows; a range may start no lower than
-    ``-limit``, where ``limit`` is ``series.LIMIT``."""
-    if lo < -limit:
-        raise SizeLimitExceeded(f"ranges start at -{limit} or above")
+def _cmd_table(args, parser) -> int:
+    return _print_range(
+        parser, "n", args.n_from, args.n_to, args.format,
+        lambda series: series.lattice_counts(args.reducible, args.n_to),
+    )
 
 
-def _sized_rows(key: str, lo: int, hi: int, columns: dict[str, list[int]]) -> list[dict]:
-    """One row per size lo..hi from series indexed by size; sizes below zero
-    have no members."""
-    return [
+def _cmd_blocks(args, parser) -> int:
+    return _print_range(
+        parser, "m", args.m_from, args.m_to, args.format,
+        lambda series: series.block_counts(args.m_to, args.k),
+    )
+
+
+def _print_range(parser, key: str, lo: int, hi: int, fmt: str, read) -> int:
+    """Print one row per size ``lo..hi``, headed ``key``, of the columns that
+    ``read(series)`` returns indexed by size, as CSV or JSON.  Sizes below
+    zero have no members; a range may start no lower than ``-series.LIMIT``,
+    and ``series`` checks its upper end."""
+    if lo > hi:
+        parser.error(f"--{key}-from must not exceed --{key}-to")
+    from . import series
+
+    if lo < -series.LIMIT:
+        raise SizeLimitExceeded(f"ranges start at -{series.LIMIT} or above")
+    columns = read(series)
+    rows = [
         {key: n, **{name: (values[n] if n >= 0 else 0) for name, values in columns.items()}}
         for n in range(lo, hi + 1)
     ]
-
-
-def _print_rows(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
         import json
 
         print(json.dumps(rows))
-        return
-    columns = list(rows[0]) if rows else []
-    print(",".join(columns))
-    for row in rows:
-        print(",".join(str(row[c]) for c in columns))
-
-
-def _cmd_table(args, parser) -> int:
-    if args.n_from > args.n_to:
-        parser.error("--n-from must not exceed --n-to")
-    from . import series
-
-    _check_lowest(args.n_from, series.LIMIT)
-    columns = series.lattice_counts(args.reducible, args.n_to)
-    _print_rows(_sized_rows("n", args.n_from, args.n_to, columns), args.format)
-    return EXIT_OK
-
-
-def _cmd_blocks(args, parser) -> int:
-    if args.m_from > args.m_to:
-        parser.error("--m-from must not exceed --m-to")
-    from . import series
-
-    _check_lowest(args.m_from, series.LIMIT)
-    columns = series.block_counts(args.m_to, args.k)
-    _print_rows(_sized_rows("m", args.m_from, args.m_to, columns), args.format)
+    else:
+        print(",".join([key, *columns]))
+        for row in rows:
+            print(",".join(map(str, row.values())))
     return EXIT_OK
 
 

@@ -42,9 +42,7 @@ def document_json(doc: dict) -> str:
 
 
 def document_to_lattice(doc: dict) -> Lattice:
-    return as_lattice(
-        build_poset(doc["n"], [(int(a), int(b)) for a, b in doc["covers"]])
-    )
+    return as_lattice(build_poset(doc["n"], doc["covers"]))
 
 
 def dot_digraph(p: CoverDigraph, name: str) -> str:

@@ -83,10 +83,11 @@ def _three_reducible_block_reps(m: int):
 
     The reducibles sit on a spine bottom < mid < top.  A recipe is three
     bundles of parallel chains: ``low`` between bottom and mid, ``high``
-    between mid and top, ``outer`` from bottom to top avoiding mid.  A bundle
-    of one chain may be a bare cover (size 0); a bundle with parallel routes
-    needs every route non-empty.  Four shapes arise: mid meet-reducible only,
-    join-reducible only, both without outer chains, and both with them.
+    between mid and top, ``outer`` from bottom to top avoiding mid.  A low or
+    high bundle of one chain may be a bare cover (size 0), an outer bundle of
+    size 0 has no chain, and a bundle with parallel routes needs every route
+    non-empty.  Four shapes arise: mid meet-reducible only, join-reducible
+    only, both without outer chains, and both with them.
     """
     budget = m - 3
     for low_total in range(0, budget + 1):
@@ -94,7 +95,7 @@ def _three_reducible_block_reps(m: int):
             outer_total = budget - low_total - high_total
             for low in _bundles(low_total):
                 for high in _bundles(high_total):
-                    for outer in _outer_bundles(outer_total):
+                    for outer in _bundles(outer_total) if outer_total else ((),):
                         # two of the three "parallel routes here" flags must
                         # hold, else mid or an extreme stays irreducible
                         if (len(low) > 1) + (len(high) > 1) + bool(outer) < 2:
@@ -103,22 +104,16 @@ def _three_reducible_block_reps(m: int):
 
 
 def _bundles(total: int):
-    """Chain bundles between consecutive reducibles: sizes of the routes.
+    """Chain bundles between consecutive reducibles: sizes of the routes,
+    ``(total,)`` first, then every partition into 2..total parts.
 
     A single route may be empty (a bare cover); two or more parallel routes
-    must each carry at least one element.
+    must each carry at least one element.  Size 0 gives the bare cover
+    ``(0,)`` that a low or high bundle takes; an outer bundle of size 0 has
+    no chain, ``()``, which its caller supplies instead.
     """
     yield (total,)
     for width in range(2, total + 1):
-        yield from enumerate_partitions(total, width)
-
-
-def _outer_bundles(total: int):
-    """Bundles of bottom-to-top chains (possibly none)."""
-    if total == 0:
-        yield ()
-        return
-    for width in range(1, total + 1):
         yield from enumerate_partitions(total, width)
 
 

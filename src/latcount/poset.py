@@ -458,16 +458,15 @@ def contains_crown(l: Lattice) -> bool:
     A crown on 2s >= 6 elements is an alternating cycle of comparabilities
     with no further relations; the check below looks for a subset whose
     induced comparability graph is a single chordless cycle in which every
-    vertex sits below both neighbours or above both neighbours.
+    vertex sits below both neighbours or above both neighbours.  The
+    comparability of each element is read from its order masks,
+    ``up | down``.
     """
     n = l.n
-    comp = [0] * n  # symmetric strict comparability masks
-    for x in range(n):
-        for y in range(n):
-            if x != y and (l.le(x, y) or l.le(y, x)):
-                comp[x] |= 1 << y
+    # symmetric strict comparability masks
+    comp = [(l.up[x] | l.down[x]) & ~(1 << x) for x in range(n)]
     # bottom and top are comparable to everything and can never take part
-    pool = [v for v in range(n) if bin(comp[v]).count("1") < n - 1]
+    pool = [v for v in range(n) if comp[v].bit_count() < n - 1]
     for s in range(3, len(pool) // 2 + 1):
         for subset in combinations(pool, 2 * s):
             if _is_crown(subset, comp, l):
@@ -482,10 +481,8 @@ def _is_crown(subset: tuple[int, ...], comp: list[int], l: Lattice) -> bool:
     deg = {}
     for v in subset:
         inside = comp[v] & mask
-        if bin(inside).count("1") != 2:
-            return False
-        below = sum(1 for w in _bits(inside) if l.le(v, w))
-        if below not in (0, 2):
+        # two neighbours, both above v or both below it
+        if inside.bit_count() != 2 or (inside & l.up[v]).bit_count() == 1:
             return False
         deg[v] = inside
     # degree-2 everywhere with the right edge count leaves only disjoint

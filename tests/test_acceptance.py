@@ -182,13 +182,17 @@ def test_criterion_7_decomposition_laws():
 
 def test_criterion_8_dismantlable_iff_crown_free():
     with criterion("8 (dismantlable = crown-free)", 900.0):
-        totals = []
-        for n in range(2, 8):
+        totals, crowned = [], []
+        for n in range(2, 9):
             lattices = search_lattices(n)
             totals.append(len(lattices))
-            for lat in lattices.values():
-                assert is_dismantlable(lat) == (not contains_crown(lat))
-        assert totals == [1, 1, 2, 5, 15, 53]
+            flags = [contains_crown(lat) for lat in lattices.values()]
+            for lat, flag in zip(lattices.values(), flags):
+                assert is_dismantlable(lat) == (not flag)
+            crowned.append(sum(flags))
+        assert totals == [1, 1, 2, 5, 15, 53, 222]
+        # the cube is the one lattice on at most 8 elements with a crown
+        assert crowned == [0, 0, 0, 0, 0, 0, 1]
 
 
 def test_criterion_9_reduction_layer():

@@ -120,11 +120,6 @@ class TestTable:
         assert [list(r) for r in rows] == [["n", "l1", "l2", "l3", "l4", "total"]] * 2
         assert rows[1] == {"n": 7, "l1": 7, "l2": 7, "l3": 1, "l4": 0, "total": 15}
 
-    def test_bad_range_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--reducible", "2", "--n-from", "8", "--n-to", "4"])
-        assert exc.value.code == 2
-
     def test_edge_rows(self, capsys):
         assert main(["table", "--reducible", "3", "--n-from", "-2", "--n-to", "7"]) == 0
         assert capsys.readouterr().out == (
@@ -170,6 +165,43 @@ class TestBlocks:
             "7,1,2,2,0,0\n"
             "8,2,6,6,2,1\n"
         )
+
+    def test_edge_rows(self, capsys):
+        """Sizes below zero print zero rows, in CSV and in JSON."""
+        assert main(["blocks", "--m-from", "-2", "--m-to", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "m,two_reducible,b1,b2,b3,b4\n"
+            "-2,0,0,0,0,0\n"
+            "-1,0,0,0,0,0\n"
+            "0,0,0,0,0,0\n"
+        )
+        argv = ["blocks", "--m-from", "-2", "--m-to", "-1", "--format", "json"]
+        assert main(argv) == 0
+        zeros = dict.fromkeys(["two_reducible", "b1", "b2", "b3", "b4"], 0)
+        assert json.loads(capsys.readouterr().out) == [
+            {"m": -2, **zeros},
+            {"m": -1, **zeros},
+        ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["table", "--reducible", "2", "--n-from", "8", "--n-to", "4"],
+            "--n-from must not exceed --n-to",
+        ),
+        (["blocks", "--m-from", "9", "--m-to", "3"], "--m-from must not exceed --m-to"),
+    ],
+    ids=["table", "blocks"],
+)
+def test_bad_range_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"latcount: error: {message}\n")
 
 
 @pytest.mark.parametrize(

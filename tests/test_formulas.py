@@ -89,8 +89,8 @@ class TestThreeReducibleClasses:
 class TestLatticeFromBlockIdentities:
     """Each lattice count is the padding-weighted sum of its block counts."""
 
-    def check(self, lattices, blocks, smallest):
-        for n in range(smallest, 31):
+    def check(self, lattices, blocks, smallest, sizes=None):
+        for n in sizes or range(smallest, 31):
             assert lattices(n) == sum(
                 (j + 1) * blocks(n - j, k)
                 for j in range(0, n - smallest + 1)
@@ -104,15 +104,28 @@ class TestLatticeFromBlockIdentities:
         self.check(formulas.l3_lattices, formulas.b3_blocks, 7)
 
     def test_l4(self, memoized_sums):
-        self.check(formulas.l4_lattices, formulas.b4_blocks, 8)
+        # the flat F4 sums past 26 take seconds each: see test_l4_past_26
+        self.check(formulas.l4_lattices, formulas.b4_blocks, 8, range(8, 27))
+
+    @pytest.mark.slow
+    def test_l4_past_26(self, memoized_sums):
+        self.check(formulas.l4_lattices, formulas.b4_blocks, 8, range(27, 31))
 
     def test_two_reducible(self):
         self.check(formulas.two_reducible_lattices, formulas.two_reducible_blocks, 4)
 
 
 def test_counts_are_nonnegative_and_grow(memoized_sums):
-    values = [formulas.three_reducible_lattices(n) for n in range(1, 30)]
+    values = [formulas.three_reducible_lattices(n) for n in range(1, 27)]
     assert all(v >= 0 for v in values)
+    assert values == sorted(values)
+
+
+@pytest.mark.slow
+def test_counts_grow_past_26(memoized_sums):
+    """The tail of ``test_counts_are_nonnegative_and_grow``, from its last
+    size on, where the flat F4 sums take seconds each."""
+    values = [formulas.three_reducible_lattices(n) for n in range(26, 30)]
     assert values == sorted(values)
 
 

@@ -452,6 +452,26 @@ class TestClassSearch:
                     certs.add(cert)
                 assert len(certs) == len(oracle._block_table(m, r)), (m, r)
 
+    def test_recipe_sequence_is_pinned(self):
+        """The recipes for m = 1..15, two-reducible before three-reducible
+        at each m, in generation order.  The block tables keep their first
+        realizations in this order, so a change of bundle generator shows
+        here before it shows in a certificate."""
+        reps = [
+            rep
+            for m in range(1, 16)
+            for gen in (
+                oracle._two_reducible_block_reps,
+                oracle._three_reducible_block_reps,
+            )
+            for rep in gen(m)
+        ]
+        assert len(reps) == 14308
+        text = "\n".join(repr(rep) for rep in reps)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b1c6e771c6182ab529230378f80736ca3a5de8f5113bf1df1bdfd03061a58f22"
+        )
+
     def test_smallest_blocks_have_twice_the_reducibles(self):
         """The bound ``_build_tables`` sends to the pool: M2 has 4 elements,
         F1 and F2 have 6, and no block is smaller."""

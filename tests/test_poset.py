@@ -28,6 +28,7 @@ from latcount.poset import (
     maximal_chains_in_interval,
     meet_join,
     nullity,
+    relabel,
 )
 from latcount.reduction import f1, f3, f4, m2
 from class_reference import reference_class
@@ -407,6 +408,24 @@ class TestDismantlableAndCrown:
         c = cube()
         assert not is_dismantlable(c)
         assert contains_crown(c)
+
+    @pytest.mark.parametrize("s", [3, 4])
+    def test_bounded_crowns(self, s):
+        """The crown S_s with a bottom and a top (the cube for s = 3) is a
+        lattice on 2s + 2 elements, crowned and not dismantlable, under any
+        labels."""
+        bottom, top = 0, 2 * s + 1
+        lows, highs = range(1, s + 1), range(s + 1, 2 * s + 1)
+        covers = [(bottom, a) for a in lows] + [(b, top) for b in highs]
+        covers += [(a, highs[i]) for i, a in enumerate(lows)]
+        covers += [(a, highs[(i + 1) % s]) for i, a in enumerate(lows)]
+        rng = random.Random(s)
+        for _ in range(5):
+            perm = list(range(2 * s + 2))
+            rng.shuffle(perm)
+            lat = as_lattice(relabel(CoverDigraph(2 * s + 2, tuple(covers)), perm))
+            assert contains_crown(lat)
+            assert not is_dismantlable(lat)
 
 
 class TestMaximalChains:
