@@ -184,11 +184,10 @@ def test_criterion_8_dismantlable_iff_crown_free():
     with criterion("8 (dismantlable = crown-free)", 900.0):
         totals, crowned = [], []
         for n in range(2, 9):
-            lattices = search_lattices(n)
+            lattices = search_lattices(n).values()
             totals.append(len(lattices))
-            flags = [contains_crown(lat) for lat in lattices.values()]
-            for lat, flag in zip(lattices.values(), flags):
-                assert is_dismantlable(lat) == (not flag)
+            flags = [contains_crown(lat) for lat in lattices]
+            assert flags == [not is_dismantlable(lat) for lat in lattices]
             crowned.append(sum(flags))
         assert totals == [1, 1, 2, 5, 15, 53, 222]
         # the cube is the one lattice on at most 8 elements with a crown

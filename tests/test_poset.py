@@ -412,8 +412,8 @@ class TestDismantlableAndCrown:
     @pytest.mark.parametrize("s", [3, 4])
     def test_bounded_crowns(self, s):
         """The crown S_s with a bottom and a top (the cube for s = 3) is a
-        lattice on 2s + 2 elements, crowned and not dismantlable, under any
-        labels."""
+        lattice on 2s + 2 elements, crowned and not dismantlable, under five
+        seeded relabelings."""
         bottom, top = 0, 2 * s + 1
         lows, highs = range(1, s + 1), range(s + 1, 2 * s + 1)
         covers = [(bottom, a) for a in lows] + [(b, top) for b in highs]
