@@ -17,10 +17,11 @@ searched again, and each member inherits its block's F-class, which
 padding does not change.
 The tables are the costly part and the only unit of parallel work: with
 more than one worker, once the largest table this process lacks has
-``POOL_BREAK_EVEN`` elements or more, a fork pool builds the tables it
-lacks, one table per task, and this process pads their certificates; below
-that the pool would cost more than it saves, and each table is built here
-when it is first read.
+``POOL_BREAK_EVEN`` elements or more, the recipes of every table it lacks
+are dealt round this process and forked children (:func:`_build_tables`),
+and this process merges the blocks and pads their certificates; below that
+a fork would cost more than it saves, and each table is built here when it
+is first read.
 
 The constructive path and the search are deliberately separate.  Where
 they overlap they must produce identical certificate sets; the verify
@@ -30,8 +31,9 @@ disagreement.
 
 from __future__ import annotations
 
+import marshal
 import os
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple, NoReturn
 
 from . import canon, formulas
 from .adjunct import AdjunctPair, AdjunctRep, realize
@@ -47,16 +49,20 @@ from .reduction import FbbClass, UnexpectedClass
 from .search import FULL_SEARCH_LIMIT, _LEVELS, _reducible_split, census
 
 CLASS_SEARCH_LIMIT = 12
-# The smallest block size m at which a fork pool pays for itself: a run
+# The smallest block size m at which a fork split pays for itself: a run
 # forks only if the largest (m, r) table it lacks has at least this many
-# elements.  With a pool forked at every size, over 12 alternating cold
+# elements.  With the split forked at every size, over 12 alternating cold
 # pairs of ``enumerate --n N --reducible 3`` with one worker against two on
-# a 2-core x86 host (Python 3.11), two were faster at N = 10 in 3 pairs
-# (medians 0.16 s against 0.21 s), at N = 11 in 11 (0.29 s against 0.27 s),
-# at N = 12 in 11 (0.59 s against 0.52 s) and at N = 13 in 12 (1.29 s
-# against 0.98 s).  Two cost more CPU time at every N (0.29 s against
-# 0.34 s at N = 11), so N = 11, which saves 0.02 s, stays in-process.
-POOL_BREAK_EVEN = 12
+# a 2-core x86 host (Python 3.11, load average 0.3-0.8), two were faster at
+# N = 9 in 10 pairs (medians 0.181 s against 0.174 s, CPU +5%), at N = 10 in
+# 12 (0.254 s against 0.202 s, CPU -1%), at N = 11 in 10 (0.412 s against
+# 0.341 s, CPU +9%) and at N = 12 in 10 (0.818 s against 0.660 s, CPU
+# +12%).  N = 9, which saves 0.007 s for more CPU time, stays in-process.
+# Against the fork pool this split replaced, two workers at N = 12 took
+# 0.675 s instead of 0.826 s (faster in 10 of 12 pairs) and 0.945 s of CPU
+# instead of 1.103 s; ``verify --n-max 12`` took 0.704 s instead of 0.765 s
+# (10 of 12), and 0.975 s of CPU instead of 1.085 s.
+POOL_BREAK_EVEN = 10
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +163,22 @@ def _block_table(m: int, r: int) -> dict[Certificate, FbbClass]:
     table = _BLOCKS.get((m, r))
     if table is None:
         table = {}
-        reps = {2: _two_reducible_block_reps, 3: _three_reducible_block_reps}[r]
-        for rep in reps(m):
-            block = realize(rep)
-            cert = canonical_certificate(block.digraph)
-            if cert not in table:
-                table[cert] = _block_class(block)
+        for rep in _block_reps(m, r):
+            cert, fbb = _block_entry(rep)
+            table.setdefault(cert, fbb)
         _BLOCKS[m, r] = table
     return table
+
+
+def _block_reps(m: int, r: int):
+    """The recipes of the (m, r) block table, in the order it keeps them."""
+    return {2: _two_reducible_block_reps, 3: _three_reducible_block_reps}[r](m)
+
+
+def _block_entry(rep: AdjunctRep) -> tuple[Certificate, FbbClass]:
+    """The certificate and F-class of the block a recipe realizes."""
+    block = realize(rep)
+    return canonical_certificate(block.digraph), _block_class(block)
 
 
 def _block_class(l: Lattice) -> FbbClass:
@@ -217,10 +231,10 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, FbbCl
     """All unlabeled n-element lattices with exactly r in {2, 3} reducibles,
     by certificate, with their F-classes.
 
-    ``workers`` > 1 builds the missing block tables over processes, no more
-    than there are missing tables or CPUs, once the largest of them reaches
-    ``POOL_BREAK_EVEN`` elements; the padding runs here, and the result does
-    not depend on the worker count.
+    ``workers`` > 1 splits the recipes of the missing block tables over
+    processes, no more than there are recipes or CPUs, once the largest of
+    those tables reaches ``POOL_BREAK_EVEN`` elements; the padding runs
+    here, and the result does not depend on the worker count.
     """
     _check_class(n, r)
     _build_tables([(n - j, r) for j in range(n)], workers)
@@ -232,24 +246,91 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, FbbCl
 
 def _build_tables(keys, workers: int) -> None:
     """Build the block tables of the (m, r) ``keys`` that this process lacks
-    over a fork pool of up to ``workers`` processes, largest m first, and
-    keep them in ``_BLOCKS``.  The pool starts only if the largest missing
-    table has at least ``POOL_BREAK_EVEN`` elements.  Otherwise, and with
-    one worker, this builds nothing here: ``_block_table`` then builds each
-    table when it is first read, as it does for every m < 2r, where no
-    block exists (the smallest are M2 on 4 elements and F1/F2 on 6)."""
+    and keep them in ``_BLOCKS``, split over up to ``workers`` processes.
+
+    Nothing is built here with one worker, or unless the largest missing
+    table has at least ``POOL_BREAK_EVEN`` elements; ``_block_table`` then
+    builds each table when it is first read, as it does for every m < 2r,
+    where no block exists (the smallest are M2 on 4 elements and F1/F2 on
+    6).  Otherwise the recipes of every missing table, largest m first, are
+    dealt round ``size`` processes, no more than there are recipes or CPUs:
+    process i realizes, canonicalizes and classifies every size-th recipe
+    from recipe i.  This process is process 0 and the others are forked
+    children, each of which sends ``(index, cert.data, fbb.value)`` records
+    back over a pipe with ``marshal``.  Merged by recipe index, each table
+    keeps its blocks in the order of first realization, whatever the worker
+    count.  Every child is reaped before this returns or raises: killed
+    first if this process's own share raised, and reported as an error if
+    it exited with a non-zero status.  With one CPU, or where ``os.fork`` is
+    missing, this process builds every missing table alone.  The package
+    starts no thread, so forking is safe.
+    """
     wanted = {(m, r) for m, r in keys if m >= 2 * r}
     missing = sorted(wanted - _BLOCKS.keys(), reverse=True)
-    if not missing or missing[0][0] < POOL_BREAK_EVEN:
+    if workers < 2 or not missing or missing[0][0] < POOL_BREAK_EVEN:
         return
-    size = _pool_size(workers, len(missing))
-    if size > 1:
-        import multiprocessing  # loaded only by a run that forks
+    recipes = [(key, rep) for key in missing for rep in _block_reps(*key)]
+    size = _pool_size(workers, len(recipes)) if hasattr(os, "fork") else 1
+    entries: list = [None] * len(recipes)
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []  # the read end of each child's pipe
+    try:
+        for first in range(1, size):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_share(recipes, first, size, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        for k in range(0, len(recipes), size):
+            entries[k] = _block_entry(recipes[k][1])
+        shares = [pipe.read() for pipe in pipes]
+    except BaseException:
+        import signal  # loaded only where a split fails
 
-        with multiprocessing.get_context("fork").Pool(size) as pool:
-            # one table per task: larger chunks pair the two largest tables
-            tables = pool.starmap(_block_table, missing, chunksize=1)
-        _BLOCKS.update(zip(missing, tables))
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, code in zip(pids, codes):
+        if code:
+            raise RuntimeError(f"block table worker {pid} exited with status {code}")
+    for share in shares:
+        for k, data, value in marshal.loads(share):
+            entries[k] = Certificate(data), FbbClass(value)
+    tables: dict = {key: {} for key in missing}
+    for (key, _), (cert, fbb) in zip(recipes, entries):
+        tables[key].setdefault(cert, fbb)
+    _BLOCKS.update(tables)
+
+
+def _send_share(recipes, first: int, step: int, write: int) -> NoReturn:
+    """In a forked child: the entries of recipes first, first + step, ...,
+    as ``(index, cert.data, fbb.value)`` records marshalled to the pipe
+    ``write``.  The child leaves through ``os._exit``, so it flushes none
+    of the stdio buffers it inherited and runs no atexit handler; a failure
+    prints its traceback to stderr and exits with status 1."""
+    status = 1
+    try:
+        records = []
+        for k in range(first, len(recipes), step):
+            cert, fbb = _block_entry(recipes[k][1])
+            records.append((k, cert.data, fbb.value))
+        with open(write, "wb") as pipe:
+            marshal.dump(records, pipe)
+        status = 0
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
 
 
 def _pool_size(requested: int, tasks: int) -> int:
@@ -307,7 +388,7 @@ def verify(n_max: int, workers: int = 1) -> list[VerifyRecord]:
         raise SizeLimitExceeded(
             f"verification capped at {CLASS_SEARCH_LIMIT} elements"
         )
-    # every table of the run at once, so that one pool builds them all
+    # every table of the run at once, so that one split builds them all
     _build_tables([(m, r) for m in range(1, n_max + 1) for r in (2, 3)], workers)
     records: list[VerifyRecord] = []
     for n in range(1, n_max + 1):

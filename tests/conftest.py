@@ -1,3 +1,4 @@
+import os
 from functools import cache
 
 import pytest
@@ -39,13 +40,36 @@ def fresh_tables(monkeypatch):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Let this process see two CPUs, so that two workers may fork."""
+    """Let this process see two CPUs, so that two workers may fork.  After
+    the test, the process must have no child left: a test whose run leaks
+    a block table worker fails here, where it leaked."""
     monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
 def eager_pool(monkeypatch, two_cpus):
-    """Let a run with two or more workers fork a pool of two whatever the
-    size of its tables, so that the pool stays tested on tables far below
-    ``oracle.POOL_BREAK_EVEN``."""
+    """Let a run with two or more workers split its tables over two
+    processes whatever their size, so that the split stays tested on tables
+    far below ``oracle.POOL_BREAK_EVEN``.  ``two_cpus`` checks after the
+    test that no worker is left."""
     monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 0)
+
+
+@pytest.fixture
+def split_keys(monkeypatch) -> list:
+    """The (m, r) keys of the tables that ``oracle._build_tables`` adds to
+    the block tables from now on, in the order it adds them: the tables a
+    split builds.  With one worker or below the break-even it adds none."""
+    built = []
+    build = oracle._build_tables
+
+    def recorded(keys, workers):
+        before = set(oracle._BLOCKS)
+        build(keys, workers)
+        built.extend(key for key in oracle._BLOCKS if key not in before)
+
+    monkeypatch.setattr(oracle, "_build_tables", recorded)
+    return built

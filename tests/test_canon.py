@@ -458,7 +458,10 @@ def test_certificates_order_and_hash_as_their_bytes():
 
 
 def test_class_table_survives_pickle():
-    """The fork pool returns block tables through pickle."""
+    """A class table pickles to an equal table, in the same order, for a
+    caller that sends it between processes.  The package pickles nothing:
+    its forked workers send certificate bytes and class values through
+    ``marshal``."""
     table = oracle.reducible_class(8, 3)
     copy = pickle.loads(pickle.dumps(table))
     assert list(copy.items()) == list(table.items())

@@ -1,7 +1,6 @@
 import hashlib
 import importlib.util
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -360,8 +359,8 @@ class TestEnumerate:
             assert document_json(rebuilt) == line
 
     def test_deterministic_order(self, capsys, monkeypatch, fresh_tables, eager_pool):
-        """From empty tables each time, a pool of two prints what one
-        process prints."""
+        """From empty tables each time, a split over two processes prints
+        what one process prints."""
         main(["enumerate", "--n", "7", "--reducible", "2"])
         first = capsys.readouterr().out
         monkeypatch.setattr(oracle, "_BLOCKS", {})
@@ -369,22 +368,25 @@ class TestEnumerate:
         assert capsys.readouterr().out == first
 
     @pytest.mark.slow
-    def test_pool_at_full_size(self, capsys, monkeypatch, fresh_tables, two_cpus):
+    def test_pool_at_full_size(
+        self, capsys, monkeypatch, fresh_tables, two_cpus, split_keys
+    ):
         """At n = 12 the largest table reaches the break-even: from empty
-        tables each time, two workers fork one pool and print what one
-        process prints."""
-        context = multiprocessing.get_context("fork")
-        pools = []
-        pool = context.Pool
-        monkeypatch.setattr(context, "Pool", lambda *a: pools.append(a) or pool(*a))
+        tables each time, two workers fork one worker, split every table of
+        the run, and print what one process prints."""
+        forks = []
+        fork = oracle.os.fork
+        monkeypatch.setattr(oracle.os, "fork", lambda: forks.append(1) or fork())
         args = ["enumerate", "--n", "12", "--reducible", "3"]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert pools == []
+        assert forks == []
+        assert split_keys == []
         monkeypatch.setattr(oracle, "_BLOCKS", {})
         assert main([*args, "--workers", "2"]) == 0
         assert capsys.readouterr().out == first
-        assert pools == [(2,)]
+        assert forks == [1]
+        assert split_keys == [(m, 3) for m in range(12, 5, -1)]
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "class.jsonl"

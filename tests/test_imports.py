@@ -127,6 +127,27 @@ def test_single_process_runs_load_no_pool(code):
     assert "multiprocessing" not in loaded
 
 
+# ``enumerate --n 10 --reducible 3 --workers 2`` with two CPUs visible; it
+# must fork one block table worker, or the interpreter fails.
+FORKING_ENUMERATE_10 = """
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+latcount.cli.main(['enumerate', '--n', '10', '--reducible', '3', '--workers', '2'])
+assert forks == [1], forks
+"""
+
+
+def test_forking_run_loads_no_pool():
+    """A run that splits its block tables over a forked worker loads no
+    ``multiprocessing`` either."""
+    loaded = loaded_by(FORKING_ENUMERATE_10)
+    assert "latcount.oracle" in loaded
+    assert "multiprocessing" not in loaded
+
+
 def test_census_loads_the_search_alone():
     """The search oracle is independent of what it checks: a cold census
     loads neither the constructive path nor the recipes, partitions and

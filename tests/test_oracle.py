@@ -1,7 +1,8 @@
 import hashlib
-import multiprocessing
-import multiprocessing.pool
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -115,20 +116,6 @@ def _count_calls(monkeypatch, module, name) -> list[int]:
 
     monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def _record_starmap(monkeypatch) -> list:
-    """Record the task arguments of every ``Pool.starmap`` from now on."""
-    sent = []
-    starmap = multiprocessing.pool.Pool.starmap
-
-    def recorded(self, func, iterable, *args, **kwargs):
-        iterable = list(iterable)
-        sent.extend(iterable)
-        return starmap(self, func, iterable, *args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", recorded)
-    return sent
 
 
 class TestFullSearch:
@@ -485,42 +472,61 @@ class TestClassSearch:
         """Below m = 2r every table is empty, so a class search that reads
         only such tables builds them in-process, however many workers, even
         with no break-even to reach."""
-        pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
+        forks = _count_calls(monkeypatch, oracle.os, "fork")
         assert reducible_class(3, 2, workers=2) == {}
         assert reducible_class(5, 3, workers=2) == {}
-        assert pools == [0]
+        assert forks == [0]
 
     def test_worker_count_does_not_change_output(
         self, monkeypatch, fresh_tables, eager_pool
     ):
-        """From empty tables each time, one process and a pool of two give
-        the same members in the same order; only the pool forks."""
-        pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
+        """From empty tables each time, one process and a split over two
+        give the same members in the same order; only the split forks."""
+        forks = _count_calls(monkeypatch, oracle.os, "fork")
 
         def members(workers):
             monkeypatch.setattr(oracle, "_BLOCKS", {})
             return list(reducible_class(8, 3, workers=workers).items())
 
         solo = members(1)
-        assert pools == [0]
+        assert forks == [0]
         assert members(2) == solo
-        assert pools == [1]
+        assert forks == [1]
         assert enumerate_by_reducible(8, 3, workers=2) == {cert for cert, _ in solo}
+
+    def test_one_cpu_or_no_fork_builds_in_process(
+        self, monkeypatch, fresh_tables, eager_pool
+    ):
+        """Two workers on one CPU, or where ``os.fork`` is missing, fork
+        nothing and build the same tables in this process."""
+        solo = list(reducible_class(8, 3).items())
+        forks = _count_calls(monkeypatch, oracle.os, "fork")
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(oracle, "_BLOCKS", {})
+        assert list(reducible_class(8, 3, workers=2).items()) == solo
+        assert forks == [0]
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(oracle.os, "fork")
+        monkeypatch.setattr(oracle, "_BLOCKS", {})
+        assert list(reducible_class(8, 3, workers=2).items()) == solo
+        assert forks == [0]
 
     def test_tables_below_break_even_fork_no_pool(
         self, monkeypatch, fresh_tables, two_cpus
     ):
-        """From empty tables each time, the tables of n = 10 are too small
-        for a pool to pay: two workers build them in-process, as one does,
-        and give the same members in the same order."""
-        pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
+        """From empty tables each time, the tables of the largest n below
+        the break-even are too small for a split to pay: two workers build
+        them in-process, as one does, and give the same members in the same
+        order."""
+        forks = _count_calls(monkeypatch, oracle.os, "fork")
+        n = oracle.POOL_BREAK_EVEN - 1
 
         def members(workers):
             monkeypatch.setattr(oracle, "_BLOCKS", {})
-            return list(reducible_class(10, 3, workers=workers).items())
+            return list(reducible_class(n, 3, workers=workers).items())
 
         assert members(2) == members(1)
-        assert pools == [0]
+        assert forks == [0]
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitExceeded):
@@ -741,22 +747,26 @@ class TestVerify:
         assert retractions == [[0], [0], [0]]
 
     def test_one_pool_per_run(self, monkeypatch, fresh_tables, eager_pool):
-        """From empty tables, a pooled ``verify`` forks its workers once; a
+        """From empty tables, a split ``verify`` forks its worker once; a
         later class search whose tables are all present forks none."""
-        context = multiprocessing.get_context("fork")
-        pools = _count_calls(monkeypatch, context, "Pool")
+        forks = _count_calls(monkeypatch, oracle.os, "fork")
         assert _agrees(verify(9, workers=2))
-        assert pools == [1]
+        assert forks == [1]
         reducible_class(9, 3, workers=2)
-        assert pools == [1]
+        assert forks == [1]
 
     def test_pool_builds_each_table_once_per_run(
-        self, monkeypatch, fresh_tables, eager_pool
+        self, monkeypatch, fresh_tables, eager_pool, split_keys
     ):
-        """A pooled ``verify`` sends the pool every (m, r) table it reads
-        that holds a block, each once and the largest first, and the parent
-        keeps them all."""
-        sent = _record_starmap(monkeypatch)
+        """A split ``verify`` builds every (m, r) table it reads that holds
+        a block, each once and the largest first, and the parent keeps them
+        all; the parent lists each table's recipes once."""
+        built = split_keys
+        listed = []
+        reps = oracle._block_reps
+        monkeypatch.setattr(
+            oracle, "_block_reps", lambda m, r: listed.append((m, r)) or reps(m, r)
+        )
         # the run still goes through the public entry point, which the
         # benchmark's tracer times
         classes = []
@@ -768,12 +778,14 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "reducible_class", counted)
         assert _agrees(verify(9, workers=2))
-        assert len(sent) == len(set(sent)) == 10  # (m, r) for 2r <= m <= 9
-        assert set(sent) == {(m, r) for m, r in oracle._BLOCKS if m >= 2 * r}
-        assert sent == sorted(sent, reverse=True)
+        assert len(built) == len(set(built)) == 10  # (m, r) for 2r <= m <= 9
+        assert set(built) == {(m, r) for m, r in oracle._BLOCKS if m >= 2 * r}
+        assert built == sorted(built, reverse=True)
         # every other table read is empty, built in the parent without a block
         assert len(oracle._BLOCKS) == 18
-        assert all(not oracle._BLOCKS[key] for key in oracle._BLOCKS.keys() - set(sent))
+        assert all(not oracle._BLOCKS[key] for key in oracle._BLOCKS.keys() - set(built))
+        assert len(listed) == len(set(listed)) == 18
+        assert listed[:10] == built
         assert len(classes) == 18  # two per size
 
     def test_verify_below_break_even_forks_no_pool(
@@ -781,38 +793,109 @@ class TestVerify:
     ):
         """From empty tables each time, ``verify(9)`` with two workers
         forks nothing and reports what one worker reports."""
-        pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
+        assert oracle.POOL_BREAK_EVEN > 9
+        forks = _count_calls(monkeypatch, oracle.os, "fork")
         solo = verify(9)
         monkeypatch.setattr(oracle, "_BLOCKS", {})
         assert verify(9, workers=2) == solo
         assert _agrees(solo)
-        assert pools == [0]
+        assert forks == [0]
 
-    def test_pool_starts_at_break_even(self, monkeypatch, fresh_tables, two_cpus):
-        """The pool starts once the largest table a run still lacks reaches
-        the break-even, and builds only the tables the run lacks.  The
-        break-even drops to 9 here, so no table of 12 elements is built."""
+    def test_pool_starts_at_break_even(
+        self, monkeypatch, fresh_tables, two_cpus, split_keys
+    ):
+        """The split starts once the largest table a run still lacks
+        reaches the break-even, and builds only the tables the run lacks.
+        The break-even drops to 9 here, so that a short run reaches it."""
         # some class search can reach the real break-even
         assert oracle.POOL_BREAK_EVEN <= CLASS_SEARCH_LIMIT
         monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 9)
-        pools = _count_calls(monkeypatch, multiprocessing.get_context("fork"), "Pool")
-        sent = _record_starmap(monkeypatch)
+        forks = _count_calls(monkeypatch, oracle.os, "fork")
         reducible_class(8, 3, workers=2)  # lacks (8, 3), (7, 3), (6, 3)
-        assert pools == [0]
+        assert forks == [0]
+        assert split_keys == []
         assert _agrees(verify(9, workers=2))
-        assert pools == [1]
-        assert sent == [(9, 3), (9, 2), (8, 2), (7, 2), (6, 2), (5, 2), (4, 2)]
+        assert forks == [1]
+        assert split_keys == [(9, 3), (9, 2), (8, 2), (7, 2), (6, 2), (5, 2), (4, 2)]
 
     def test_worker_tables_reach_the_parent(
         self, monkeypatch, fresh_tables, eager_pool
     ):
-        """Block tables built in pool workers are sent back to the parent,
-        so its padding and ``block_census`` realize nothing again."""
-        # counts in the parent only: workers count in their own copy
+        """The blocks a forked worker builds are sent back to the parent,
+        which realizes its own share of the recipes, every second one from
+        the first, and nothing after the split: its padding and
+        ``block_census`` realize nothing again."""
+        # counts in the parent only: the worker counts in its own copy
         calls = _count_calls(monkeypatch, oracle, "realize")
+        after_split = []
+        build = oracle._build_tables
+
+        def recorded(keys, workers):
+            build(keys, workers)
+            after_split.append(calls[0])
+
+        monkeypatch.setattr(oracle, "_build_tables", recorded)
         assert _agrees(verify(9, workers=2))
+        # 187 recipes, one block each, over two processes
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
-        assert calls == [0]
+        assert after_split[0] == len(range(0, 187, 2)) == 94
+        assert calls == [94]
+
+    def test_worker_failure_raises_in_the_parent(
+        self, monkeypatch, capfd, fresh_tables, eager_pool
+    ):
+        """A ``_block_class`` that raises on a recipe the forked worker owns
+        makes the class search raise in the parent, once the worker is
+        reaped; the worker prints its traceback, and no table is kept."""
+        parent = os.getpid()
+        classify = oracle._block_class
+
+        def failing(l):
+            if os.getpid() != parent:
+                raise UnexpectedClass("raised in the worker")
+            return classify(l)
+
+        monkeypatch.setattr(oracle, "_block_class", failing)
+        with pytest.raises(RuntimeError, match="exited with status 1"):
+            reducible_class(8, 3, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert "UnexpectedClass: raised in the worker" in capfd.readouterr().err
+        assert oracle._BLOCKS == {}
+
+    def test_parent_failure_kills_and_reaps_the_worker(
+        self, monkeypatch, fresh_tables, eager_pool
+    ):
+        """A ``_block_class`` that raises on a recipe the parent owns kills
+        and reaps the forked worker before the error propagates.  The
+        worker's own share would take a minute, so only the kill ends it in
+        time."""
+        parent = os.getpid()
+
+        def failing(l):
+            if os.getpid() == parent:
+                raise UnexpectedClass("raised in the parent")
+            time.sleep(60)
+
+        reaped = []
+        waitpid = os.waitpid
+
+        def recorded(pid, options):
+            done = waitpid(pid, options)
+            reaped.append(done)
+            return done
+
+        monkeypatch.setattr(oracle, "_block_class", failing)
+        monkeypatch.setattr(oracle.os, "waitpid", recorded)
+        start = time.monotonic()
+        with pytest.raises(UnexpectedClass, match="raised in the parent"):
+            reducible_class(8, 3, workers=2)
+        assert time.monotonic() - start < 30
+        [(pid, status)] = reaped
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        with pytest.raises(ChildProcessError):
+            waitpid(-1, os.WNOHANG)
+        assert oracle._BLOCKS == {}
 
 
 def test_certificates_decode_to_members():
