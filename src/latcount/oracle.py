@@ -17,7 +17,7 @@ searched again, and each member inherits its block's F-class, which
 padding does not change.
 The tables are the costly part and the only unit of parallel work: with
 more than one worker, once the largest table this process lacks has
-``POOL_BREAK_EVEN`` elements or more, the recipes of every table it lacks
+``SPLIT_BREAK_EVEN`` elements or more, the recipes of every table it lacks
 are dealt round this process and forked children (:func:`_build_tables`),
 and this process merges the blocks and pads their certificates; below that
 a fork would cost more than it saves, and each table is built here when it
@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import marshal
 import os
+from functools import cache
+from itertools import combinations, product
 from typing import BinaryIO, NamedTuple, NoReturn
 
 from . import canon, formulas
@@ -62,7 +64,7 @@ CLASS_SEARCH_LIMIT = 12
 # 0.675 s instead of 0.826 s (faster in 10 of 12 pairs) and 0.945 s of CPU
 # instead of 1.103 s; ``verify --n-max 12`` took 0.704 s instead of 0.765 s
 # (10 of 12), and 0.975 s of CPU instead of 1.085 s.
-POOL_BREAK_EVEN = 10
+SPLIT_BREAK_EVEN = 10
 
 
 # ---------------------------------------------------------------------------
@@ -70,77 +72,78 @@ POOL_BREAK_EVEN = 10
 # ---------------------------------------------------------------------------
 
 
-def _two_reducible_block_reps(m: int):
-    """Adjunct recipes for blocks on m elements with exactly 2 reducibles.
+def _block_reps(m: int, r: int):
+    """Adjunct recipes for the blocks on m elements with exactly r
+    reducibles, in the order the (m, r) block table keeps them.
 
-    A bundle (:func:`_bundles`) of two or more parallel chains holds the
-    m - 2 elements between bottom and top; its first chain lies on the
-    spine, and every other chain is glued at the bottom/top pair.
+    The reducibles sit on a spine b0 < ... < b(r-1), and each spine pair
+    (:func:`_spine_pairs`) gets a bundle (:func:`_bundles`) of parallel
+    chains between its ends; the first chain of a consecutive pair's bundle
+    lies on the spine.  The bundle totals run over the compositions of the
+    m - r other elements in pair order, and the bundles over their product.
+    A recipe is kept only when every b is reducible (:func:`_spine_reducible`).
     """
-    for bundle in _bundles(m - 2):
-        if len(bundle) > 1:
-            spine = bundle[0] + 2
-            pairs = (AdjunctPair(0, spine - 1),) * (len(bundle) - 1)
-            yield AdjunctRep(chains=(spine, *bundle[1:]), pairs=pairs)
+    pairs = _spine_pairs(r)
+    for totals in _compositions(m - r, len(pairs)):
+        options = [_bundles(total, j > i + 1) for (i, j), total in zip(pairs, totals)]
+        for bundles in product(*options):
+            if not _spine_reducible(r, tuple(map(len, bundles))):
+                continue
+            b = [0]  # the spine label of each b
+            chains, glue = [0], []  # the spine's length goes first, once b is known
+            for (i, j), bundle in zip(pairs, bundles):
+                if j == i + 1:
+                    b.append(b[i] + bundle[0] + 1)
+                    bundle = bundle[1:]
+                chains += bundle
+                glue += [AdjunctPair(b[i], b[j])] * len(bundle)
+            chains[0] = b[-1] + 1
+            yield AdjunctRep(tuple(chains), tuple(glue))
 
 
-def _three_reducible_block_reps(m: int):
-    """Adjunct recipes for blocks on m elements with exactly 3 reducibles.
+def _spine_pairs(r: int) -> list[tuple[int, int]]:
+    """The pairs i < j of the spine: consecutive first, then those that skip a b."""
+    return sorted(combinations(range(r), 2), key=lambda p: (p[1] > p[0] + 1, p))
 
-    The reducibles sit on a spine bottom < mid < top.  A recipe is three
-    bundles of parallel chains: ``low`` between bottom and mid, ``high``
-    between mid and top, ``outer`` from bottom to top avoiding mid.  A low or
-    high bundle of one chain may be a bare cover (size 0), an outer bundle of
-    size 0 has no chain, and a bundle with parallel routes needs every route
-    non-empty.  Four shapes arise: mid meet-reducible only, join-reducible
-    only, both without outer chains, and both with them.
+
+@cache
+def _spine_reducible(r: int, widths: tuple[int, ...]) -> bool:
+    """Whether every b is reducible, with ``widths[k]`` chains between the
+    ends of the k-th spine pair.  A chain element has one upper and one
+    lower cover, so b0 needs two or more upper covers, b(r-1) two or more
+    lower covers, and a middle b two or more of either."""
+    ups, downs = [0] * r, [0] * r
+    for (i, j), width in zip(_spine_pairs(r), widths):
+        ups[i] += width
+        downs[j] += width
+    return min(map(max, ups, downs)) > 1
+
+
+def _compositions(total: int, parts: int):
+    """Every ``parts``-tuple of non-negative terms summing to total, in
+    lexicographic order; none for a negative total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+@cache
+def _bundles(total: int, skips: bool) -> tuple[tuple[int, ...], ...]:
+    """The chain bundles with ``total`` elements between the ends of a pair,
+    as chain sizes: ``(total,)``, then every partition into 2..total parts.
+
+    A consecutive pair's single chain may be empty, a bare cover ``(0,)``;
+    a pair that skips a b (``skips``) has no chain, ``()``, when its total
+    is 0.  Two or more parallel chains each carry at least one element.
     """
-    budget = m - 3
-    for low_total in range(0, budget + 1):
-        for high_total in range(0, budget - low_total + 1):
-            outer_total = budget - low_total - high_total
-            for low in _bundles(low_total):
-                for high in _bundles(high_total):
-                    for outer in _bundles(outer_total) if outer_total else ((),):
-                        # two of the three "parallel routes here" flags must
-                        # hold, else mid or an extreme stays irreducible
-                        if (len(low) > 1) + (len(high) > 1) + bool(outer) < 2:
-                            continue
-                        yield _bundle_rep(low, high, outer)
-
-
-def _bundles(total: int):
-    """Chain bundles between consecutive reducibles: sizes of the routes,
-    ``(total,)`` first, then every partition into 2..total parts.
-
-    A single route may be empty (a bare cover); two or more parallel routes
-    must each carry at least one element.  Size 0 gives the bare cover
-    ``(0,)`` that a low or high bundle takes; an outer bundle of size 0 has
-    no chain, ``()``, which its caller supplies instead.
-    """
-    yield (total,)
-    for width in range(2, total + 1):
-        yield from enumerate_partitions(total, width)
-
-
-def _bundle_rep(low, high, outer) -> AdjunctRep:
-    low_spine, low_rest = low[0], low[1:]
-    high_spine, high_rest = high[0], high[1:]
-    bottom = 0
-    mid = low_spine + 1
-    top = low_spine + high_spine + 2
-    chains = [top + 1]
-    pairs = []
-    for size in low_rest:
-        chains.append(size)
-        pairs.append(AdjunctPair(bottom, mid))
-    for size in high_rest:
-        chains.append(size)
-        pairs.append(AdjunctPair(mid, top))
-    for size in outer:
-        chains.append(size)
-        pairs.append(AdjunctPair(bottom, top))
-    return AdjunctRep(tuple(chains), tuple(pairs))
+    if skips and not total:
+        return ((),)
+    widths = range(2, total + 1)
+    return ((total,), *(p for w in widths for p in enumerate_partitions(total, w)))
 
 
 def _check_class(n: int, r: int) -> None:
@@ -168,11 +171,6 @@ def _block_table(m: int, r: int) -> dict[Certificate, FbbClass]:
             table.setdefault(cert, fbb)
         _BLOCKS[m, r] = table
     return table
-
-
-def _block_reps(m: int, r: int):
-    """The recipes of the (m, r) block table, in the order it keeps them."""
-    return {2: _two_reducible_block_reps, 3: _three_reducible_block_reps}[r](m)
 
 
 def _block_entry(rep: AdjunctRep) -> tuple[Certificate, FbbClass]:
@@ -233,7 +231,7 @@ def reducible_class(n: int, r: int, workers: int = 1) -> dict[Certificate, FbbCl
 
     ``workers`` > 1 splits the recipes of the missing block tables over
     processes, no more than there are recipes or CPUs, once the largest of
-    those tables reaches ``POOL_BREAK_EVEN`` elements; the padding runs
+    those tables reaches ``SPLIT_BREAK_EVEN`` elements; the padding runs
     here, and the result does not depend on the worker count.
     """
     _check_class(n, r)
@@ -249,7 +247,7 @@ def _build_tables(keys, workers: int) -> None:
     and keep them in ``_BLOCKS``, split over up to ``workers`` processes.
 
     Nothing is built here with one worker, or unless the largest missing
-    table has at least ``POOL_BREAK_EVEN`` elements; ``_block_table`` then
+    table has at least ``SPLIT_BREAK_EVEN`` elements; ``_block_table`` then
     builds each table when it is first read, as it does for every m < 2r,
     where no block exists (the smallest are M2 on 4 elements and F1/F2 on
     6).  Otherwise the recipes of every missing table, largest m first, are
@@ -267,10 +265,10 @@ def _build_tables(keys, workers: int) -> None:
     """
     wanted = {(m, r) for m, r in keys if m >= 2 * r}
     missing = sorted(wanted - _BLOCKS.keys(), reverse=True)
-    if workers < 2 or not missing or missing[0][0] < POOL_BREAK_EVEN:
+    if workers < 2 or not missing or missing[0][0] < SPLIT_BREAK_EVEN:
         return
     recipes = [(key, rep) for key in missing for rep in _block_reps(*key)]
-    size = _pool_size(workers, len(recipes)) if hasattr(os, "fork") else 1
+    size = _split_size(workers, len(recipes)) if hasattr(os, "fork") else 1
     entries: list = [None] * len(recipes)
     pids: list[int] = []
     pipes: list[BinaryIO] = []  # the read end of each child's pipe
@@ -333,7 +331,7 @@ def _send_share(recipes, first: int, step: int, write: int) -> NoReturn:
         os._exit(status)
 
 
-def _pool_size(requested: int, tasks: int) -> int:
+def _split_size(requested: int, tasks: int) -> int:
     """Worker processes to start: at least one, and no more than the tasks
     or the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):

@@ -6,7 +6,7 @@ the largest size asked for; x marks an element.  Series are built on
 demand, and P and every y-row below come from one primitive, ``_divide``:
 dividing by 1 − xʲ in place.
 
-The factors follow the recipes of ``oracle._three_reducible_block_reps``.
+The factors follow the recipes of ``oracle._block_reps``.
 A 3-reducible block has its reducibles on a spine bottom < mid < top
 (the factor x³) and three bundles of parallel chains, or routes: ``low``
 between bottom and mid, ``high`` between mid and top, ``outer`` from bottom

@@ -21,18 +21,12 @@ from latcount.canon import Certificate, canonical_certificate
 from latcount.poset import Lattice, as_lattice, chain
 from latcount.reduction import FbbClass
 
-RECIPES = {
-    2: oracle._two_reducible_block_reps,
-    3: oracle._three_reducible_block_reps,
-}
-
-
 @cache
 def reference_blocks(m: int, r: int) -> dict[Certificate, Lattice]:
     """The blocks on m elements with exactly r reducibles, by certificate:
     the first realization of each in recipe order."""
     blocks: dict[Certificate, Lattice] = {}
-    for rep in RECIPES[r](m):
+    for rep in oracle._block_reps(m, r):
         block = realize(rep)
         blocks.setdefault(canonical_certificate(block.digraph), block)
     return blocks

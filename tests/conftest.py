@@ -50,12 +50,12 @@ def two_cpus(monkeypatch):
 
 
 @pytest.fixture
-def eager_pool(monkeypatch, two_cpus):
+def eager_split(monkeypatch, two_cpus):
     """Let a run with two or more workers split its tables over two
     processes whatever their size, so that the split stays tested on tables
-    far below ``oracle.POOL_BREAK_EVEN``.  ``two_cpus`` checks after the
+    far below ``oracle.SPLIT_BREAK_EVEN``.  ``two_cpus`` checks after the
     test that no worker is left."""
-    monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 0)
+    monkeypatch.setattr(oracle, "SPLIT_BREAK_EVEN", 0)
 
 
 @pytest.fixture

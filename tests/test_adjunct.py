@@ -129,11 +129,8 @@ class TestRealize:
         recipes = [
             rep
             for m in range(1, 11)
-            for reps in (
-                oracle._two_reducible_block_reps,
-                oracle._three_reducible_block_reps,
-            )
-            for rep in reps(m)
+            for r in (2, 3)
+            for rep in oracle._block_reps(m, r)
         ]
         assert len(recipes) == 443
         for rep in recipes + nested:

@@ -358,7 +358,7 @@ class TestEnumerate:
             rebuilt = lattice_document(document_to_lattice(doc).digraph)
             assert document_json(rebuilt) == line
 
-    def test_deterministic_order(self, capsys, monkeypatch, fresh_tables, eager_pool):
+    def test_deterministic_order(self, capsys, monkeypatch, fresh_tables, eager_split):
         """From empty tables each time, a split over two processes prints
         what one process prints."""
         main(["enumerate", "--n", "7", "--reducible", "2"])

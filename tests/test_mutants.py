@@ -101,14 +101,14 @@ def test_dropped_block_recipe_fails_its_cells(monkeypatch, fresh_tables):
     dropped: its F1 block is lost from the block stratum, from both
     lattice classes it pads into, and from the comparison with the
     search."""
-    recipes = oracle._three_reducible_block_reps
+    recipes = oracle._block_reps
 
-    def mutant(m):
-        for i, rep in enumerate(recipes(m)):
-            if (m, i) != (8, 5):
+    def mutant(m, r):
+        for i, rep in enumerate(recipes(m, r)):
+            if (m, r, i) != (8, 3, 5):
                 yield rep
 
-    monkeypatch.setattr(oracle, "_three_reducible_block_reps", mutant)
+    monkeypatch.setattr(oracle, "_block_reps", mutant)
     flagged = {(r.n, r.name) for r in oracle.verify(9) if r.ok is False}
     assert flagged == {
         (8, "b1_blocks[k=2]"), (8, "f1"),

@@ -15,7 +15,7 @@ from latcount.oracle import (
     block_census,
     enumerate_by_reducible,
     reducible_class,
-    _pool_size,
+    _split_size,
     verify,
 )
 from latcount.search import FULL_SEARCH_LIMIT, census, enumerate_all_lattices
@@ -400,58 +400,59 @@ class TestClassSearch:
             tag = classify_fbb(lat)
             assert classify_fbb(mirrored) is swap.get(tag, tag)
 
-    def test_pool_size_is_clamped(self, monkeypatch, two_cpus):
-        """The CPUs this process may run on bound the pool, not the CPUs of
+    def test_split_size_is_clamped(self, monkeypatch, two_cpus):
+        """The CPUs this process may run on bound the split, not the CPUs of
         the machine; without an affinity call the machine's count does."""
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-        assert _pool_size(10**9, 12) == 2
-        assert _pool_size(8, 1) == 1
-        assert _pool_size(1, 12) == 1
-        assert _pool_size(0, 12) == 1
-        assert _pool_size(-3, 12) == 1
+        assert _split_size(10**9, 12) == 2
+        assert _split_size(8, 1) == 1
+        assert _split_size(1, 12) == 1
+        assert _split_size(0, 12) == 1
+        assert _split_size(-3, 12) == 1
         # pinned to one CPU, as under ``taskset -c 0``
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0})
-        assert _pool_size(2, 10) == 1
+        assert _split_size(2, 10) == 1
         monkeypatch.delattr(oracle.os, "sched_getaffinity")
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
-        assert _pool_size(4, 12) == 1
+        assert _split_size(4, 12) == 1
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-        assert _pool_size(10**9, 5) == 5
-        assert _pool_size(3, 5) == 3
+        assert _split_size(10**9, 5) == 5
+        assert _split_size(3, 5) == 3
 
     def test_recipes_realize_distinct_blocks_with_r_reducibles(self):
-        """Every recipe for m <= ``CLASS_SEARCH_LIMIT`` realizes to a block
-        with exactly r reducibles, and no two to isomorphic blocks.
-        ``_block_table`` counts no reducibles, so this test guards the
-        recipes themselves."""
-        recipes = {
-            2: oracle._two_reducible_block_reps,
-            3: oracle._three_reducible_block_reps,
+        """Every recipe for r in {2, 3} and m <= ``CLASS_SEARCH_LIMIT``
+        realizes to a block with exactly r reducibles, and no two to
+        isomorphic blocks.  ``_block_table`` counts no reducibles, so this
+        test guards the recipes themselves.  Past r = 3 a spine has more
+        than one middle element, and the degree rule must check each of
+        them.  Padded by chains, the r = 4 blocks counted here give 1, 11,
+        72 and 357 lattices on 6..9 elements and the r = 5 blocks 7 and
+        108 on 8 and 9, whose reducibles form a chain.  ``_block_class``
+        raises past r = 3, so those sizes have no block table."""
+        sizes = {
+            (m, r): None for m in range(4, CLASS_SEARCH_LIMIT + 1) for r in (2, 3)
         }
-        for m in range(4, CLASS_SEARCH_LIMIT + 1):
-            for r, reps in recipes.items():
-                certs = set()
-                for rep in reps(m):
-                    block = oracle.realize(rep)
-                    assert len(classify_elements(block).red) == r, rep
-                    cert = canonical_certificate(block.digraph)
-                    assert cert not in certs, rep
-                    certs.add(cert)
-                assert len(certs) == len(oracle._block_table(m, r)), (m, r)
+        sizes.update({(6, 4): 1, (7, 4): 9, (8, 4): 51, (9, 4): 224})
+        sizes.update({(8, 5): 7, (9, 5): 94})
+        for (m, r), count in sizes.items():
+            certs = set()
+            for rep in oracle._block_reps(m, r):
+                block = oracle.realize(rep)
+                assert len(classify_elements(block).red) == r, rep
+                cert = canonical_certificate(block.digraph)
+                assert cert not in certs, rep
+                certs.add(cert)
+            if count is None:
+                count = len(oracle._block_table(m, r))
+            assert len(certs) == count, (m, r)
 
     def test_recipe_sequence_is_pinned(self):
-        """The recipes for m = 1..15, two-reducible before three-reducible
-        at each m, in generation order.  The block tables keep their first
-        realizations in this order, so a change of bundle generator shows
-        here before it shows in a certificate."""
+        """The recipes of ``_block_reps`` for m = 1..15, two-reducible
+        before three-reducible at each m, in generation order.  The block
+        tables keep their first realizations in this order, so a change of
+        recipe generator shows here before it shows in a certificate."""
         reps = [
-            rep
-            for m in range(1, 16)
-            for gen in (
-                oracle._two_reducible_block_reps,
-                oracle._three_reducible_block_reps,
-            )
-            for rep in gen(m)
+            rep for m in range(1, 16) for r in (2, 3) for rep in oracle._block_reps(m, r)
         ]
         assert len(reps) == 14308
         text = "\n".join(repr(rep) for rep in reps)
@@ -460,14 +461,14 @@ class TestClassSearch:
         )
 
     def test_smallest_blocks_have_twice_the_reducibles(self):
-        """The bound ``_build_tables`` sends to the pool: M2 has 4 elements,
+        """The bound ``_build_tables`` sends to the split: M2 has 4 elements,
         F1 and F2 have 6, and no block is smaller."""
         for r in (2, 3):
             assert all(not oracle._block_table(m, r) for m in range(2 * r)), r
             assert oracle._block_table(2 * r, r), r
 
-    def test_tables_without_blocks_fork_no_pool(
-        self, monkeypatch, fresh_tables, eager_pool
+    def test_tables_without_blocks_fork_no_split(
+        self, monkeypatch, fresh_tables, eager_split
     ):
         """Below m = 2r every table is empty, so a class search that reads
         only such tables builds them in-process, however many workers, even
@@ -478,7 +479,7 @@ class TestClassSearch:
         assert forks == [0]
 
     def test_worker_count_does_not_change_output(
-        self, monkeypatch, fresh_tables, eager_pool
+        self, monkeypatch, fresh_tables, eager_split
     ):
         """From empty tables each time, one process and a split over two
         give the same members in the same order; only the split forks."""
@@ -495,7 +496,7 @@ class TestClassSearch:
         assert enumerate_by_reducible(8, 3, workers=2) == {cert for cert, _ in solo}
 
     def test_one_cpu_or_no_fork_builds_in_process(
-        self, monkeypatch, fresh_tables, eager_pool
+        self, monkeypatch, fresh_tables, eager_split
     ):
         """Two workers on one CPU, or where ``os.fork`` is missing, fork
         nothing and build the same tables in this process."""
@@ -519,7 +520,7 @@ class TestClassSearch:
         them in-process, as one does, and give the same members in the same
         order."""
         forks = _count_calls(monkeypatch, oracle.os, "fork")
-        n = oracle.POOL_BREAK_EVEN - 1
+        n = oracle.SPLIT_BREAK_EVEN - 1
 
         def members(workers):
             monkeypatch.setattr(oracle, "_BLOCKS", {})
@@ -543,12 +544,8 @@ class TestBlockClass:
         "m", [*range(4, 12), *(pytest.param(m, marks=pytest.mark.slow) for m in (12, 13))]
     )
     def test_matches_classify_fbb_on_every_realized_block(self, m):
-        recipes = {
-            2: oracle._two_reducible_block_reps,
-            3: oracle._three_reducible_block_reps,
-        }
-        for r, reps in recipes.items():
-            for rep in reps(m):
+        for r in (2, 3):
+            for rep in oracle._block_reps(m, r):
                 block = oracle.realize(rep)
                 assert oracle._block_class(block) is classify_fbb(block), rep
 
@@ -557,8 +554,8 @@ class TestBlockClass:
         blocks = [m2(), f1(), f2(), f3(), f4()] + [
             oracle.realize(rep)
             for m in (8, 9)
-            for reps in (oracle._two_reducible_block_reps, oracle._three_reducible_block_reps)
-            for rep in reps(m)
+            for r in (2, 3)
+            for rep in oracle._block_reps(m, r)
         ]
         for lat in blocks:
             tag = oracle._block_class(lat)
@@ -746,7 +743,7 @@ class TestVerify:
         assert calls == {"realize": 187, "_block_class": 187}
         assert retractions == [[0], [0], [0]]
 
-    def test_one_pool_per_run(self, monkeypatch, fresh_tables, eager_pool):
+    def test_one_pool_per_run(self, monkeypatch, fresh_tables, eager_split):
         """From empty tables, a split ``verify`` forks its worker once; a
         later class search whose tables are all present forks none."""
         forks = _count_calls(monkeypatch, oracle.os, "fork")
@@ -755,8 +752,8 @@ class TestVerify:
         reducible_class(9, 3, workers=2)
         assert forks == [1]
 
-    def test_pool_builds_each_table_once_per_run(
-        self, monkeypatch, fresh_tables, eager_pool, split_keys
+    def test_split_builds_each_table_once_per_run(
+        self, monkeypatch, fresh_tables, eager_split, split_keys
     ):
         """A split ``verify`` builds every (m, r) table it reads that holds
         a block, each once and the largest first, and the parent keeps them
@@ -793,7 +790,7 @@ class TestVerify:
     ):
         """From empty tables each time, ``verify(9)`` with two workers
         forks nothing and reports what one worker reports."""
-        assert oracle.POOL_BREAK_EVEN > 9
+        assert oracle.SPLIT_BREAK_EVEN > 9
         forks = _count_calls(monkeypatch, oracle.os, "fork")
         solo = verify(9)
         monkeypatch.setattr(oracle, "_BLOCKS", {})
@@ -808,8 +805,8 @@ class TestVerify:
         reaches the break-even, and builds only the tables the run lacks.
         The break-even drops to 9 here, so that a short run reaches it."""
         # some class search can reach the real break-even
-        assert oracle.POOL_BREAK_EVEN <= CLASS_SEARCH_LIMIT
-        monkeypatch.setattr(oracle, "POOL_BREAK_EVEN", 9)
+        assert oracle.SPLIT_BREAK_EVEN <= CLASS_SEARCH_LIMIT
+        monkeypatch.setattr(oracle, "SPLIT_BREAK_EVEN", 9)
         forks = _count_calls(monkeypatch, oracle.os, "fork")
         reducible_class(8, 3, workers=2)  # lacks (8, 3), (7, 3), (6, 3)
         assert forks == [0]
@@ -819,7 +816,7 @@ class TestVerify:
         assert split_keys == [(9, 3), (9, 2), (8, 2), (7, 2), (6, 2), (5, 2), (4, 2)]
 
     def test_worker_tables_reach_the_parent(
-        self, monkeypatch, fresh_tables, eager_pool
+        self, monkeypatch, fresh_tables, eager_split
     ):
         """The blocks a forked worker builds are sent back to the parent,
         which realizes its own share of the recipes, every second one from
@@ -842,7 +839,7 @@ class TestVerify:
         assert calls == [94]
 
     def test_worker_failure_raises_in_the_parent(
-        self, monkeypatch, capfd, fresh_tables, eager_pool
+        self, monkeypatch, capfd, fresh_tables, eager_split
     ):
         """A ``_block_class`` that raises on a recipe the forked worker owns
         makes the class search raise in the parent, once the worker is
@@ -864,7 +861,7 @@ class TestVerify:
         assert oracle._BLOCKS == {}
 
     def test_parent_failure_kills_and_reaps_the_worker(
-        self, monkeypatch, fresh_tables, eager_pool
+        self, monkeypatch, fresh_tables, eager_split
     ):
         """A ``_block_class`` that raises on a recipe the parent owns kills
         and reaps the forked worker before the error propagates.  The
