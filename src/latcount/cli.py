@@ -98,31 +98,36 @@ def _cmd_enumerate(args, parser) -> int:
 
     with args.out or nullcontext(sys.stdout) as sink:
         members = oracle.reducible_class(args.n, args.reducible, workers=args.workers)
+        # Documents are rendered lazily, one member at a time, so the output
+        # holds one document whatever the class size.  Each key is its
+        # member's certificate: the canonical form, encoded.
         certs = sorted(members)
-        # each key is its member's certificate: the canonical form, encoded
-        digraphs = [decode_certificate(cert) for cert in certs]
         if args.format == "json":
             from .documents import document_json, lattice_document
 
-            text = "\n".join(
-                document_json(lattice_document(p, members[cert]))
-                for cert, p in zip(certs, digraphs)
+            docs = (
+                document_json(lattice_document(decode_certificate(cert), members[cert]))
+                for cert in certs
             )
         elif args.format == "dot":
             from .documents import dot_digraph
 
-            text = "\n\n".join(
-                dot_digraph(p, f"lattice_{i}") for i, p in enumerate(digraphs)
+            docs = (
+                dot_digraph(decode_certificate(cert), f"lattice_{i}")
+                for i, cert in enumerate(certs)
             )
         else:  # edges: one "lo hi" line per cover, blank line between lattices
-            text = "\n\n".join(
-                "\n".join(f"{a} {b}" for a, b in p.covers) for p in digraphs
+            docs = (
+                "\n".join(f"{a} {b}" for a, b in decode_certificate(cert).covers)
+                for cert in certs
             )
+        separator = "\n" if args.format == "json" else "\n\n"
         if args.out:
             _empty(args.out)
-        if digraphs:
-            sink.write(text + "\n")
-    print(len(digraphs), file=sys.stderr)
+        last = len(certs) - 1
+        for i, doc in enumerate(docs):
+            sink.write(doc + (separator if i < last else "\n"))
+    print(len(members), file=sys.stderr)
     return EXIT_OK
 
 

@@ -81,9 +81,10 @@ class CoverDigraph(NamedTuple):
     :func:`as_lattice` checks the covers it is given.  Functions that take a
     ``CoverDigraph`` without building a :class:`Lattice` (:func:`nullity`,
     :func:`poset_classification`, ``documents.lattice_document`` with its
-    class given) read the covers as given, so a repeated or implied cover
-    gives a wrong answer there: :func:`build_poset` and :func:`as_lattice`
-    are the checks.
+    class given) read the covers as given, so an implied cover gives a
+    wrong answer there; :func:`nullity` and :func:`poset_classification`
+    reject a repeated one.  :func:`build_poset` and :func:`as_lattice` are
+    the full checks.
     """
 
     n: int
@@ -298,8 +299,11 @@ def poset_classification(p: CoverDigraph) -> ElementClassification:
     """Degree-based Red/Irr split of an arbitrary poset (not only lattices).
 
     Reads the covers of ``p`` as given: ``p`` is an irredundant cover
-    relation, as :func:`build_poset` and :func:`as_lattice` check.
+    relation, as :func:`build_poset` and :func:`as_lattice` check.  A cover
+    listed twice raises :class:`RedundantCover`, as those checks do.
     """
+    if len(set(p.covers)) != len(p.covers):
+        _checked_order(p.n, p.covers)  # names the first cover listed twice
     uppers, lowers = _cover_degrees(p)
     red = frozenset(_reducibles(uppers, lowers))
     irr = frozenset(range(p.n)) - red
@@ -329,8 +333,11 @@ def nullity(p: CoverDigraph) -> int:
     """Cycle rank of the cover graph: edges - vertices + components.
 
     Reads the covers of ``p`` as given: ``p`` is an irredundant cover
-    relation, as :func:`build_poset` and :func:`as_lattice` check.
+    relation, as :func:`build_poset` and :func:`as_lattice` check.  A cover
+    listed twice raises :class:`RedundantCover`, as those checks do.
     """
+    if len(set(p.covers)) != len(p.covers):
+        _checked_order(p.n, p.covers)  # names the first cover listed twice
     parent = list(range(p.n))
 
     def find(v: int) -> int:

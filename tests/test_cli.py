@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from latcount import canon, formulas, oracle, series
+from latcount import canon, cli, formulas, oracle, series
 from latcount.canon import canonical_certificate
 from latcount.cli import main
 from latcount.documents import (
@@ -28,8 +29,17 @@ from latcount.reduction import classify_fbb, f3, m2
 
 VERIFY_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-n9.txt"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 OVER_LIMIT = str(series.LIMIT + 1)
 UNDER_LIMIT = str(-series.LIMIT - 1)
+
+
+def child_env() -> dict:
+    """The environment of a command run in a new interpreter: this one's,
+    with the ``latcount`` under test first on ``PYTHONPATH``."""
+    src = str(Path(series.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def load_workloads():
@@ -232,28 +242,45 @@ def test_series_size_limit_exit_3(argv, capsys):
         ["count", "--reducible", "3", "--n", "40"],
         # 30 kB of rows: the pipe breaks inside a print, not at the last flush
         ["table", "--reducible", "3", "--n-from", "1", "--n-to", "300"],
+        # documents are written one at a time: the pipe breaks inside the loop
+        ["enumerate", "--n", "9", "--reducible", "3"],
+        # with two CPUs the tables are first split over a forked child
+        ["enumerate", "--n", "10", "--reducible", "3", "--workers", "2", "--format", "dot"],
     ],
 )
-def test_closed_stdout_exits_141_without_traceback(argv):
+def test_closed_stdout_exits_141_without_traceback(argv, tmp_path):
     """A reader that closes stdout early (``verify ... | head -1``) is not a
     verification mismatch: the command exits 141, as a shell reports a
-    process killed by SIGPIPE, and prints no traceback."""
-    src = str(Path(series.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    process killed by SIGPIPE, prints no traceback and leaves no process
+    behind.  The command and every process it forks hold the write end of
+    ``alive``, so it reads end of file once the command has exited only if
+    none of them still runs."""
     read, write = os.pipe()
     os.close(read)
+    alive, held = os.pipe()
+    err = tmp_path / "stderr"
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "latcount.cli", *argv],
-            stdout=write,
-            stderr=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        with err.open("w") as sink:
+            done = subprocess.run(
+                [sys.executable, "-m", "latcount.cli", *argv],
+                stdout=write,
+                stderr=sink,
+                pass_fds=(held,),
+                env=child_env(),
+            )
     finally:
         os.close(write)
-    assert done.returncode == 141, done.stderr
-    assert "Traceback" not in done.stderr
+        os.close(held)
+    os.set_blocking(alive, False)
+    try:
+        os.read(alive, 1)
+    except BlockingIOError:
+        pytest.fail("a process the command forked still runs after it exited")
+    finally:
+        os.close(alive)
+    stderr = err.read_text()
+    assert done.returncode == 141, stderr
+    assert "Traceback" not in stderr
 
 
 def test_ranges_may_start_at_minus_limit(capsys):
@@ -325,6 +352,126 @@ def test_enumerate_stdout_is_pinned(n, r, fmt, capsys):
     assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
 
 
+class RecordedWrites:
+    """A text stream that keeps every string written to it and hands each
+    write and everything else on to ``stream``."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.stream.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.stream.__exit__(*exc)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("n, r, fmt", ENUMERATE_PINS)
+def test_enumerate_writes_one_document_at_a_time(
+    n, r, fmt, to_file, tmp_path, capsys, monkeypatch
+):
+    """``enumerate`` writes its documents one at a time, to stdout or to
+    ``--out``: a separator only ever ends a write, so no write carries more
+    than one document and its separator, and the writes add up to the
+    pinned output."""
+    argv = ["enumerate", "--n", n, "--reducible", r, "--format", fmt]
+    streams = []
+    if to_file:
+        target = tmp_path / "class"
+        argv += ["--out", str(target)]
+        opened = cli._output_file
+
+        def recorded(path):
+            streams.append(RecordedWrites(opened(path)))
+            return streams[-1]
+
+        monkeypatch.setattr(cli, "_output_file", recorded)
+    else:
+        streams.append(RecordedWrites(io.StringIO()))
+        monkeypatch.setattr(sys, "stdout", streams[0])
+    assert main(argv) == 0
+    (stream,) = streams
+    separator = "\n" if fmt == "json" else "\n\n"
+    for text in stream.writes:
+        assert text.find(separator) in (-1, len(text) - len(separator)), text[:80]
+    out = "".join(stream.writes)
+    if to_file:
+        assert target.read_text() == out
+    digest, size = ENUMERATE_PINS[(n, r, fmt)]
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == (digest, size)
+
+
+# Full sha256 of the stdout of the commands that ROADMAP's standing rules
+# name as gates, recorded before documents were streamed.  Each holds with
+# one worker and with two.
+GATE_SHA256 = {
+    "verify --n-max 10": "27004e94205dd79353471bdec442fd0c7d5cbb3003e1d95a277209be4e5372e0",
+    "verify --n-max 12": "ae6e49c9e6f2be674cf3ff24bb9dc9345d3974dc777ae8b670a0913dc5e12e10",
+    "enumerate --n 11 --reducible 3": "09b07bdb2f6d978ca1c7b71d9c3b2f5c6b59bc907683eb64d9e8fa63ea478bbe",
+    "enumerate --n 12 --reducible 3": "63630614d4881063371450c53476f13247629457f1ee53a69bc2d649c96198fd",
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify --n-max 10",
+        *(
+            pytest.param(command, marks=pytest.mark.slow)
+            for command in (
+                "verify --n-max 12",
+                "verify --n-max 12 --workers 2",
+                "enumerate --n 11 --reducible 3",
+                "enumerate --n 11 --reducible 3 --workers 2",
+            )
+        ),
+    ],
+)
+def test_gate_stdout_is_pinned(command, capsys, fresh_tables, two_cpus):
+    """From empty tables, each gate prints what it printed when its digest
+    was recorded; with two workers it splits its tables over a fork.
+    ``enumerate --n 12`` is pinned in ``test_pool_at_full_size``."""
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out.encode()
+    digest = GATE_SHA256[command.removesuffix(" --workers 2")]
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.slow
+def test_enumerate_memory_does_not_grow_with_the_class(tmp_path):
+    """``enumerate`` holds one document at a time, so the peak resident
+    set (VmHWM, as the benchmark's ``perfbench/child.py`` reads it) of a
+    cold ``enumerate --n 12 --reducible 3``, 3,405 documents, stays within
+    3 MiB of that of ``--n 8``, 65.  Holding every document before writing
+    the first put it 6.95 MiB above."""
+
+    def peak_kib(n: int) -> int:
+        stamps = tmp_path / f"n{n}.json"
+        subprocess.run(
+            [
+                sys.executable, str(CHILD), str(stamps), "0",
+                "cli", "enumerate", "--n", str(n), "--reducible", "3",
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=child_env(),
+            check=True,
+        )
+        return json.loads(stamps.read_text())["peak_rss_kib"]
+
+    growth = peak_kib(12) - peak_kib(8)
+    assert growth < 3 * 1024, f"{growth} KiB"
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("work started before the output path was checked")
 
@@ -385,6 +532,7 @@ class TestEnumerate:
         monkeypatch.setattr(oracle, "_BLOCKS", {})
         assert main([*args, "--workers", "2"]) == 0
         assert capsys.readouterr().out == first
+        assert hashlib.sha256(first.encode()).hexdigest() == GATE_SHA256[" ".join(args)]
         assert forks == [1]
         assert split_keys == [(m, 3) for m in range(12, 5, -1)]
 

@@ -395,6 +395,22 @@ class TestNullity:
             assert nullity(l.digraph) == len(l.covers) - l.n + 1
 
 
+@pytest.mark.parametrize("read", [nullity, poset.poset_classification])
+@pytest.mark.parametrize(
+    "digraph, message",
+    [
+        (CoverDigraph(2, ((0, 1), (0, 1))), "cover (0, 1) listed twice"),
+        (CoverDigraph(3, ((0, 1), (1, 2), (1, 2), (0, 1))), "cover (1, 2) listed twice"),
+    ],
+)
+def test_repeated_cover_raises_redundant_cover(read, digraph, message):
+    """The readers of an unchecked digraph reject a repeated cover, naming
+    the first as ``as_lattice`` does: read as given, it would give the
+    2-chain nullity 1 and make both its elements reducible."""
+    with pytest.raises(RedundantCover, match=re.escape(message)):
+        read(digraph)
+
+
 class TestDismantlableAndCrown:
     def test_chain(self):
         assert is_dismantlable(chain(5))
