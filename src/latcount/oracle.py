@@ -15,13 +15,13 @@ fibers come from two classifiers.  The certificate of each padding is read
 off the block's certificate (:func:`canon.padded_certificate`), not
 searched again, and each member inherits its block's F-class, which
 padding does not change.
-The tables are the costly part and the only unit of parallel work: with
-more than one worker, once the largest table this process lacks has
-``SPLIT_BREAK_EVEN`` elements or more, the recipes of every table it lacks
-are dealt round this process and forked children (:func:`_build_tables`),
-and this process merges the blocks and pads their certificates; below that
-a fork would cost more than it saves, and each table is built here when it
-is first read.
+The tables are the costly part and the only unit of parallel work.  One
+function builds them (:func:`_build_tables`): it deals the recipes of
+every table this process lacks round a number of processes, this one and
+forked children, and this process merges the blocks and pads their
+certificates.  The number is one, so that nothing forks, with one worker,
+without ``os.fork``, or while the largest missing table has fewer than
+``SPLIT_BREAK_EVEN`` elements, where a fork would cost more than it saves.
 
 The constructive path and the search are deliberately separate.  Where
 they overlap they must produce identical certificate sets; the verify
@@ -60,10 +60,6 @@ CLASS_SEARCH_LIMIT = 12
 # 12 (0.254 s against 0.202 s, CPU -1%), at N = 11 in 10 (0.412 s against
 # 0.341 s, CPU +9%) and at N = 12 in 10 (0.818 s against 0.660 s, CPU
 # +12%).  N = 9, which saves 0.007 s for more CPU time, stays in-process.
-# Against the fork pool this split replaced, two workers at N = 12 took
-# 0.675 s instead of 0.826 s (faster in 10 of 12 pairs) and 0.945 s of CPU
-# instead of 1.103 s; ``verify --n-max 12`` took 0.704 s instead of 0.765 s
-# (10 of 12), and 0.975 s of CPU instead of 1.085 s.
 SPLIT_BREAK_EVEN = 10
 
 
@@ -160,23 +156,17 @@ _BLOCKS: dict[tuple[int, int], dict[Certificate, FbbClass]] = {}
 
 def _block_table(m: int, r: int) -> dict[Certificate, FbbClass]:
     """Every block on m elements with exactly r in {2, 3} reducibles, by
-    certificate, with its F-class by :func:`_block_class`.  Each (m, r) is
-    realized, canonicalized and classified once per process; no realized
-    block is kept."""
-    table = _BLOCKS.get((m, r))
-    if table is None:
-        table = {}
-        for rep in _block_reps(m, r):
-            cert, fbb = _block_entry(rep)
-            table.setdefault(cert, fbb)
-        _BLOCKS[m, r] = table
-    return table
+    certificate, with its F-class by :func:`_block_class`; built by
+    :func:`_build_tables` in one process if this process lacks it."""
+    _build_tables([(m, r)], 1)
+    return _BLOCKS[m, r]
 
 
-def _block_entry(rep: AdjunctRep) -> tuple[Certificate, FbbClass]:
-    """The certificate and F-class of the block a recipe realizes."""
+def _block_entry(rep: AdjunctRep) -> tuple[bytes, int]:
+    """The certificate bytes and F-class value of the block a recipe
+    realizes: plain values, which ``marshal`` sends between processes."""
     block = realize(rep)
-    return canonical_certificate(block.digraph), _block_class(block)
+    return canonical_certificate(block.digraph).data, _block_class(block).value
 
 
 def _block_class(l: Lattice) -> FbbClass:
@@ -246,46 +236,41 @@ def _build_tables(keys, workers: int) -> None:
     """Build the block tables of the (m, r) ``keys`` that this process lacks
     and keep them in ``_BLOCKS``, split over up to ``workers`` processes.
 
-    Nothing is built here with one worker, or unless the largest missing
-    table has at least ``SPLIT_BREAK_EVEN`` elements; ``_block_table`` then
-    builds each table when it is first read, as it does for every m < 2r,
-    where no block exists (the smallest are M2 on 4 elements and F1/F2 on
-    6).  Otherwise the recipes of every missing table, largest m first, are
-    dealt round ``size`` processes, no more than there are recipes or CPUs:
-    process i realizes, canonicalizes and classifies every size-th recipe
-    from recipe i.  This process is process 0 and the others are forked
-    children, each of which sends ``(index, cert.data, fbb.value)`` records
-    back over a pipe with ``marshal``.  Merged by recipe index, each table
-    keeps its blocks in the order of first realization, whatever the worker
-    count.  Every child is reaped before this returns or raises: killed
-    first if this process's own share raised, and reported as an error if
-    it exited with a non-zero status.  With one CPU, or where ``os.fork`` is
-    missing, this process builds every missing table alone.  The package
-    starts no thread, so forking is safe.
+    The recipes of every missing table, largest m first, are dealt round
+    ``size`` processes (:func:`_split_size`): one with one worker, unless
+    the largest missing table has at least ``SPLIT_BREAK_EVEN`` elements,
+    or where ``os.fork`` is missing, and otherwise no more than there are
+    workers, recipes or CPUs.  Process i realizes, canonicalizes and
+    classifies ``recipes[i::size]``.  This process is process 0 and the
+    others are forked children, each of which sends its share back over a
+    pipe with ``marshal``; every share is a list of ``(cert.data,
+    fbb.value)`` pairs, placed at ``i::size``.  Each table keeps its blocks
+    in the order of first realization, whatever the process count, and a
+    table below m = 2r has no recipe and no block.  Every child is reaped
+    before this returns or raises: killed first if this process's own
+    share raised, and reported as an error if it exited with a non-zero
+    status.  The package starts no thread, so forking is safe.
     """
-    wanted = {(m, r) for m, r in keys if m >= 2 * r}
-    missing = sorted(wanted - _BLOCKS.keys(), reverse=True)
-    if workers < 2 or not missing or missing[0][0] < SPLIT_BREAK_EVEN:
-        return
+    missing = sorted(set(keys) - _BLOCKS.keys(), reverse=True)
+    if missing and missing[0][0] < SPLIT_BREAK_EVEN:
+        workers = 1
     recipes = [(key, rep) for key in missing for rep in _block_reps(*key)]
-    size = _split_size(workers, len(recipes)) if hasattr(os, "fork") else 1
-    entries: list = [None] * len(recipes)
+    size = _split_size(workers, len(recipes))
     pids: list[int] = []
     pipes: list[BinaryIO] = []  # the read end of each child's pipe
     try:
-        for first in range(1, size):
+        for i in range(1, size):
             read, write = os.pipe()
             pipes.append(open(read, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _send_share(recipes, first, size, write)
+                    _send_share(recipes[i::size], write)
             finally:
                 os.close(write)
             pids.append(pid)
-        for k in range(0, len(recipes), size):
-            entries[k] = _block_entry(recipes[k][1])
-        shares = [pipe.read() for pipe in pipes]
+        shares = [[_block_entry(rep) for _, rep in recipes[::size]]]
+        sent = [pipe.read() for pipe in pipes]
     except BaseException:
         import signal  # loaded only where a split fails
 
@@ -299,29 +284,26 @@ def _build_tables(keys, workers: int) -> None:
     for pid, code in zip(pids, codes):
         if code:
             raise RuntimeError(f"block table worker {pid} exited with status {code}")
-    for share in shares:
-        for k, data, value in marshal.loads(share):
-            entries[k] = Certificate(data), FbbClass(value)
+    shares += map(marshal.loads, sent)
+    entries: list = [None] * len(recipes)
+    for i, share in enumerate(shares):
+        entries[i::size] = share
     tables: dict = {key: {} for key in missing}
-    for (key, _), (cert, fbb) in zip(recipes, entries):
-        tables[key].setdefault(cert, fbb)
+    for (key, _), (data, value) in zip(recipes, entries):
+        tables[key].setdefault(Certificate(data), FbbClass(value))
     _BLOCKS.update(tables)
 
 
-def _send_share(recipes, first: int, step: int, write: int) -> NoReturn:
-    """In a forked child: the entries of recipes first, first + step, ...,
-    as ``(index, cert.data, fbb.value)`` records marshalled to the pipe
-    ``write``.  The child leaves through ``os._exit``, so it flushes none
-    of the stdio buffers it inherited and runs no atexit handler; a failure
-    prints its traceback to stderr and exits with status 1."""
+def _send_share(recipes, write: int) -> NoReturn:
+    """In a forked child: the :func:`_block_entry` of each ``(key, rep)``
+    recipe, marshalled to the pipe ``write``.  The child leaves through
+    ``os._exit``, so it flushes none of the stdio buffers it inherited and
+    runs no atexit handler; a failure prints its traceback to stderr and
+    exits with status 1."""
     status = 1
     try:
-        records = []
-        for k in range(first, len(recipes), step):
-            cert, fbb = _block_entry(recipes[k][1])
-            records.append((k, cert.data, fbb.value))
         with open(write, "wb") as pipe:
-            marshal.dump(records, pipe)
+            marshal.dump([_block_entry(rep) for _, rep in recipes], pipe)
         status = 0
     except BaseException:
         import traceback
@@ -332,13 +314,16 @@ def _send_share(recipes, first: int, step: int, write: int) -> NoReturn:
 
 
 def _split_size(requested: int, tasks: int) -> int:
-    """Worker processes to start: at least one, and no more than the tasks
-    or the CPUs this process may run on."""
+    """Processes to split ``tasks`` over: one where ``os.fork`` is missing,
+    and otherwise at least one and no more than the tasks or the CPUs this
+    process may run on."""
+    if min(requested, tasks) < 2 or not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(requested, tasks, cpus))
+    return min(requested, tasks, cpus)
 
 
 def enumerate_by_reducible(n: int, r: int, workers: int = 1) -> frozenset[Certificate]:

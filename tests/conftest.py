@@ -61,15 +61,18 @@ def eager_split(monkeypatch, two_cpus):
 @pytest.fixture
 def split_keys(monkeypatch) -> list:
     """The (m, r) keys of the tables that ``oracle._build_tables`` adds to
-    the block tables from now on, in the order it adds them: the tables a
-    split builds.  With one worker or below the break-even it adds none."""
-    built = []
-    build = oracle._build_tables
+    the block tables from now on in a call that forks, in the order it adds
+    them: the tables a split builds.  With one worker or below the
+    break-even it forks nothing, and none of its keys are listed."""
+    built, forks = [], []
+    build, fork = oracle._build_tables, oracle.os.fork
 
     def recorded(keys, workers):
-        before = set(oracle._BLOCKS)
+        before, forked = set(oracle._BLOCKS), len(forks)
         build(keys, workers)
-        built.extend(key for key in oracle._BLOCKS if key not in before)
+        if len(forks) > forked:
+            built.extend(key for key in oracle._BLOCKS if key not in before)
 
+    monkeypatch.setattr(oracle.os, "fork", lambda: forks.append(1) or fork())
     monkeypatch.setattr(oracle, "_build_tables", recorded)
     return built

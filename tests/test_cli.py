@@ -534,7 +534,7 @@ class TestEnumerate:
         assert capsys.readouterr().out == first
         assert hashlib.sha256(first.encode()).hexdigest() == GATE_SHA256[" ".join(args)]
         assert forks == [1]
-        assert split_keys == [(m, 3) for m in range(12, 5, -1)]
+        assert split_keys == [(m, 3) for m in range(12, 0, -1)]
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "class.jsonl"

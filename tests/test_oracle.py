@@ -461,8 +461,9 @@ class TestClassSearch:
         )
 
     def test_smallest_blocks_have_twice_the_reducibles(self):
-        """The bound ``_build_tables`` sends to the split: M2 has 4 elements,
-        F1 and F2 have 6, and no block is smaller."""
+        """M2 has 4 elements, F1 and F2 have 6, and no block is smaller: the
+        tables below m = 2r have no recipe, and a split has nothing of
+        theirs to deal."""
         for r in (2, 3):
             assert all(not oracle._block_table(m, r) for m in range(2 * r)), r
             assert oracle._block_table(2 * r, r), r
@@ -471,8 +472,8 @@ class TestClassSearch:
         self, monkeypatch, fresh_tables, eager_split
     ):
         """Below m = 2r every table is empty, so a class search that reads
-        only such tables builds them in-process, however many workers, even
-        with no break-even to reach."""
+        only such tables has no recipe to deal and builds them in one
+        process, however many workers, even with no break-even to reach."""
         forks = _count_calls(monkeypatch, oracle.os, "fork")
         assert reducible_class(3, 2, workers=2) == {}
         assert reducible_class(5, 3, workers=2) == {}
@@ -755,9 +756,9 @@ class TestVerify:
     def test_split_builds_each_table_once_per_run(
         self, monkeypatch, fresh_tables, eager_split, split_keys
     ):
-        """A split ``verify`` builds every (m, r) table it reads that holds
-        a block, each once and the largest first, and the parent keeps them
-        all; the parent lists each table's recipes once."""
+        """A split ``verify`` builds every (m, r) table it reads, each once
+        and the largest first, and the parent keeps them all; the parent
+        lists each table's recipes once."""
         built = split_keys
         listed = []
         reps = oracle._block_reps
@@ -775,14 +776,14 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "reducible_class", counted)
         assert _agrees(verify(9, workers=2))
-        assert len(built) == len(set(built)) == 10  # (m, r) for 2r <= m <= 9
-        assert set(built) == {(m, r) for m, r in oracle._BLOCKS if m >= 2 * r}
+        assert len(built) == len(set(built)) == 18  # (m, r) for m <= 9
+        assert set(built) == set(oracle._BLOCKS)
         assert built == sorted(built, reverse=True)
-        # every other table read is empty, built in the parent without a block
+        # the tables below m = 2r are built in the same split, without a block
         assert len(oracle._BLOCKS) == 18
-        assert all(not oracle._BLOCKS[key] for key in oracle._BLOCKS.keys() - set(built))
+        assert all(not oracle._BLOCKS[m, r] for m, r in built if m < 2 * r)
         assert len(listed) == len(set(listed)) == 18
-        assert listed[:10] == built
+        assert listed == built
         assert len(classes) == 18  # two per size
 
     def test_verify_below_break_even_forks_no_pool(
@@ -813,7 +814,9 @@ class TestVerify:
         assert split_keys == []
         assert _agrees(verify(9, workers=2))
         assert forks == [1]
-        assert split_keys == [(9, 3), (9, 2), (8, 2), (7, 2), (6, 2), (5, 2), (4, 2)]
+        assert split_keys == [
+            (9, 3), (9, 2), (8, 2), (7, 2), (6, 2), (5, 2), (4, 2), (3, 2), (2, 2), (1, 2)
+        ]
 
     def test_worker_tables_reach_the_parent(
         self, monkeypatch, fresh_tables, eager_split
@@ -837,6 +840,33 @@ class TestVerify:
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
         assert after_split[0] == len(range(0, 187, 2)) == 94
         assert calls == [94]
+
+    def test_three_processes_deal_unevenly(
+        self, monkeypatch, fresh_tables, eager_split
+    ):
+        """With three CPUs and three workers, a split forks two children,
+        and the 187 recipes of ``verify(9)`` go 63 to this process and 62
+        to each child.  The reports, and a class search's members in their
+        order, are those of one process; ``two_cpus`` checks after the test
+        that no child is left."""
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        solo = verify(9)
+        solo_class = list(reducible_class(8, 3).items())
+        monkeypatch.setattr(oracle, "_BLOCKS", {})
+        forks = _count_calls(monkeypatch, oracle.os, "fork")
+        calls = _count_calls(monkeypatch, oracle, "realize")
+        sent = []
+        loads = oracle.marshal.loads
+        monkeypatch.setattr(
+            oracle.marshal, "loads", lambda data: sent.append(loads(data)) or sent[-1]
+        )
+        assert verify(9, workers=3) == solo
+        assert forks == [2]
+        assert calls == [63]
+        assert [len(share) for share in sent] == [62, 62]
+        monkeypatch.setattr(oracle, "_BLOCKS", {})
+        assert list(reducible_class(8, 3, workers=3).items()) == solo_class
+        assert forks == [4]
 
     def test_worker_failure_raises_in_the_parent(
         self, monkeypatch, capfd, fresh_tables, eager_split
