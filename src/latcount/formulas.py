@@ -34,6 +34,8 @@ def two_reducible_lattices(n: int, form: str = "block_first") -> int:
     ``"thakare"`` distributes chain padding first, ``"block_first"`` sums the
     block strata first.
     """
+    if form not in ("thakare", "block_first"):
+        raise ValueError(f"unknown form {form!r}")
     if n < 4:
         return 0
     if form == "thakare":
@@ -42,13 +44,11 @@ def two_reducible_lattices(n: int, form: str = "block_first") -> int:
             for k in range(2, n - 1)
             for j in range(1, n - k)
         )
-    if form == "block_first":
-        return sum(
-            (i + 1) * P(n - i - 2, k + 2)
-            for i in range(0, n - 3)
-            for k in range(0, n - i - 3)
-        )
-    raise ValueError(f"unknown form {form!r}")
+    return sum(
+        (i + 1) * P(n - i - 2, k + 2)
+        for i in range(0, n - 3)
+        for k in range(0, n - i - 3)
+    )
 
 
 # -- block strata ------------------------------------------------------------

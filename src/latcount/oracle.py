@@ -392,27 +392,32 @@ def _verify_one(n: int) -> list[VerifyRecord]:
             witness = [list(c) for c in canon.decode_certificate(first).covers]
         records.append(VerifyRecord(n, name, formula_value, len(certs), ok, witness))
 
-    two = reducible_class(n, 2)
-    three = reducible_class(n, 3)
-
     def tagged(members, tag):
         return [cert for cert, fbb in members.items() if fbb is tag]
 
+    # Each F-class of the r-reducible blocks with its fiber cell and lattice
+    # sum, and its block cells' prefix and block sum.  M2's fiber is the
+    # whole two-reducible class, which the two_reducible cells check.  Built
+    # per call, so that each ``formulas`` name is looked up at its check.
+    fclasses = (
+        (2, FbbClass.M2, None, None, "two_reducible", formulas.two_reducible_blocks),
+        (3, FbbClass.F1, "f1", formulas.l1_lattices, "b1", formulas.b1_blocks),
+        (3, FbbClass.F2, "f2", formulas.l2_lattices, "b2", formulas.b2_blocks),
+        (3, FbbClass.F3, "f3", formulas.l3_lattices, "b3", formulas.b3_blocks),
+        (3, FbbClass.F4, "f4", formulas.l4_lattices, "b4", formulas.b4_blocks),
+    )
+    two = reducible_class(n, 2)
+    three = reducible_class(n, 3)
     cell("two_reducible", formulas.two_reducible_lattices(n), two)
     cell("two_reducible_thakare", formulas.two_reducible_lattices(n, "thakare"), two)
     cell("three_reducible", formulas.three_reducible_lattices(n), three)
-    for name, func, tag in (
-        ("f1", formulas.l1_lattices, FbbClass.F1),
-        ("f2", formulas.l2_lattices, FbbClass.F2),
-        ("f3", formulas.l3_lattices, FbbClass.F3),
-        ("f4", formulas.l4_lattices, FbbClass.F4),
-    ):
-        cell(name, func(n), tagged(three, tag))
+    for _, tag, name, lattices, _, _ in fclasses:
+        if lattices:
+            cell(name, lattices(n), tagged(three, tag))
 
     if n <= FULL_SEARCH_LIMIT:
         full = _reducible_split(n)
-        chains = len(full.get(0, ()))
-        records.append(VerifyRecord(n, "chains", 1, chains, chains == 1))
+        cell("chains", 1, full.get(0, ()))
         other = sum(len(v) for r, v in full.items() if r not in (0, 2, 3))
         records.append(VerifyRecord(n, "other", other, other, None))
         total = sum(len(v) for v in full.values())
@@ -424,23 +429,13 @@ def _verify_one(n: int) -> list[VerifyRecord]:
             same = set(full.get(r, ())) == members.keys()
             records.append(VerifyRecord(n, name, None, None, same))
 
-    strata2 = block_census(n, 2)
-    for k in range(0, max(n - 3, 1)):
-        cell(
-            f"two_reducible_blocks[k={k}]",
-            formulas.two_reducible_blocks(n, k),
-            strata2.get(k, {}),
-        )
-    if n >= 6:
-        strata3 = block_census(n, 3)
-        for name, func, tag in (
-            ("b1", formulas.b1_blocks, FbbClass.F1),
-            ("b2", formulas.b2_blocks, FbbClass.F2),
-            ("b3", formulas.b3_blocks, FbbClass.F3),
-            ("b4", formulas.b4_blocks, FbbClass.F4),
-        ):
-            for k in range(0, max(n - 3, 1)):
-                members = tagged(strata3.get(k, {}), tag)
-                cell(f"{name}_blocks[k={k}]", func(n, k), members)
+    strata = {2: block_census(n, 2)}
+    if n >= 6:  # the smallest three-reducible block
+        strata[3] = block_census(n, 3)
+    for r, tag, _, _, name, blocks in fclasses:
+        if r in strata:
+            for k in range(max(n - 3, 1)):
+                members = tagged(strata[r].get(k, {}), tag)
+                cell(f"{name}_blocks[k={k}]", blocks(n, k), members)
 
     return records

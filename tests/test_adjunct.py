@@ -4,6 +4,7 @@ from latcount import oracle
 from latcount.adjunct import (
     AdjunctPair,
     AdjunctRep,
+    IncomparableReducibles,
     PairIsCover,
     PairNotComparable,
     adjunct_sum,
@@ -11,16 +12,19 @@ from latcount.adjunct import (
     direct_sum,
     pair_multiplicity,
     realize,
+    spine_and_components,
 )
 from latcount.canon import canonical_certificate as cert, decode_certificate
 from latcount.poset import (
     LatticeError,
     as_lattice,
+    build_poset,
     chain,
     classify_elements,
     nullity,
 )
 from latcount.reduction import f1, f3, f4, m2
+from test_poset import CUBE_COVERS
 
 
 class TestAdjunctSum:
@@ -45,6 +49,11 @@ class TestAdjunctSum:
     def test_incomparable_pair_rejected(self):
         with pytest.raises(PairNotComparable):
             adjunct_sum(m2(), chain(1), 1, 2)
+
+    def test_pair_outside_the_host_rejected(self):
+        outside = r"pair \(0, 9\) outside of the host lattice"
+        with pytest.raises(PairNotComparable, match=outside):
+            adjunct_sum(m2(), m2(), 0, 9)
 
     def test_red_membership_of_bystanders_unchanged(self):
         # gluing at (a, b) may make a and b reducible but never flips the
@@ -172,6 +181,21 @@ class TestDecompose:
     def test_f4_uses_all_three_pairs(self):
         rep = decompose(f4())
         assert sorted((p.a, p.b) for p in rep.pairs) == [(0, 2), (0, 4), (2, 4)]
+
+    def test_incomparable_reducibles_rejected(self):
+        cube = as_lattice(build_poset(8, CUBE_COVERS))
+        with pytest.raises(IncomparableReducibles, match="reducible elements 1 and 2"):
+            decompose(cube)
+
+    def test_chain_whose_top_has_the_smaller_label(self):
+        """The off-spine chain 4 < 3 is met at its top, 3, first, and is
+        walked down from there."""
+        rep = AdjunctRep((3, 2), (AdjunctPair(0, 2),))
+        label = [0, 1, 2, 4, 3]
+        covers = [(label[a], label[b]) for a, b in realize(rep).covers]
+        lat = as_lattice(build_poset(5, covers))
+        assert spine_and_components(lat) == ((0, 1, 2), [(0, 2, (4, 3))])
+        assert decompose(lat) == rep
 
     def test_round_trip_small_classes(self):
         from latcount.oracle import reducible_class

@@ -34,6 +34,12 @@ class TestTwoReducible:
         with pytest.raises(ValueError):
             formulas.two_reducible_lattices(6, "fastest")
 
+    @pytest.mark.parametrize("n", [-1, 0, 3, 5])
+    def test_unknown_form_fails_at_every_size(self, n):
+        """The form is checked before the sizes below the diamond return 0."""
+        with pytest.raises(ValueError, match="unknown form 'bogus'"):
+            formulas.two_reducible_lattices(n, "bogus")
+
 
 class TestBlockFamilies:
     def test_b1_spot_values(self):

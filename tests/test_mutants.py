@@ -127,3 +127,38 @@ def test_rank_reading_labels_keeps_a_certificate_twice(monkeypatch, fresh_tables
         assert len(search._lattice_certificates(n)) == A006966[n], n
     with pytest.raises(RuntimeError, match="kept certificate [0-9a-f]+ twice"):
         search._lattice_certificates(7)
+
+
+def test_two_reducible_block_stratum_off_by_one_fails_its_cell(monkeypatch):
+    """``two_reducible_blocks`` one too high at (7, 1) fails that block
+    cell alone: no lattice count reads the block strata."""
+    blocks = formulas.two_reducible_blocks
+    monkeypatch.setattr(
+        formulas, "two_reducible_blocks", lambda m, k: blocks(m, k) + ((m, k) == (7, 1))
+    )
+    flagged = {(r.n, r.name) for r in oracle.verify(9) if r.ok is False}
+    assert flagged == {(7, "two_reducible_blocks[k=1]")}
+
+
+def test_b3_block_stratum_off_by_one_fails_its_cell(monkeypatch):
+    """``b3_blocks`` one too high at (8, 1) fails that block cell alone."""
+    b3 = formulas.b3_blocks
+    monkeypatch.setattr(formulas, "b3_blocks", lambda m, k: b3(m, k) + ((m, k) == (8, 1)))
+    flagged = {(r.n, r.name) for r in oracle.verify(9) if r.ok is False}
+    assert flagged == {(8, "b3_blocks[k=1]")}
+
+
+def test_second_five_chain_fails_the_chains_cell_with_a_witness(monkeypatch):
+    """The search's split keeping its one 0-reducible lattice twice at n = 5
+    fails the ``chains`` cell alone, and the cell names the 5-chain, as
+    every disagreeing count cell names one oracle member."""
+    split = oracle._reducible_split
+
+    def mutant(n):
+        classes = split(n)
+        return {**classes, 0: classes[0] * 2} if n == 5 else classes
+
+    monkeypatch.setattr(oracle, "_reducible_split", mutant)
+    flagged = {(r.n, r.name): r for r in oracle.verify(6) if r.ok is False}
+    assert flagged.keys() == {(5, "chains")}
+    assert flagged[5, "chains"].witness == [[0, 1], [1, 2], [2, 3], [3, 4]]
