@@ -15,7 +15,6 @@ _HOMES = {
         "AdjunctPair",
         "AdjunctRep",
         "IncomparableReducibles",
-        "NotDismantlable",
         "PairIsCover",
         "PairNotComparable",
         "adjunct_sum",

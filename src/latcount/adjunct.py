@@ -1,14 +1,19 @@
-"""Adjunct sums, direct sums, and chain decompositions of dismantlable lattices.
+"""Adjunct sums, direct sums, and the normal form of lattices whose
+reducible elements form a chain.
 
 An adjunct sum glues a lattice into the gap of a strictly comparable non-cover
 pair ``(a, b)``, adding exactly the covers ``a < bottom`` and ``top < b`` of
-the glued part.  A dismantlable lattice is exactly an adjunct of chains, and
-:func:`decompose` recovers such a representation when all reducible elements
-are pairwise comparable.
+the glued part.  A dismantlable lattice is exactly an adjunct of chains.
+When the reducible elements form a chain b0 < ... < b(r-1), one recipe
+layout (:func:`_spine_recipe`) fixes the lattice up to isomorphism: the
+padding below b0 and above b(r-1) and, for each pair of b's, the sizes of
+the chains between them.  ``oracle._block_reps`` lists the blocks in that
+layout, and :func:`decompose` reads it off a lattice's cover rows.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -17,11 +22,11 @@ from .poset import (
     Lattice,
     LatticeError,
     _bits,
+    _cover_degrees,
     _joined,
+    _reducibles,
     as_lattice,
     build_poset,
-    classify_elements,
-    is_dismantlable,
     maximal_chains_in_interval,
     meet_join,
 )
@@ -32,10 +37,6 @@ class PairIsCover(LatticeError):
 
 
 class PairNotComparable(LatticeError):
-    pass
-
-
-class NotDismantlable(LatticeError):
     pass
 
 
@@ -180,71 +181,64 @@ def _max_clique(k: int, adj: list[list[bool]]) -> int:
 
 
 def decompose(l: Lattice) -> AdjunctRep:
-    """Write ``l`` as an adjunct of chains over a spine through its reducibles.
+    """The normal form of a lattice whose reducible elements form a chain
+    b0 < ... < b(r-1), which does not depend on labels: the recipe that
+    ``oracle._block_reps`` lists for its maximal block, padded on the spine.
 
-    The spine is the lexicographically smallest maximal chain containing every
-    reducible element; the remaining elements fall apart into pendant-free
-    chains, each glued at a pair of reducible spine elements.  Requires ``l``
-    dismantlable with pairwise comparable reducibles.
+    Each element that is no b and not in the padding below b0 or above
+    b(r-1) lies on one path between two b's, which the walk up from an
+    upper cover of b0..b(r-2) follows through elements of one upper cover.
+    ``l.down[b0]`` and ``l.up[b(r-1)]`` hold the b itself.  Raises
+    :class:`IncomparableReducibles` naming the first two reducibles,
+    ordered by up-set size, that are not comparable.
     """
-    spine, components = spine_and_components(l)
-    return AdjunctRep(
-        chains=(len(spine), *(len(elems) for _, _, elems in components)),
-        pairs=tuple(AdjunctPair(a, b) for a, b, _ in components),
-    )
-
-
-def spine_and_components(
-    l: Lattice,
-) -> tuple[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]]:
-    """Spine labels plus the off-spine chains, each with its glue pair.
-
-    Components come back as ``(a_pos, b_pos, elements)`` with positions along
-    the spine and elements listed bottom to top, sorted by pair then length.
-    Raises :class:`NotDismantlable` or :class:`IncomparableReducibles` when
-    no such decomposition exists.
-    """
-    cls = classify_elements(l)
-    for x, y in combinations(sorted(cls.red), 2):
-        if not (l.le(x, y) or l.le(y, x)):
+    red = _reducibles_upward(l)[2]
+    for x, y in zip(red, red[1:]):
+        if not l.up[x] >> y & 1:
             raise IncomparableReducibles(f"reducible elements {x} and {y}")
-    if not is_dismantlable(l):
-        raise NotDismantlable("lattice contains a crown")
-    if l.n == 1:
-        return (l.bottom,), []
-    spine = min(
-        c
-        for c in maximal_chains_in_interval(l, l.bottom, l.top)
-        if cls.red <= set(c)
-    )
-    spine_pos = {v: i for i, v in enumerate(spine)}
+    if not red:
+        return AdjunctRep((l.n,), ())
+    index = {v: i for i, v in enumerate(red)}
     up = l.digraph.up_adjacency()
-    dn = l.digraph.down_adjacency()
-    components: list[tuple[int, int, tuple[int, ...]]] = []
-    seen: set[int] = set()
-    for v in range(l.n):
-        if v in spine_pos or v in seen:
-            continue
-        elems = _offspine_chain(v, up, dn, spine_pos)
-        seen.update(elems)
-        low = _bits(dn[elems[0]])[0]
-        high = _bits(up[elems[-1]])[0]
-        components.append((spine_pos[low], spine_pos[high], tuple(elems)))
-    components.sort(key=lambda t: (t[0], t[1], len(t[2])))
-    return spine, components
+    lengths: dict = {pair: [] for pair in _spine_pairs(len(red))}
+    for i, b in enumerate(red[:-1]):
+        for v in _bits(up[b]):
+            k = 0
+            while v not in index:
+                v, k = up[v].bit_length() - 1, k + 1
+            lengths[i, index[v]].append(k)
+    bundles = [sorted(paths) for paths in lengths.values()]
+    below, above = l.down[red[0]].bit_count() - 1, l.up[red[-1]].bit_count() - 1
+    return _spine_recipe(len(red), bundles, below, above)
 
 
-def _offspine_chain(start, up, dn, spine_pos) -> list[int]:
-    """The off-spine cover-path through ``start``, listed bottom to top."""
-    component = [start]
-    while True:
-        nxt = [w for w in _bits(up[component[-1]]) if w not in spine_pos]
-        if not nxt:
-            break
-        component.append(nxt[0])
-    while True:
-        prev = [w for w in _bits(dn[component[0]]) if w not in spine_pos]
-        if not prev:
-            break
-        component.insert(0, prev[0])
-    return component
+def _reducibles_upward(l: Lattice) -> tuple[list[int], list[int], list[int]]:
+    """The cover degrees of ``l`` and its reducible elements by up-set size,
+    largest first: lowest first where they form a chain."""
+    uppers, lowers = _cover_degrees(l.digraph)
+    red = sorted(_reducibles(uppers, lowers), key=lambda v: -l.up[v].bit_count())
+    return uppers, lowers, red
+
+
+@cache
+def _spine_pairs(r: int) -> tuple[tuple[int, int], ...]:
+    """The pairs i < j of the spine: consecutive first, then those that skip a b."""
+    return tuple(sorted(combinations(range(r), 2), key=lambda p: (p[1] > p[0] + 1, p)))
+
+
+def _spine_recipe(r: int, bundles, below: int = 0, above: int = 0) -> AdjunctRep:
+    """The recipe with ``bundles[k]``, ascending, the sizes of the chains
+    between the ends of the k-th :func:`_spine_pairs` pair, and ``below``
+    and ``above`` elements of padding.  The spine, chain 0, runs through
+    the first chain of each consecutive pair's bundle; a size of 0 there
+    is a bare cover.  The other chains follow in pair order."""
+    b = [below]  # the spine label of each b
+    chains, glue = [0], []  # the spine's length goes first, once b is known
+    for (i, j), bundle in zip(_spine_pairs(r), bundles):
+        if j == i + 1:
+            b.append(b[i] + bundle[0] + 1)
+            bundle = bundle[1:]
+        chains += bundle
+        glue += [AdjunctPair(b[i], b[j])] * len(bundle)
+    chains[0] = b[-1] + 1 + above
+    return AdjunctRep(tuple(chains), tuple(glue))

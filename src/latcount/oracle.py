@@ -34,15 +34,15 @@ from __future__ import annotations
 import marshal
 import os
 from functools import cache
-from itertools import combinations, product
+from itertools import product
 from typing import BinaryIO, NamedTuple, NoReturn
 
 from . import canon, formulas
-from .adjunct import AdjunctPair, AdjunctRep, realize
+from .adjunct import AdjunctRep, _reducibles_upward, _spine_pairs, _spine_recipe, realize
 from .canon import Certificate, canonical_certificate, padded_certificate
 from .errors import SizeLimitExceeded
 from .partitions import enumerate_partitions
-from .poset import Lattice, _cover_degrees, _reducibles
+from .poset import Lattice
 from .reduction import FbbClass, UnexpectedClass
 
 # ``verify`` reads the search through these.  ``census`` and ``_LEVELS``
@@ -73,33 +73,19 @@ def _block_reps(m: int, r: int):
     reducibles, in the order the (m, r) block table keeps them.
 
     The reducibles sit on a spine b0 < ... < b(r-1), and each spine pair
-    (:func:`_spine_pairs`) gets a bundle (:func:`_bundles`) of parallel
-    chains between its ends; the first chain of a consecutive pair's bundle
-    lies on the spine.  The bundle totals run over the compositions of the
-    m - r other elements in pair order, and the bundles over their product.
+    (``adjunct._spine_pairs``) gets a bundle (:func:`_bundles`) of parallel
+    chains between its ends, laid out as ``adjunct._spine_recipe`` lays
+    out every recipe, and ``adjunct.decompose`` reads it back.  The bundle
+    totals run over the compositions of the m - r other elements in pair
+    order, and the bundles over their product.
     A recipe is kept only when every b is reducible (:func:`_spine_reducible`).
     """
     pairs = _spine_pairs(r)
     for totals in _compositions(m - r, len(pairs)):
         options = [_bundles(total, j > i + 1) for (i, j), total in zip(pairs, totals)]
         for bundles in product(*options):
-            if not _spine_reducible(r, tuple(map(len, bundles))):
-                continue
-            b = [0]  # the spine label of each b
-            chains, glue = [0], []  # the spine's length goes first, once b is known
-            for (i, j), bundle in zip(pairs, bundles):
-                if j == i + 1:
-                    b.append(b[i] + bundle[0] + 1)
-                    bundle = bundle[1:]
-                chains += bundle
-                glue += [AdjunctPair(b[i], b[j])] * len(bundle)
-            chains[0] = b[-1] + 1
-            yield AdjunctRep(tuple(chains), tuple(glue))
-
-
-def _spine_pairs(r: int) -> list[tuple[int, int]]:
-    """The pairs i < j of the spine: consecutive first, then those that skip a b."""
-    return sorted(combinations(range(r), 2), key=lambda p: (p[1] > p[0] + 1, p))
+            if _spine_reducible(r, tuple(map(len, bundles))):
+                yield _spine_recipe(r, bundles)
 
 
 @cache
@@ -181,9 +167,7 @@ def _block_class(l: Lattice) -> FbbClass:
     retraction or a canonicalization.  Any other count, or reducible
     elements not in a chain, raise :class:`UnexpectedClass`.
     """
-    uppers, lowers = _cover_degrees(l.digraph)
-    # lowest first: in a chain the up-sets shrink strictly
-    red = sorted(_reducibles(uppers, lowers), key=lambda v: -l.up[v].bit_count())
+    uppers, lowers, red = _reducibles_upward(l)
     if all(l.up[x] >> y & 1 for x, y in zip(red, red[1:])):
         if len(red) == 2:
             return FbbClass.M2

@@ -128,6 +128,7 @@ class Lattice(NamedTuple):
         return self.digraph.covers
 
     def le(self, x: int, y: int) -> bool:
+        _check_labels(self.n, x, y)
         return bool(self.up[x] >> y & 1)
 
 
@@ -137,6 +138,14 @@ class ElementClassification(NamedTuple):
     red: frozenset[int]
     irr: frozenset[int]
     irr_star: frozenset[int]
+
+
+def _check_labels(n: int, *labels: int) -> None:
+    """Raise :class:`LabelOutOfRange` unless every label lies in ``0..n-1``:
+    a negative label would index a row from the end."""
+    for v in labels:
+        if not 0 <= v < n:
+            raise LabelOutOfRange(f"label {v} outside 0..{n - 1}")
 
 
 def build_poset(n: int, covers: Iterable[tuple[int, int]]) -> CoverDigraph:
@@ -279,6 +288,7 @@ def _unique_extreme(mask: int, reflexive: list[int] | tuple[int, ...]) -> int | 
 
 def meet_join(l: Lattice, x: int, y: int) -> tuple[int, int]:
     """Return ``(x meet y, x join y)``; total on a lattice."""
+    _check_labels(l.n, x, y)
     join = _unique_extreme(l.up[x] & l.up[y], l.down)
     meet = _unique_extreme(l.down[x] & l.down[y], l.up)
     assert join is not None and meet is not None
@@ -360,8 +370,11 @@ def dual(p: CoverDigraph) -> CoverDigraph:
 
 
 def relabel(p: CoverDigraph, perm: Iterable[int]) -> CoverDigraph:
-    """Apply a permutation (``perm[old] = new``) to the labels."""
+    """Apply a permutation (``perm[old] = new``) of ``0..n-1`` to the
+    labels; any other list raises :class:`LabelOutOfRange`."""
     pi = list(perm)
+    if sorted(pi) != list(range(p.n)):
+        raise LabelOutOfRange(f"{pi} is not a permutation of 0..{p.n - 1}")
     return CoverDigraph(p.n, tuple(sorted((pi[a], pi[b]) for a, b in p.covers)))
 
 
@@ -508,8 +521,10 @@ def _is_crown(subset: tuple[int, ...], comp: list[int], l: Lattice) -> bool:
 def maximal_chains_in_interval(l: Lattice, a: int, b: int) -> list[tuple[int, ...]]:
     """All maximal chains of the interval [a, b], as label sequences.
 
-    Raises :class:`NotComparable` unless ``a < b``.
+    Raises :class:`LabelOutOfRange` for a label outside ``0..n-1`` and
+    :class:`NotComparable` unless ``a < b``.
     """
+    _check_labels(l.n, a, b)
     if a == b or not l.le(a, b):
         raise NotComparable(f"{a} < {b} required")
     up = l.digraph.up_adjacency()

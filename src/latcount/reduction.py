@@ -31,6 +31,7 @@ from .poset import (
     Lattice,
     LatticeError,
     _bits,
+    _check_labels,
     _delete,
     _irreducible,
     _joined,
@@ -124,6 +125,7 @@ def is_retractible(p: CoverDigraph, x: int) -> bool:
     ``x`` survives only when it is sandwiched between two reducible elements
     that are also connected by a second directed path.
     """
+    _check_labels(p.n, x)
     up, down = p.up_adjacency(), p.down_adjacency()
     if not _irreducible(up, down, x):
         raise NotDoublyIrreducible(f"element {x} is reducible")
@@ -190,11 +192,9 @@ def fundamental_basic_block_of(l: Lattice) -> Lattice:
 
     The ears of a pair (lower, upper) are the block elements between those
     two reducible elements alone.  Where nothing else joins the pair, its
-    two smallest ears stay, else only the smallest.  The spine decomposition
-    (``adjunct.spine_and_components``) keeps the same vertices: the
-    lexicographically smallest spine runs through the smallest ear between
-    consecutive reducible elements, which nothing else joins, and the
-    smallest off-spine ear stays at each pair.
+    two smallest ears stay, else only the smallest: two between consecutive
+    reducible elements that no cover joins, one at a pair with ears that
+    skips a reducible element.
     """
     return as_lattice(_fbb_digraph(l))
 

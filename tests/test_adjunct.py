@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from latcount import oracle
+from latcount import oracle, search
 from latcount.adjunct import (
     AdjunctPair,
     AdjunctRep,
@@ -12,7 +14,6 @@ from latcount.adjunct import (
     direct_sum,
     pair_multiplicity,
     realize,
-    spine_and_components,
 )
 from latcount.canon import canonical_certificate as cert, decode_certificate
 from latcount.poset import (
@@ -22,6 +23,7 @@ from latcount.poset import (
     chain,
     classify_elements,
     nullity,
+    relabel,
 )
 from latcount.reduction import f1, f3, f4, m2
 from test_poset import CUBE_COVERS
@@ -188,13 +190,12 @@ class TestDecompose:
             decompose(cube)
 
     def test_chain_whose_top_has_the_smaller_label(self):
-        """The off-spine chain 4 < 3 is met at its top, 3, first, and is
-        walked down from there."""
+        """The glued chain 4 < 3, whose top has the smaller label, reads as
+        the chain 3 < 4 that ``realize`` glued."""
         rep = AdjunctRep((3, 2), (AdjunctPair(0, 2),))
         label = [0, 1, 2, 4, 3]
         covers = [(label[a], label[b]) for a, b in realize(rep).covers]
         lat = as_lattice(build_poset(5, covers))
-        assert spine_and_components(lat) == ((0, 1, 2), [(0, 2, (4, 3))])
         assert decompose(lat) == rep
 
     def test_round_trip_small_classes(self):
@@ -217,6 +218,65 @@ class TestDecompose:
             realized = realize(rep)  # rep pairs are labels of the realization
             total = sum(pair_multiplicity(realized, a, b) for a, b in distinct)
             assert total == len(rep.chains) - 1
+
+
+def normal_forms(members, seed: int) -> set[AdjunctRep]:
+    """The :func:`decompose` form of each member, given by its certificate,
+    asserted unchanged under a seeded random relabeling of the member."""
+    rng = random.Random(seed)
+    forms = set()
+    for c in members:
+        digraph = decode_certificate(c)
+        form = decompose(as_lattice(digraph))
+        perm = rng.sample(range(digraph.n), digraph.n)
+        assert decompose(as_lattice(relabel(digraph, perm))) == form, (c, perm)
+        forms.add(form)
+    return forms
+
+
+def padded(rep: AdjunctRep, below: int, above: int) -> AdjunctRep:
+    """``rep`` with ``below`` elements under its spine and ``above`` over it."""
+    return AdjunctRep(
+        (below + rep.chains[0] + above, *rep.chains[1:]),
+        tuple(AdjunctPair(p.a + below, p.b + below) for p in rep.pairs),
+    )
+
+
+SLOW = pytest.mark.slow
+
+
+class TestNormalForm:
+    """The canonizer checked by a normal form that shares no code with it:
+    two members of a class have equal certificates exactly when
+    :func:`decompose` gives them equal forms."""
+
+    @pytest.mark.parametrize(
+        "n", [*range(1, 11), *(pytest.param(n, marks=SLOW) for n in (11, 12))]
+    )
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_forms_tell_the_constructive_class_apart(self, n, r):
+        members = oracle.reducible_class(n, r)
+        assert len(normal_forms(members, seed=n * r)) == len(members)
+
+    @pytest.mark.parametrize("n", range(1, search.FULL_SEARCH_LIMIT + 1))
+    def test_forms_tell_the_search_classes_apart(self, n):
+        for r in (2, 3):
+            members = search.census(n).classes.get(r, frozenset())
+            assert len(normal_forms(members, seed=n + r)) == len(members)
+
+    @pytest.mark.parametrize(
+        "r, m_max",
+        [(2, 11), (3, 11), (4, 10), (5, 9),
+         pytest.param(4, 11, marks=SLOW), pytest.param(5, 11, marks=SLOW)],
+    )
+    def test_reads_back_every_recipe(self, r, m_max):
+        """``decompose(realize(rep)) == rep`` for every block recipe with r
+        reducibles on at most m_max elements, as listed and padded."""
+        for m in range(1, m_max + 1):
+            for rep in oracle._block_reps(m, r):
+                for below, above in ((0, 0), (1, 0), (0, 2), (3, 1)):
+                    rep_padded = padded(rep, below, above)
+                    assert decompose(realize(rep_padded)) == rep_padded
 
 
 class TestAdjunctRep:

@@ -46,12 +46,14 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(sorted(set(sys.modules) - before))
 """
 
-# latcount.__all__ at the commit before the public names loaded lazily.
+# latcount.__all__ at the commit before the public names loaded lazily, less
+# ``NotDismantlable``, which nothing can raise: a lattice whose reducibles
+# form a chain, all that ``decompose`` takes, is dismantlable.
 PUBLIC_NAMES = [
     "AdjunctPair", "AdjunctRep", "Certificate", "CoverDigraph", "CycleDetected",
     "ElementClassification", "FbbClass", "IncomparableReducibles",
     "LabelOutOfRange", "Lattice", "LatticeError", "NotALattice", "NotComparable",
-    "NotDismantlable", "NotDoublyIrreducible", "OracleCensus", "PairIsCover",
+    "NotDoublyIrreducible", "OracleCensus", "PairIsCover",
     "PairNotComparable", "RedundantCover", "SizeLimitExceeded", "UnexpectedClass",
     "VerifyRecord", "adjunct", "adjunct_sum", "as_lattice", "b1_blocks",
     "b2_blocks", "b3_blocks", "b4_blocks", "basic_block_of", "basic_retract",
@@ -352,9 +354,14 @@ def test_every_import_is_used(name):
     assert sorted(unread) == sorted(n for n in TRACER_ONLY_IMPORTS if n.startswith(f"{name}."))
 
 
+def named(node: ast.expr) -> str | None:
+    """The name an expression reads, bare or as an attribute."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
 def called(node: ast.Call) -> str | None:
     """The name a call reads its function from, bare or as an attribute."""
-    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return named(node.func)
 
 
 def test_build_poset_feeds_as_lattice_only_for_documents():
@@ -418,6 +425,25 @@ def test_every_private_name_is_read():
         and bound not in everywhere
     ]
     assert orphans == []
+
+
+def test_every_lattice_error_is_raised():
+    """Each subclass of ``LatticeError`` that the package defines, at any
+    depth, appears in a ``raise`` somewhere in the package: no exception
+    class is kept that nothing raises."""
+    classes = [node for tree in MODULES.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    family = {"LatticeError"}
+    for _ in classes:  # each pass adds a level; none is deeper than this
+        family |= {c.name for c in classes if any(named(b) in family for b in c.bases)}
+    raised = {
+        named(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        for tree in MODULES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    assert {"NotALattice", "SizeLimitExceeded", "UnexpectedClass"} <= family
+    assert sorted(family - raised - {"LatticeError"}) == []
 
 
 # Public functions that nothing in the package reads and ``latcount`` does

@@ -8,9 +8,10 @@ back after it."""
 
 import pytest
 
-from latcount import documents, formulas, oracle, reduction, search
+from latcount import adjunct, documents, formulas, oracle, reduction, search
 from latcount.poset import as_lattice, build_poset
 from latcount.reduction import FbbClass
+from test_adjunct import normal_forms
 from test_oracle import A006966
 
 SWAP = {FbbClass.F3: FbbClass.F4, FbbClass.F4: FbbClass.F3}
@@ -162,3 +163,25 @@ def test_second_five_chain_fails_the_chains_cell_with_a_witness(monkeypatch):
     flagged = {(r.n, r.name): r for r in oracle.verify(6) if r.ok is False}
     assert flagged.keys() == {(5, "chains")}
     assert flagged[5, "chains"].witness == [[0, 1], [1, 2], [2, 3], [3, 4]]
+
+
+def test_reader_ignoring_the_pairs_that_skip_a_b_fails_the_normal_form_check(monkeypatch):
+    """``decompose`` dropping the chains it reads between the b's of a pair
+    that skips a b: its forms still tell every class member apart for
+    n <= 6, and at n = 7 the 15 three-reducible members give 10 forms.
+    ``oracle._block_reps`` lays out its recipes through its own binding of
+    the layout, so the classes themselves are healthy."""
+    recipe = adjunct._spine_recipe
+
+    def mutant(r, bundles, below=0, above=0):
+        pairs = adjunct._spine_pairs(r)
+        kept = [bundle if j == i + 1 else () for (i, j), bundle in zip(pairs, bundles)]
+        return recipe(r, kept, below, above)
+
+    monkeypatch.setattr(adjunct, "_spine_recipe", mutant)
+    for n in range(1, 7):
+        for r in (2, 3):
+            members = oracle.reducible_class(n, r)
+            assert len(normal_forms(members, seed=n * r)) == len(members), (n, r)
+    members = oracle.reducible_class(7, 3)
+    assert (len(members), len(normal_forms(members, seed=21))) == (15, 10)

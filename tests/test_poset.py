@@ -30,7 +30,8 @@ from latcount.poset import (
     nullity,
     relabel,
 )
-from latcount.reduction import f1, f3, f4, m2
+from latcount.adjunct import pair_multiplicity
+from latcount.reduction import f1, f3, f4, is_retractible, m2
 from class_reference import reference_class
 from search_reference import search_lattices
 
@@ -459,6 +460,42 @@ class TestMaximalChains:
     def test_incomparable_rejected(self):
         with pytest.raises(NotComparable):
             maximal_chains_in_interval(m2(), 1, 2)
+
+
+# Each public query that takes labels, with one label ``v`` in each place,
+# on the diamond: a negative label read a row from the end, and n read past
+# the rows, each with a wrong answer or an error that no ``except
+# LatticeError`` catches.
+LABEL_QUERIES = {
+    "le_first": lambda l, v: l.le(v, 3),
+    "le_second": lambda l, v: l.le(0, v),
+    "meet_join_first": lambda l, v: meet_join(l, v, 1),
+    "meet_join_second": lambda l, v: meet_join(l, 0, v),
+    "chains_first": lambda l, v: maximal_chains_in_interval(l, v, 3),
+    "chains_second": lambda l, v: maximal_chains_in_interval(l, 0, v),
+    "chains_both": lambda l, v: maximal_chains_in_interval(l, v, v),
+    "pair_multiplicity": lambda l, v: pair_multiplicity(l, v, 3),
+    "is_retractible": lambda l, v: is_retractible(l.digraph, v),
+}
+
+
+@pytest.mark.parametrize("label", [-1, 4])
+@pytest.mark.parametrize("query", sorted(LABEL_QUERIES))
+def test_labels_outside_the_lattice_raise_label_out_of_range(query, label):
+    with pytest.raises(LabelOutOfRange, match=f"^label {label} outside 0..3$"):
+        LABEL_QUERIES[query](m2(), label)
+
+
+@pytest.mark.parametrize(
+    "perm", [[0, 1, 1, 3], [4, 5, 6, 7, 0], [0, 1, 2], [1, 2, 3, 0, 4], [-1, 0, 1, 2]]
+)
+def test_relabel_takes_permutations_alone(perm):
+    with pytest.raises(LabelOutOfRange, match="is not a permutation of 0..3"):
+        relabel(m2().digraph, perm)
+
+
+def test_relabel_moves_every_cover():
+    assert relabel(m2().digraph, [3, 1, 2, 0]).covers == ((1, 0), (2, 0), (3, 1), (3, 2))
 
 
 def _rows(p):
