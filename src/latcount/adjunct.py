@@ -192,7 +192,9 @@ def decompose(l: Lattice) -> AdjunctRep:
     :class:`IncomparableReducibles` naming the first two reducibles,
     ordered by up-set size, that are not comparable.
     """
-    red = _reducibles_upward(l)[2]
+    # by up-set size, largest first: lowest first where they form a chain
+    red = _reducibles(*_cover_degrees(l.digraph))
+    red.sort(key=lambda v: -l.up[v].bit_count())
     for x, y in zip(red, red[1:]):
         if not l.up[x] >> y & 1:
             raise IncomparableReducibles(f"reducible elements {x} and {y}")
@@ -210,14 +212,6 @@ def decompose(l: Lattice) -> AdjunctRep:
     bundles = [sorted(paths) for paths in lengths.values()]
     below, above = l.down[red[0]].bit_count() - 1, l.up[red[-1]].bit_count() - 1
     return _spine_recipe(len(red), bundles, below, above)
-
-
-def _reducibles_upward(l: Lattice) -> tuple[list[int], list[int], list[int]]:
-    """The cover degrees of ``l`` and its reducible elements by up-set size,
-    largest first: lowest first where they form a chain."""
-    uppers, lowers = _cover_degrees(l.digraph)
-    red = sorted(_reducibles(uppers, lowers), key=lambda v: -l.up[v].bit_count())
-    return uppers, lowers, red
 
 
 @cache

@@ -5,11 +5,12 @@ against it and against the exhaustive search of ``search``.
 The constructive path realizes adjunct-of-chains recipes for the classes
 with exactly 2 or 3 reducible elements, and stays feasible past the full
 search limit.  Each member is a maximal block padded by chains below and
-above, and is its certificate.  Every block is realized, canonicalized and
-F-classified once per process, and its table keeps the certificate and the
-F-class alone.  The F-class comes from the paper's structure theorem, which
-the recipes assume already: the middle of the three reducible elements
-decides it (:func:`_block_class`), with no retraction.  The search tags its
+above, and is its certificate.  Every block is realized and canonicalized
+once per process, and its table keeps the certificate and the F-class
+alone.  The F-class comes from the paper's structure theorem, which the
+recipes assume already: the middle of the three reducible elements decides
+it, and the widths of its recipe's bundles say how (:func:`_spine_class`),
+with no retraction and no look at the realized block.  The search tags its
 lattices with ``reduction.classify_fbb`` instead, so the two oracles'
 fibers come from two classifiers.  The certificate of each padding is read
 off the block's certificate (:func:`canon.padded_certificate`), not
@@ -38,12 +39,11 @@ from itertools import product
 from typing import BinaryIO, NamedTuple, NoReturn
 
 from . import canon, formulas
-from .adjunct import AdjunctRep, _reducibles_upward, _spine_pairs, _spine_recipe, realize
+from .adjunct import AdjunctRep, _spine_pairs, _spine_recipe, realize
 from .canon import Certificate, canonical_certificate, padded_certificate
 from .errors import SizeLimitExceeded
 from .partitions import enumerate_partitions
-from .poset import Lattice
-from .reduction import FbbClass, UnexpectedClass
+from .reduction import FbbClass
 
 # ``verify`` reads the search through these.  ``census`` and ``_LEVELS``
 # are bound here for perfbench/tracer.py alone, which times and counts the
@@ -78,14 +78,16 @@ def _block_reps(m: int, r: int):
     out every recipe, and ``adjunct.decompose`` reads it back.  The bundle
     totals run over the compositions of the m - r other elements in pair
     order, and the bundles over their product.
-    A recipe is kept only when every b is reducible (:func:`_spine_reducible`).
+    A recipe is kept only when every b is reducible (:func:`_spine_reducible`),
+    and comes paired with its F-class (:func:`_spine_class`).
     """
     pairs = _spine_pairs(r)
     for totals in _compositions(m - r, len(pairs)):
         options = [_bundles(total, j > i + 1) for (i, j), total in zip(pairs, totals)]
         for bundles in product(*options):
-            if _spine_reducible(r, tuple(map(len, bundles))):
-                yield _spine_recipe(r, bundles)
+            widths = tuple(map(len, bundles))
+            if _spine_reducible(r, widths):
+                yield _spine_recipe(r, bundles), _spine_class(r, widths)
 
 
 @cache
@@ -99,6 +101,23 @@ def _spine_reducible(r: int, widths: tuple[int, ...]) -> bool:
         ups[i] += width
         downs[j] += width
     return min(map(max, ups, downs)) > 1
+
+
+def _spine_class(r: int, widths: tuple[int, ...]) -> FbbClass | None:
+    """The F-class of a block with these :func:`_spine_reducible` widths,
+    by the structure theorem: M2 for two reducibles, None past three.  Of
+    three, a < b < c, b decides, its lower and upper covers the widths of
+    its low and high bundles: F1 if meet-reducible only, F2 if join-
+    reducible only, F3 if both and no outer (a, c) bundle bypasses b, else F4.
+    """
+    if r != 3:
+        return FbbClass.M2 if r == 2 else None
+    low, high, outer = widths
+    if low < 2:
+        return FbbClass.F1
+    if high < 2:
+        return FbbClass.F2
+    return FbbClass.F4 if outer else FbbClass.F3
 
 
 def _compositions(total: int, parts: int):
@@ -142,47 +161,16 @@ _BLOCKS: dict[tuple[int, int], dict[Certificate, FbbClass]] = {}
 
 def _block_table(m: int, r: int) -> dict[Certificate, FbbClass]:
     """Every block on m elements with exactly r in {2, 3} reducibles, by
-    certificate, with its F-class by :func:`_block_class`; built by
+    certificate, with its recipe's F-class (:func:`_spine_class`); built by
     :func:`_build_tables` in one process if this process lacks it."""
     _build_tables([(m, r)], 1)
     return _BLOCKS[m, r]
 
 
-def _block_entry(rep: AdjunctRep) -> tuple[bytes, int]:
-    """The certificate bytes and F-class value of the block a recipe
-    realizes: plain values, which ``marshal`` sends between processes."""
-    block = realize(rep)
-    return canonical_certificate(block.digraph).data, _block_class(block).value
-
-
-def _block_class(l: Lattice) -> FbbClass:
-    """The F-class of a lattice with two or three reducible elements, read
-    off the middle one.
-
-    The structure theorem the recipes assume: the reducible elements form
-    a chain.  Two make M2.  Of three, a < b < c, b alone decides: meet-
-    reducible only is F1, join-reducible only F2, both and comparable with
-    every element F3, both and not F4 (a chain from a to c bypasses b).
-    Cover degrees and ``l.up`` / ``l.down`` say all of it, without a
-    retraction or a canonicalization.  Any other count, or reducible
-    elements not in a chain, raise :class:`UnexpectedClass`.
-    """
-    uppers, lowers, red = _reducibles_upward(l)
-    if all(l.up[x] >> y & 1 for x, y in zip(red, red[1:])):
-        if len(red) == 2:
-            return FbbClass.M2
-        if len(red) == 3:
-            b = red[1]
-            if lowers[b] < 2:
-                return FbbClass.F1
-            if uppers[b] < 2:
-                return FbbClass.F2
-            if l.up[b] | l.down[b] == (1 << l.n) - 1:
-                return FbbClass.F3
-            return FbbClass.F4
-    raise UnexpectedClass(
-        f"{len(red)} reducible elements, not a chain of two or three"
-    )
+def _block_entry(rep: AdjunctRep) -> bytes:
+    """The certificate bytes of the block a recipe realizes: a plain value,
+    which ``marshal`` sends between processes."""
+    return canonical_certificate(realize(rep).digraph).data
 
 
 def _padding_slice(n: int, r: int, j: int) -> list[tuple[Certificate, FbbClass]]:
@@ -224,13 +212,14 @@ def _build_tables(keys, workers: int) -> None:
     ``size`` processes (:func:`_split_size`): one with one worker, unless
     the largest missing table has at least ``SPLIT_BREAK_EVEN`` elements,
     or where ``os.fork`` is missing, and otherwise no more than there are
-    workers, recipes or CPUs.  Process i realizes, canonicalizes and
-    classifies ``recipes[i::size]``.  This process is process 0 and the
-    others are forked children, each of which sends its share back over a
-    pipe with ``marshal``; every share is a list of ``(cert.data,
-    fbb.value)`` pairs, placed at ``i::size``.  Each table keeps its blocks
-    in the order of first realization, whatever the process count, and a
-    table below m = 2r has no recipe and no block.  Every child is reaped
+    workers, recipes or CPUs.  Process i realizes and canonicalizes
+    ``recipes[i::size]``.  This process is process 0 and the others are
+    forked children, each of which sends its share back over a pipe with
+    ``marshal``; every share is a list of certificate bytes, placed at
+    ``i::size``, and this process tags each block with its recipe's class.
+    Each table keeps its blocks in the order of first realization, whatever
+    the process count, and a table below m = 2r has no recipe and no block.
+    Every child is reaped
     before this returns or raises: killed first if this process's own
     share raised, and reported as an error if it exited with a non-zero
     status.  The package starts no thread, so forking is safe.
@@ -238,7 +227,7 @@ def _build_tables(keys, workers: int) -> None:
     missing = sorted(set(keys) - _BLOCKS.keys(), reverse=True)
     if missing and missing[0][0] < SPLIT_BREAK_EVEN:
         workers = 1
-    recipes = [(key, rep) for key in missing for rep in _block_reps(*key)]
+    recipes = [(key, rep, tag) for key in missing for rep, tag in _block_reps(*key)]
     size = _split_size(workers, len(recipes))
     pids: list[int] = []
     pipes: list[BinaryIO] = []  # the read end of each child's pipe
@@ -253,7 +242,7 @@ def _build_tables(keys, workers: int) -> None:
             finally:
                 os.close(write)
             pids.append(pid)
-        shares = [[_block_entry(rep) for _, rep in recipes[::size]]]
+        shares = [[_block_entry(rep) for _, rep, _ in recipes[::size]]]
         sent = [pipe.read() for pipe in pipes]
     except BaseException:
         import signal  # loaded only where a split fails
@@ -273,21 +262,21 @@ def _build_tables(keys, workers: int) -> None:
     for i, share in enumerate(shares):
         entries[i::size] = share
     tables: dict = {key: {} for key in missing}
-    for (key, _), (data, value) in zip(recipes, entries):
-        tables[key].setdefault(Certificate(data), FbbClass(value))
+    for (key, _, tag), data in zip(recipes, entries):
+        tables[key].setdefault(Certificate(data), tag)
     _BLOCKS.update(tables)
 
 
 def _send_share(recipes, write: int) -> NoReturn:
-    """In a forked child: the :func:`_block_entry` of each ``(key, rep)``
-    recipe, marshalled to the pipe ``write``.  The child leaves through
-    ``os._exit``, so it flushes none of the stdio buffers it inherited and
-    runs no atexit handler; a failure prints its traceback to stderr and
-    exits with status 1."""
+    """In a forked child: the :func:`_block_entry` of each ``(key, rep,
+    tag)`` recipe, marshalled to the pipe ``write``.  The child leaves
+    through ``os._exit``, so it flushes none of the stdio buffers it
+    inherited and runs no atexit handler; a failure prints its traceback
+    to stderr and exits with status 1."""
     status = 1
     try:
         with open(write, "wb") as pipe:
-            marshal.dump([_block_entry(rep) for _, rep in recipes], pipe)
+            marshal.dump([_block_entry(rep) for _, rep, _ in recipes], pipe)
         status = 0
     except BaseException:
         import traceback

@@ -30,8 +30,8 @@ def partition_count(n: int, k: int) -> int:
 
 def enumerate_partitions(n: int, k: int) -> list[tuple[int, ...]]:
     """All non-decreasing positive k-tuples summing to n, in lexicographic order."""
-    if k == 0:
-        return [()] if n == 0 else []
+    if k <= 0:
+        return [()] if n == k == 0 else []
     out: list[tuple[int, ...]] = []
     parts: list[int] = []
 

@@ -83,8 +83,8 @@ class CoverDigraph(NamedTuple):
     :func:`poset_classification`, ``documents.lattice_document`` with its
     class given) read the covers as given, so an implied cover gives a
     wrong answer there; :func:`nullity` and :func:`poset_classification`
-    reject a repeated one.  :func:`build_poset` and :func:`as_lattice` are
-    the full checks.
+    reject a repeated one and a label outside ``0..n-1``.
+    :func:`build_poset` and :func:`as_lattice` are the full checks.
     """
 
     n: int
@@ -310,15 +310,24 @@ def poset_classification(p: CoverDigraph) -> ElementClassification:
 
     Reads the covers of ``p`` as given: ``p`` is an irredundant cover
     relation, as :func:`build_poset` and :func:`as_lattice` check.  A cover
-    listed twice raises :class:`RedundantCover`, as those checks do.
+    listed twice or with a label outside ``0..n-1`` raises as they do.
     """
-    if len(set(p.covers)) != len(p.covers):
-        _checked_order(p.n, p.covers)  # names the first cover listed twice
+    _check_covers(p)
     uppers, lowers = _cover_degrees(p)
     red = frozenset(_reducibles(uppers, lowers))
     irr = frozenset(range(p.n)) - red
     star = frozenset(v for v in irr if uppers[v] and lowers[v])
     return ElementClassification(red, irr, star)
+
+
+def _check_covers(p: CoverDigraph) -> None:
+    """Raise as :func:`_checked_order` does, naming the first bad cover, if
+    a cover of ``p`` is listed twice or has a label outside ``0..n-1``:
+    read as given, a negative label would index a row from the end."""
+    n = p.n
+    out = any(not (0 <= a < n and 0 <= b < n) for a, b in p.covers)
+    if out or len(set(p.covers)) != len(p.covers):
+        _checked_order(n, p.covers)
 
 
 def _cover_degrees(p: CoverDigraph) -> tuple[list[int], list[int]]:
@@ -344,10 +353,9 @@ def nullity(p: CoverDigraph) -> int:
 
     Reads the covers of ``p`` as given: ``p`` is an irredundant cover
     relation, as :func:`build_poset` and :func:`as_lattice` check.  A cover
-    listed twice raises :class:`RedundantCover`, as those checks do.
+    listed twice or with a label outside ``0..n-1`` raises as they do.
     """
-    if len(set(p.covers)) != len(p.covers):
-        _checked_order(p.n, p.covers)  # names the first cover listed twice
+    _check_covers(p)
     parent = list(range(p.n))
 
     def find(v: int) -> int:
@@ -384,8 +392,10 @@ def chain(k: int) -> Lattice:
 
 
 def induced_subposet(p: CoverDigraph, keep: Iterable[int]) -> CoverDigraph:
-    """Induced subposet on ``keep``, relabeled densely in ascending label order."""
+    """Induced subposet on ``keep``, relabeled densely in ascending label
+    order; a label outside ``0..n-1`` raises :class:`LabelOutOfRange`."""
     kept = sorted(set(keep))
+    _check_labels(p.n, *kept)
     index = {v: i for i, v in enumerate(kept)}
     up = p.up_adjacency()
     order = _strict_up_order(up, _topological_order(p.n, up))

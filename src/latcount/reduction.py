@@ -15,8 +15,8 @@ Every step deletes vertices in place from one pair of cover rows; a cover
 digraph is built once, from the vertices left at the end.  ``classify_fbb``
 tags the lattices of the exhaustive search and the documents of lattices
 given without a class; the constructive block tables read the class off
-the middle reducible element instead (``oracle._block_class``).  Lattices
-trim to few distinct labelled fundamental basic blocks, so
+the bundle widths at the middle reducible element of each recipe instead
+(``oracle._spine_class``).  Lattices trim to few distinct labelled fundamental basic blocks, so
 ``classify_fbb`` remembers the class of each one it has recognized and
 canonicalizes only a labelled shape it has not seen before.
 """

@@ -26,7 +26,7 @@ def reference_blocks(m: int, r: int) -> dict[Certificate, Lattice]:
     """The blocks on m elements with exactly r reducibles, by certificate:
     the first realization of each in recipe order."""
     blocks: dict[Certificate, Lattice] = {}
-    for rep in oracle._block_reps(m, r):
+    for rep, _ in oracle._block_reps(m, r):
         block = realize(rep)
         blocks.setdefault(canonical_certificate(block.digraph), block)
     return blocks

@@ -141,7 +141,7 @@ class TestRealize:
             rep
             for m in range(1, 11)
             for r in (2, 3)
-            for rep in oracle._block_reps(m, r)
+            for rep, _ in oracle._block_reps(m, r)
         ]
         assert len(recipes) == 443
         for rep in recipes + nested:
@@ -273,7 +273,7 @@ class TestNormalForm:
         """``decompose(realize(rep)) == rep`` for every block recipe with r
         reducibles on at most m_max elements, as listed and padded."""
         for m in range(1, m_max + 1):
-            for rep in oracle._block_reps(m, r):
+            for rep, _ in oracle._block_reps(m, r):
                 for below, above in ((0, 0), (1, 0), (0, 2), (3, 1)):
                     rep_padded = padded(rep, below, above)
                     assert decompose(realize(rep_padded)) == rep_padded

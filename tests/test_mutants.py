@@ -20,8 +20,8 @@ SWAP = {FbbClass.F3: FbbClass.F4, FbbClass.F4: FbbClass.F3}
 def _swapping(classify):
     """``classify`` with F3 and F4 traded."""
 
-    def mutant(l):
-        tag = classify(l)
+    def mutant(*args):
+        tag = classify(*args)
         return SWAP.get(tag, tag)
 
     return mutant
@@ -32,7 +32,7 @@ def test_block_class_trading_f3_and_f4_fails_their_cells(monkeypatch, fresh_tabl
     whose two healthy counts differ reads ``ok is False``; every other cell
     agrees.  A flagged cell with members names one of them, which the
     retracting classifier puts in the other class."""
-    monkeypatch.setattr(oracle, "_block_class", _swapping(oracle._block_class))
+    monkeypatch.setattr(oracle, "_spine_class", _swapping(oracle._spine_class))
     records = oracle.verify(9)
     expected = set()
     for n in range(1, 10):
@@ -105,9 +105,9 @@ def test_dropped_block_recipe_fails_its_cells(monkeypatch, fresh_tables):
     recipes = oracle._block_reps
 
     def mutant(m, r):
-        for i, rep in enumerate(recipes(m, r)):
+        for i, tagged in enumerate(recipes(m, r)):
             if (m, r, i) != (8, 3, 5):
-                yield rep
+                yield tagged
 
     monkeypatch.setattr(oracle, "_block_reps", mutant)
     flagged = {(r.n, r.name) for r in oracle.verify(9) if r.ok is False}

@@ -1,6 +1,5 @@
 import hashlib
 import os
-import random
 import signal
 import time
 
@@ -27,18 +26,8 @@ from latcount.poset import (
     classify_elements,
     dual,
     is_dismantlable,
-    relabel,
 )
-from latcount.reduction import (
-    FbbClass,
-    UnexpectedClass,
-    classify_fbb,
-    f1,
-    f2,
-    f3,
-    f4,
-    m2,
-)
+from latcount.reduction import FbbClass, UnexpectedClass, classify_fbb
 from class_reference import reference_class, three_block_fibers
 from search_reference import (
     automorphisms,
@@ -370,9 +359,10 @@ class TestClassSearch:
             assert full.classes.get(3, frozenset()) == enumerate_by_reducible(n, 3)
 
     def test_carried_tag_is_the_members_own_class(self):
-        """Members inherit their block's tag, which ``_block_class`` reads
-        off the middle reducible element; ``classify_fbb``, retracting each
-        member itself, is the reference, so the two classifiers agree."""
+        """Members inherit their block's tag, which ``_spine_class`` reads
+        off the recipe's bundles at the middle reducible element;
+        ``classify_fbb``, retracting each member itself, is the reference,
+        so the two classifiers agree."""
         for n in range(1, 11):
             for r in (2, 3):
                 for cert, fbb in reducible_class(n, r).items():
@@ -382,7 +372,7 @@ class TestClassSearch:
     def test_carried_tags_match_full_search_fibers(self):
         """The search classifies its own lattices with ``classify_fbb``,
         independently of the recipes, of the block table and of the rule
-        ``_block_class`` that tags the blocks."""
+        ``_spine_class`` that tags the blocks."""
         for n in range(1, FULL_SEARCH_LIMIT + 1):
             fibers: dict[FbbClass, set] = {}
             for cert, fbb in reducible_class(n, 3).items():
@@ -427,8 +417,8 @@ class TestClassSearch:
         than one middle element, and the degree rule must check each of
         them.  Padded by chains, the r = 4 blocks counted here give 1, 11,
         72 and 357 lattices on 6..9 elements and the r = 5 blocks 7 and
-        108 on 8 and 9, whose reducibles form a chain.  ``_block_class``
-        raises past r = 3, so those sizes have no block table."""
+        108 on 8 and 9, whose reducibles form a chain.  ``_spine_class``
+        tags them None, and those sizes have no block table."""
         sizes = {
             (m, r): None for m in range(4, CLASS_SEARCH_LIMIT + 1) for r in (2, 3)
         }
@@ -436,7 +426,7 @@ class TestClassSearch:
         sizes.update({(8, 5): 7, (9, 5): 94})
         for (m, r), count in sizes.items():
             certs = set()
-            for rep in oracle._block_reps(m, r):
+            for rep, _ in oracle._block_reps(m, r):
                 block = oracle.realize(rep)
                 assert len(classify_elements(block).red) == r, rep
                 cert = canonical_certificate(block.digraph)
@@ -452,7 +442,7 @@ class TestClassSearch:
         tables keep their first realizations in this order, so a change of
         recipe generator shows here before it shows in a certificate."""
         reps = [
-            rep for m in range(1, 16) for r in (2, 3) for rep in oracle._block_reps(m, r)
+            rep for m in range(1, 16) for r in (2, 3) for rep, _ in oracle._block_reps(m, r)
         ]
         assert len(reps) == 14308
         text = "\n".join(repr(rep) for rep in reps)
@@ -538,40 +528,25 @@ class TestClassSearch:
 
 
 class TestBlockClass:
-    """``oracle._block_class`` tags the blocks by the structure theorem;
-    ``classify_fbb``, which retracts and canonicalizes, is the reference."""
+    """``oracle._spine_class`` tags each recipe by the structure theorem,
+    from its bundle widths; ``classify_fbb``, which retracts and
+    canonicalizes the realized block, is the reference."""
 
     @pytest.mark.parametrize(
         "m", [*range(4, 12), *(pytest.param(m, marks=pytest.mark.slow) for m in (12, 13))]
     )
     def test_matches_classify_fbb_on_every_realized_block(self, m):
         for r in (2, 3):
-            for rep in oracle._block_reps(m, r):
-                block = oracle.realize(rep)
-                assert oracle._block_class(block) is classify_fbb(block), rep
+            for rep, tag in oracle._block_reps(m, r):
+                assert tag is classify_fbb(oracle.realize(rep)), rep
 
-    def test_invariant_under_relabeling(self):
-        rng = random.Random(20240615)
-        blocks = [m2(), f1(), f2(), f3(), f4()] + [
-            oracle.realize(rep)
-            for m in (8, 9)
-            for r in (2, 3)
-            for rep in oracle._block_reps(m, r)
-        ]
-        for lat in blocks:
-            tag = oracle._block_class(lat)
-            for _ in range(3):
-                perm = list(range(lat.n))
-                rng.shuffle(perm)
-                shuffled = as_lattice(relabel(lat.digraph, perm))
-                assert oracle._block_class(shuffled) is tag
-
-    def test_other_reducible_counts_raise(self):
-        four = census(6).classes[4]
-        assert four
-        for lat in [chain(5)] + [as_lattice(decode_certificate(c)) for c in four]:
-            with pytest.raises(UnexpectedClass):
-                oracle._block_class(lat)
+    def test_more_reducibles_carry_no_class(self):
+        """Past three reducibles the paper names no F-class, and every
+        recipe carries None."""
+        tags = {
+            tag for m in range(1, 10) for r in (4, 5) for _, tag in oracle._block_reps(m, r)
+        }
+        assert tags == {None}
 
 
 class TestCensus:
@@ -719,9 +694,9 @@ class TestVerify:
             verify(42)
 
     def test_each_block_is_realized_and_classified_once(self, monkeypatch, fresh_tables):
-        """Each block is realized and tagged by ``_block_class`` once; the
+        """Each block is realized and tagged by ``_spine_class`` once; the
         run reaches ``classify_fbb`` through no module that binds it."""
-        calls = {"realize": 0, "_block_class": 0}
+        calls = {"realize": 0, "_spine_class": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -732,7 +707,7 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "realize", counted("realize", oracle.realize))
         monkeypatch.setattr(
-            oracle, "_block_class", counted("_block_class", oracle._block_class)
+            oracle, "_spine_class", counted("_spine_class", oracle._spine_class)
         )
         retractions = [
             _count_calls(monkeypatch, module, "classify_fbb")
@@ -741,7 +716,7 @@ class TestVerify:
         assert _agrees(verify(9))
         # 37 two-reducible plus 150 three-reducible blocks on m <= 9 elements
         assert sum(len(table) for table in oracle._BLOCKS.values()) == 187
-        assert calls == {"realize": 187, "_block_class": 187}
+        assert calls == {"realize": 187, "_spine_class": 187}
         assert retractions == [[0], [0], [0]]
 
     def test_one_pool_per_run(self, monkeypatch, fresh_tables, eager_split):
@@ -871,18 +846,18 @@ class TestVerify:
     def test_worker_failure_raises_in_the_parent(
         self, monkeypatch, capfd, fresh_tables, eager_split
     ):
-        """A ``_block_class`` that raises on a recipe the forked worker owns
+        """A ``_block_entry`` that raises on a recipe the forked worker owns
         makes the class search raise in the parent, once the worker is
         reaped; the worker prints its traceback, and no table is kept."""
         parent = os.getpid()
-        classify = oracle._block_class
+        entry = oracle._block_entry
 
-        def failing(l):
+        def failing(rep):
             if os.getpid() != parent:
                 raise UnexpectedClass("raised in the worker")
-            return classify(l)
+            return entry(rep)
 
-        monkeypatch.setattr(oracle, "_block_class", failing)
+        monkeypatch.setattr(oracle, "_block_entry", failing)
         with pytest.raises(RuntimeError, match="exited with status 1"):
             reducible_class(8, 3, workers=2)
         with pytest.raises(ChildProcessError):
@@ -893,13 +868,13 @@ class TestVerify:
     def test_parent_failure_kills_and_reaps_the_worker(
         self, monkeypatch, fresh_tables, eager_split
     ):
-        """A ``_block_class`` that raises on a recipe the parent owns kills
+        """A ``_block_entry`` that raises on a recipe the parent owns kills
         and reaps the forked worker before the error propagates.  The
         worker's own share would take a minute, so only the kill ends it in
         time."""
         parent = os.getpid()
 
-        def failing(l):
+        def failing(rep):
             if os.getpid() == parent:
                 raise UnexpectedClass("raised in the parent")
             time.sleep(60)
@@ -912,7 +887,7 @@ class TestVerify:
             reaped.append(done)
             return done
 
-        monkeypatch.setattr(oracle, "_block_class", failing)
+        monkeypatch.setattr(oracle, "_block_entry", failing)
         monkeypatch.setattr(oracle.os, "waitpid", recorded)
         start = time.monotonic()
         with pytest.raises(UnexpectedClass, match="raised in the parent"):

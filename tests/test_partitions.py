@@ -37,6 +37,13 @@ def test_boundaries():
     assert partition_count(2, 3) == 0
     assert partition_count(-1, 0) == 0
     assert partition_count(5, -1) == 0
+    assert enumerate_partitions(0, 0) == [()]
+    assert enumerate_partitions(3, 0) == []
+    assert enumerate_partitions(-1, 0) == []
+    for n in (-2, -1, 0, 3, 5):
+        for k in (-3, -1):
+            assert enumerate_partitions(n, k) == [], (n, k)
+            assert partition_count(n, k) == 0, (n, k)
 
 
 def test_enumerate_examples():
@@ -58,7 +65,7 @@ def test_enumeration_is_sorted_and_valid():
 
 
 @settings(deadline=None, max_examples=80)
-@given(st.integers(0, 25), st.integers(0, 25))
+@given(st.integers(0, 25), st.integers(-3, 25))
 def test_count_matches_enumeration(n, k):
     assert partition_count(n, k) == len(enumerate_partitions(n, k))
 

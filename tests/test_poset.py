@@ -412,6 +412,25 @@ def test_repeated_cover_raises_redundant_cover(read, digraph, message):
         read(digraph)
 
 
+@pytest.mark.parametrize("read", [nullity, poset.poset_classification])
+@pytest.mark.parametrize(
+    "digraph, message",
+    [
+        (CoverDigraph(2, ((0, 5),)), "cover (0, 5) outside 0..1"),
+        (CoverDigraph(3, ((-1, 1), (0, 1))), "cover (-1, 1) outside 0..2"),
+        (CoverDigraph(3, ((0, 1), (1, 3))), "cover (1, 3) outside 0..2"),
+        (CoverDigraph(4, ((0, 1), (1, -2), (1, 3))), "cover (1, -2) outside 0..3"),
+    ],
+)
+def test_cover_label_out_of_range_raises(read, digraph, message):
+    """The readers of an unchecked digraph reject a cover label outside
+    0..n-1, naming the first such cover as ``as_lattice`` does: read as
+    given, -1 would index element n-1, so that element 1 of the first
+    three-element digraph would be reducible and its nullity 0."""
+    with pytest.raises(LabelOutOfRange, match=re.escape(message)):
+        read(digraph)
+
+
 class TestDismantlableAndCrown:
     def test_chain(self):
         assert is_dismantlable(chain(5))
@@ -476,6 +495,7 @@ LABEL_QUERIES = {
     "chains_both": lambda l, v: maximal_chains_in_interval(l, v, v),
     "pair_multiplicity": lambda l, v: pair_multiplicity(l, v, 3),
     "is_retractible": lambda l, v: is_retractible(l.digraph, v),
+    "induced_subposet": lambda l, v: induced_subposet(l.digraph, [0, v]),
 }
 
 
