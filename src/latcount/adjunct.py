@@ -22,13 +22,12 @@ from .poset import (
     Lattice,
     LatticeError,
     _bits,
-    _cover_degrees,
+    _cover_rows,
     _joined,
     _reducibles,
     as_lattice,
     build_poset,
     maximal_chains_in_interval,
-    meet_join,
 )
 
 
@@ -146,17 +145,18 @@ def pair_multiplicity(l: Lattice, a: int, b: int) -> int:
 
     Counts the largest family of maximal chains of [a, b] whose interiors
     pairwise meet at ``a`` and join at ``b``; the pair occurs one time fewer
-    than that family is large.
+    than that family is large.  Two interiors do so exactly when their top
+    elements meet at ``a`` and their bottom elements join at ``b``, since
+    each interior lies between its bottom and its top.
     """
     chains = maximal_chains_in_interval(l, a, b)
-    interiors = [c[1:-1] for c in chains]
     k = len(chains)
     compatible = [[False] * k for _ in range(k)]
-    for i, j in combinations(range(k), 2):
-        ok = all(
-            meet_join(l, x, y) == (a, b)
-            for x in interiors[i]
-            for y in interiors[j]
+    # with two or more chains, b covers no a, so every interior is non-empty
+    for (i, c), (j, d) in combinations(enumerate(chains), 2):
+        ok = (
+            l.down[c[-2]] & l.down[d[-2]] == l.down[a]
+            and l.up[c[1]] & l.up[d[1]] == l.up[b]
         )
         compatible[i][j] = compatible[j][i] = ok
     return _max_clique(k, compatible) - 1
@@ -193,7 +193,8 @@ def decompose(l: Lattice) -> AdjunctRep:
     ordered by up-set size, that are not comparable.
     """
     # by up-set size, largest first: lowest first where they form a chain
-    red = _reducibles(*_cover_degrees(l.digraph))
+    up, down = _cover_rows(l.digraph)
+    red = _reducibles(up, down)
     red.sort(key=lambda v: -l.up[v].bit_count())
     for x, y in zip(red, red[1:]):
         if not l.up[x] >> y & 1:
@@ -201,7 +202,6 @@ def decompose(l: Lattice) -> AdjunctRep:
     if not red:
         return AdjunctRep((l.n,), ())
     index = {v: i for i, v in enumerate(red)}
-    up = l.digraph.up_adjacency()
     lengths: dict = {pair: [] for pair in _spine_pairs(len(red))}
     for i, b in enumerate(red[:-1]):
         for v in _bits(up[b]):

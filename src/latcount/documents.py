@@ -8,7 +8,7 @@
 from __future__ import annotations
 
 from .canon import _height_depth, _neighbours
-from .poset import CoverDigraph, Lattice, _cover_degrees, _reducibles, as_lattice
+from .poset import CoverDigraph, Lattice, _cover_rows, _reducibles, as_lattice
 from .poset import build_poset, nullity
 from .reduction import FbbClass, classify_fbb
 
@@ -16,21 +16,23 @@ from .reduction import FbbClass, classify_fbb
 def lattice_document(p: CoverDigraph, fbb: FbbClass | None = None) -> dict:
     """The document of the lattice with cover digraph ``p``.  ``fbb`` is its
     fundamental basic block class when the caller knows it already; only
-    otherwise is ``p`` checked as a lattice, to derive the class.  With
-    ``fbb`` given, the covers of ``p`` are read as given, so ``p`` must be a
-    lattice's cover relation, as a decoded certificate is.
+    otherwise is ``p`` checked as a lattice, to derive the class.  Either
+    way a label outside ``0..n-1``, a self-loop or a cover listed twice
+    raises as in ``poset.nullity``.  With ``fbb`` given, the covers of ``p``
+    are otherwise read as given, so ``p`` must be a lattice's cover
+    relation, as a decoded certificate is.
 
     A finite poset with one minimal element is connected, so then the
     nullity is read off the sizes; any other digraph goes to ``nullity``."""
-    uppers, lowers = _cover_degrees(p)
-    red = _reducibles(uppers, lowers)
+    up, down = _cover_rows(p)
+    red = _reducibles(up, down)
     if fbb is None and len(red) in (2, 3):
         fbb = classify_fbb(as_lattice(p))
     return {
         "n": p.n,
         "covers": [[a, b] for a, b in sorted(p.covers)],
         "red": red,
-        "nullity": len(p.covers) - p.n + 1 if lowers.count(0) == 1 else nullity(p),
+        "nullity": len(p.covers) - p.n + 1 if down.count(0) == 1 else nullity(p),
         "fbb": None if fbb is None else fbb.value,
     }
 

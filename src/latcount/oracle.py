@@ -60,6 +60,11 @@ CLASS_SEARCH_LIMIT = 12
 # 12 (0.254 s against 0.202 s, CPU -1%), at N = 11 in 10 (0.412 s against
 # 0.341 s, CPU +9%) and at N = 12 in 10 (0.818 s against 0.660 s, CPU
 # +12%).  N = 9, which saves 0.007 s for more CPU time, stays in-process.
+# The gain needs two CPUs that run at once.  On a shared 2-vCPU x86 host
+# (Python 3.11) where two processes often get one CPU's throughput (a fixed
+# pure-Python loop: 0.261 s alone, 0.528 s for two copies at once), two
+# workers were slower at N = 10 (medians 0.141 s against 0.132 s; faster in
+# 3 of 15 pairs) and tied at N = 12 (0.511 s against 0.510 s; 4 of 10).
 SPLIT_BREAK_EVEN = 10
 
 

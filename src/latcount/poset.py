@@ -2,9 +2,9 @@
 
 Elements are dense integer labels ``0..n-1``.  A :class:`CoverDigraph` is an
 irredundant cover relation; a :class:`Lattice` additionally carries the full
-order relation as bitmask rows, plus its bottom and top.  One helper checks
-cover relations for both :func:`build_poset` and :func:`as_lattice`, so
-:func:`as_lattice` checks a digraph however it was made.  Everything is
+order relation as bitmask rows, plus its bottom and top.  One reader turns
+cover pairs into rows and rejects a bad cover, so every function that reads
+a digraph's covers checks them, however the digraph was made.  Everything is
 immutable after construction, so values can be shared freely.
 """
 
@@ -76,15 +76,12 @@ class CoverDigraph(NamedTuple):
     """An irredundant, acyclic cover relation on labels ``0..n-1``.
 
     ``covers`` is sorted ascending; ``(lo, hi)`` means ``lo`` is covered by
-    ``hi``.  The fields are not checked when the value is built:
-    :func:`build_poset` normalizes and checks any pairs, and
-    :func:`as_lattice` checks the covers it is given.  Functions that take a
-    ``CoverDigraph`` without building a :class:`Lattice` (:func:`nullity`,
-    :func:`poset_classification`, ``documents.lattice_document`` with its
-    class given) read the covers as given, so an implied cover gives a
-    wrong answer there; :func:`nullity` and :func:`poset_classification`
-    reject a repeated one and a label outside ``0..n-1``.
-    :func:`build_poset` and :func:`as_lattice` are the full checks.
+    ``hi``.  The fields are not checked when the value is built.  Every
+    function that reads the covers rejects a label outside ``0..n-1``, a
+    self-loop and a cover listed twice, naming the first such cover;
+    :func:`build_poset` and :func:`as_lattice` also reject a cycle and a
+    cover implied by a longer path.  The other readers take the covers as
+    given, so there an implied cover gives a wrong answer.
     """
 
     n: int
@@ -92,17 +89,11 @@ class CoverDigraph(NamedTuple):
 
     def up_adjacency(self) -> tuple[int, ...]:
         """Bitmask rows of upper covers: bit ``j`` of row ``i`` iff ``i`` is covered by ``j``."""
-        rows = [0] * self.n
-        for a, b in self.covers:
-            rows[a] |= 1 << b
-        return tuple(rows)
+        return tuple(_cover_rows(self)[0])
 
     def down_adjacency(self) -> tuple[int, ...]:
         """Bitmask rows of lower covers."""
-        rows = [0] * self.n
-        for a, b in self.covers:
-            rows[b] |= 1 << a
-        return tuple(rows)
+        return tuple(_cover_rows(self)[1])
 
 
 class Lattice(NamedTuple):
@@ -148,6 +139,32 @@ def _check_labels(n: int, *labels: int) -> None:
             raise LabelOutOfRange(f"label {v} outside 0..{n - 1}")
 
 
+def _cover_rows(p: CoverDigraph) -> tuple[list[int], list[int]]:
+    """The upper-cover and lower-cover bitmask rows of ``p``, in one pass
+    over its covers.
+
+    Raises at the first bad cover: :class:`LabelOutOfRange` for a label
+    outside ``0..n-1``, :class:`CycleDetected` for a self-loop and
+    :class:`RedundantCover` for a cover listed twice.
+    """
+    n = p.n
+    up, down = [0] * n, [0] * n
+    for a, b in p.covers:
+        try:
+            # a label past n-1 fails the index, a negative one the shift;
+            # the index comes first, so no unchecked label sizes a shift
+            row, col = up[a], down[b]
+            bit, low = 1 << b, 1 << a
+        except (IndexError, ValueError):
+            raise LabelOutOfRange(f"cover ({a}, {b}) outside 0..{n - 1}") from None
+        if a == b:
+            raise CycleDetected(f"self-loop at {a}")
+        if row & bit:
+            raise RedundantCover(f"cover ({a}, {b}) listed twice")
+        up[a], down[b] = row | bit, col | low
+    return up, down
+
+
 def build_poset(n: int, covers: Iterable[tuple[int, int]]) -> CoverDigraph:
     """Normalize a cover relation on ``n`` elements (integer labels, each
     pair once, sorted) and check it as :func:`as_lattice` does.
@@ -156,32 +173,25 @@ def build_poset(n: int, covers: Iterable[tuple[int, int]]) -> CoverDigraph:
     :class:`RedundantCover` when the input is not an irredundant acyclic
     cover set.
     """
-    pairs = tuple(sorted(set((int(a), int(b)) for a, b in covers)))
-    _checked_order(n, pairs)
-    return CoverDigraph(n, pairs)
+    p = CoverDigraph(n, tuple(sorted(set((int(a), int(b)) for a, b in covers))))
+    _checked_order(p)
+    return p
 
 
-def _checked_order(n: int, covers) -> tuple[list[int], list[int]]:
-    """Check that ``covers`` is an irredundant acyclic cover relation on
+def _checked_order(p: CoverDigraph) -> tuple[list[int], list[int]]:
+    """Check that ``p`` is an irredundant acyclic cover relation on
     ``n`` >= 1 elements; return a linear extension (one pass of Kahn's
     algorithm) and the strict up-set masks.  Every error names the first
-    offending pair in the order of ``covers``.
+    offending pair in the order of ``p.covers``.
     """
+    n = p.n
     if n < 1:
         raise LabelOutOfRange(f"need at least one element, got n={n}")
-    rows = [0] * n
-    for a, b in covers:
-        if not (0 <= a < n and 0 <= b < n):
-            raise LabelOutOfRange(f"cover ({a}, {b}) outside 0..{n - 1}")
-        if a == b:
-            raise CycleDetected(f"self-loop at {a}")
-        if rows[a] >> b & 1:
-            raise RedundantCover(f"cover ({a}, {b}) listed twice")
-        rows[a] |= 1 << b
+    rows = _cover_rows(p)[0]
     topo = _topological_order(n, rows)
     strict = _strict_up_order(rows, topo)
     # (a, b) is redundant when b is reachable from some other upper cover of a
-    for a, b in covers:
+    for a, b in p.covers:
         for c in _bits(rows[a] & ~(1 << b)):
             if strict[c] >> b & 1:
                 raise RedundantCover(f"cover ({a}, {b}) implied through {c}")
@@ -244,7 +254,7 @@ def as_lattice(p: CoverDigraph) -> Lattice:
     the verdict, witness and kind are the same for every linear extension.
     """
     n = p.n
-    topo, strict = _checked_order(n, p.covers)
+    topo, strict = _checked_order(p)
     up = tuple(strict[i] | (1 << i) for i in range(n))
     pos = [0] * n
     for i, v in enumerate(topo):
@@ -271,27 +281,14 @@ def as_lattice(p: CoverDigraph) -> Lattice:
     return Lattice(p, up, tuple(down), topo[0], topo[-1])
 
 
-def _unique_extreme(mask: int, reflexive: list[int] | tuple[int, ...]) -> int | None:
-    """The unique ``v`` in ``mask`` whose ``reflexive[v]`` meets ``mask`` only in ``v``.
-
-    With down-set masks that is the unique minimal element of ``mask``, with
-    up-set masks the unique maximal one; None when there is none or several.
-    """
-    found = None
-    for v in _bits(mask):
-        if reflexive[v] & mask == 1 << v:
-            if found is not None:
-                return None
-            found = v
-    return found
-
-
 def meet_join(l: Lattice, x: int, y: int) -> tuple[int, int]:
-    """Return ``(x meet y, x join y)``; total on a lattice."""
+    """Return ``(x meet y, x join y)``; total on a lattice, where the common
+    upper bounds of ``x`` and ``y`` are the up-set of their join, and the
+    common lower bounds the down-set of their meet."""
     _check_labels(l.n, x, y)
-    join = _unique_extreme(l.up[x] & l.up[y], l.down)
-    meet = _unique_extreme(l.down[x] & l.down[y], l.up)
-    assert join is not None and meet is not None
+    above, below = l.up[x] & l.up[y], l.down[x] & l.down[y]
+    join = next(v for v in _bits(above) if l.up[v] == above)
+    meet = next(v for v in _bits(below) if l.down[v] == below)
     return meet, join
 
 
@@ -309,53 +306,33 @@ def poset_classification(p: CoverDigraph) -> ElementClassification:
     """Degree-based Red/Irr split of an arbitrary poset (not only lattices).
 
     Reads the covers of ``p`` as given: ``p`` is an irredundant cover
-    relation, as :func:`build_poset` and :func:`as_lattice` check.  A cover
-    listed twice or with a label outside ``0..n-1`` raises as they do.
+    relation, as :func:`build_poset` and :func:`as_lattice` check.  A label
+    outside ``0..n-1``, a self-loop or a cover listed twice raises as they
+    do.
     """
-    _check_covers(p)
-    uppers, lowers = _cover_degrees(p)
-    red = frozenset(_reducibles(uppers, lowers))
+    up, down = _cover_rows(p)
+    red = frozenset(_reducibles(up, down))
     irr = frozenset(range(p.n)) - red
-    star = frozenset(v for v in irr if uppers[v] and lowers[v])
+    star = frozenset(v for v in irr if up[v] and down[v])
     return ElementClassification(red, irr, star)
 
 
-def _check_covers(p: CoverDigraph) -> None:
-    """Raise as :func:`_checked_order` does, naming the first bad cover, if
-    a cover of ``p`` is listed twice or has a label outside ``0..n-1``:
-    read as given, a negative label would index a row from the end."""
-    n = p.n
-    out = any(not (0 <= a < n and 0 <= b < n) for a, b in p.covers)
-    if out or len(set(p.covers)) != len(p.covers):
-        _checked_order(n, p.covers)
-
-
-def _cover_degrees(p: CoverDigraph) -> tuple[list[int], list[int]]:
-    """How many upper and how many lower covers each element of ``p`` has,
-    in one pass over its covers as given."""
-    uppers = [0] * p.n
-    lowers = [0] * p.n
-    for a, b in p.covers:
-        uppers[a] += 1
-        lowers[b] += 1
-    return uppers, lowers
-
-
-def _reducibles(uppers: list[int], lowers: list[int]) -> list[int]:
-    """The reducible elements, ascending, from the degrees that
-    :func:`_cover_degrees` counts: those with two or more upper or two or
-    more lower covers."""
-    return [v for v, (u, d) in enumerate(zip(uppers, lowers)) if u > 1 or d > 1]
+def _reducibles(up: list[int], down: list[int]) -> list[int]:
+    """The reducible elements, ascending, from the rows that
+    :func:`_cover_rows` reads: those with two or more upper or two or more
+    lower covers."""
+    return [v for v, (u, d) in enumerate(zip(up, down)) if u & u - 1 or d & d - 1]
 
 
 def nullity(p: CoverDigraph) -> int:
     """Cycle rank of the cover graph: edges - vertices + components.
 
     Reads the covers of ``p`` as given: ``p`` is an irredundant cover
-    relation, as :func:`build_poset` and :func:`as_lattice` check.  A cover
-    listed twice or with a label outside ``0..n-1`` raises as they do.
+    relation, as :func:`build_poset` and :func:`as_lattice` check.  A label
+    outside ``0..n-1``, a self-loop or a cover listed twice raises as they
+    do.
     """
-    _check_covers(p)
+    _cover_rows(p)
     parent = list(range(p.n))
 
     def find(v: int) -> int:
@@ -373,13 +350,17 @@ def nullity(p: CoverDigraph) -> int:
 
 
 def dual(p: CoverDigraph) -> CoverDigraph:
-    """Reverse all covers, keeping labels."""
+    """Reverse all covers, keeping labels; a bad cover raises as in
+    :func:`nullity`."""
+    _cover_rows(p)
     return CoverDigraph(p.n, tuple(sorted((b, a) for a, b in p.covers)))
 
 
 def relabel(p: CoverDigraph, perm: Iterable[int]) -> CoverDigraph:
     """Apply a permutation (``perm[old] = new``) of ``0..n-1`` to the
-    labels; any other list raises :class:`LabelOutOfRange`."""
+    labels; any other list raises :class:`LabelOutOfRange`, and a bad cover
+    raises as in :func:`nullity`."""
+    _cover_rows(p)
     pi = list(perm)
     if sorted(pi) != list(range(p.n)):
         raise LabelOutOfRange(f"{pi} is not a permutation of 0..{p.n - 1}")
@@ -477,7 +458,7 @@ def is_dismantlable(l: Lattice) -> bool:
     sublattice, and leaves crown-freeness intact, so a greedy deletion order
     never gets stuck when any order succeeds.
     """
-    up, down = list(l.digraph.up_adjacency()), list(l.digraph.down_adjacency())
+    up, down = _cover_rows(l.digraph)
     live = _strip(up, down, (1 << l.n) - 1, _irreducible)
     return live & (live - 1) == 0
 
@@ -535,7 +516,7 @@ def maximal_chains_in_interval(l: Lattice, a: int, b: int) -> list[tuple[int, ..
     :class:`NotComparable` unless ``a < b``.
     """
     _check_labels(l.n, a, b)
-    if a == b or not l.le(a, b):
+    if a == b or not l.up[a] >> b & 1:
         raise NotComparable(f"{a} < {b} required")
     up = l.digraph.up_adjacency()
     below_b = l.down[b]

@@ -32,6 +32,7 @@ from .poset import (
     LatticeError,
     _bits,
     _check_labels,
+    _cover_rows,
     _delete,
     _irreducible,
     _joined,
@@ -126,7 +127,7 @@ def is_retractible(p: CoverDigraph, x: int) -> bool:
     that are also connected by a second directed path.
     """
     _check_labels(p.n, x)
-    up, down = p.up_adjacency(), p.down_adjacency()
+    up, down = _cover_rows(p)
     if not _irreducible(up, down, x):
         raise NotDoublyIrreducible(f"element {x} is reducible")
     return not _sandwiched(up, down, x) or _retract_victim(up, down, x)
@@ -154,7 +155,7 @@ def _pendant(up, down, v: int) -> bool:
 def _block_rows(p: CoverDigraph) -> tuple[list[int], list[int], int]:
     """Cover rows and live mask of the basic block of ``p``: retract, then
     prune, until neither deletes anything."""
-    up, down = list(p.up_adjacency()), list(p.down_adjacency())
+    up, down = _cover_rows(p)
     live = (1 << p.n) - 1
     while True:
         start = live
@@ -169,7 +170,7 @@ def basic_retract_with_map(p: CoverDigraph) -> tuple[CoverDigraph, tuple[int, ..
 
     Also returns the surviving original labels, position = new label.
     """
-    up, down = list(p.up_adjacency()), list(p.down_adjacency())
+    up, down = _cover_rows(p)
     return _live_digraph(up, _strip(up, down, (1 << p.n) - 1, _retract_victim))
 
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 from . import canon
 from .canon import Certificate, canonical_certificate
 from .errors import SizeLimitExceeded
-from .poset import CoverDigraph, _bits, _cover_degrees, _reducibles, as_lattice
+from .poset import CoverDigraph, _bits, _cover_rows, _reducibles, as_lattice
 from .reduction import FbbClass, classify_fbb
 
 FULL_SEARCH_LIMIT = 8
@@ -274,11 +274,11 @@ def census(n: int) -> OracleCensus:
 def _reducible_split(n: int) -> dict[int, list[Certificate]]:
     """The certificate of every n-element lattice of the exhaustive search,
     sorted, keyed by its number of reducible elements (n <=
-    ``FULL_SEARCH_LIMIT``).  The count reads the cover degrees of the
+    ``FULL_SEARCH_LIMIT``).  The count reads the cover rows of the
     decoded digraph, as ``classify_elements`` does, and builds no
     ``Lattice``: every certificate of the search is a lattice's."""
     classes: dict[int, list[Certificate]] = {}
     for cert in _lattice_certificates(n):
-        red = _reducibles(*_cover_degrees(canon.decode_certificate(cert)))
+        red = _reducibles(*_cover_rows(canon.decode_certificate(cert)))
         classes.setdefault(len(red), []).append(cert)
     return classes

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -22,10 +23,13 @@ from latcount.poset import (
     build_poset,
     chain,
     classify_elements,
+    maximal_chains_in_interval,
+    meet_join,
     nullity,
     relabel,
 )
 from latcount.reduction import f1, f3, f4, m2
+from search_reference import search_lattices
 from test_poset import CUBE_COVERS
 
 
@@ -169,6 +173,39 @@ class TestPairMultiplicity:
     def test_multiplicity_scales_with_parallel_chains(self):
         rep = AdjunctRep((3, 1, 1, 1), (AdjunctPair(0, 2),) * 3)
         assert pair_multiplicity(realize(rep), 0, 2) == 3
+
+    def test_ends_of_the_interiors_decide_as_every_pair_does(self):
+        """On every comparable pair a < b of every lattice with n <= 8, the
+        multiplicity equals the count under the rule that compares every
+        pair of interior elements, with the largest compatible family found
+        by trying every family, largest first."""
+        pairs = 0
+        for n in range(1, 9):
+            for l in search_lattices(n).values():
+                for a in range(n):
+                    for b in range(n):
+                        if a != b and l.le(a, b):
+                            assert pair_multiplicity(l, a, b) == _every_pair_rule(l, a, b)
+                            pairs += 1
+        assert pairs == 5731
+
+
+def _every_pair_rule(l, a, b) -> int:
+    """``pair_multiplicity`` by its definition: one less than the largest
+    family of maximal chains of [a, b] whose interiors pairwise meet at
+    ``a`` and join at ``b``, element by element."""
+    interiors = [c[1:-1] for c in maximal_chains_in_interval(l, a, b)]
+
+    def compatible(i, j):
+        return all(
+            meet_join(l, x, y) == (a, b) for x in interiors[i] for y in interiors[j]
+        )
+
+    for size in range(len(interiors), 0, -1):
+        for family in combinations(range(len(interiors)), size):
+            if all(compatible(i, j) for i, j in combinations(family, 2)):
+                return size - 1
+    raise AssertionError("a single chain is always a compatible family")
 
 
 class TestDecompose:

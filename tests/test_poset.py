@@ -21,7 +21,6 @@ from latcount.poset import (
     _delete,
     _bits,
     _live_digraph,
-    _unique_extreme,
     dual,
     induced_subposet,
     is_dismantlable,
@@ -30,8 +29,10 @@ from latcount.poset import (
     nullity,
     relabel,
 )
-from latcount.adjunct import pair_multiplicity
-from latcount.reduction import f1, f3, f4, is_retractible, m2
+from latcount.adjunct import direct_sum, pair_multiplicity
+from latcount.canon import canonical_certificate, canonical_labeling
+from latcount.documents import dot_digraph, lattice_document
+from latcount.reduction import basic_block_of, basic_retract, f1, f3, f4, is_retractible, m2
 from class_reference import reference_class
 from search_reference import search_lattices
 
@@ -223,6 +224,15 @@ def _reachable(p):
     return reach
 
 
+def _unique_extreme(mask, reflexive):
+    """The unique ``v`` in ``mask`` whose ``reflexive[v]`` meets ``mask``
+    only in ``v``: with down-set masks the unique minimal element of
+    ``mask``, with up-set masks the unique maximal one; None when there is
+    none or several."""
+    found = [v for v in range(mask.bit_length()) if reflexive[v] & mask == 1 << v]
+    return found[0] if len(found) == 1 else None
+
+
 def _pairwise_as_lattice(p):
     """Reference for ``as_lattice``: scan each pair's common bounds for a
     unique minimal upper and a unique maximal lower one.  Returns
@@ -370,8 +380,8 @@ class TestClassify:
             proper = set()
             for x, y in combinations(range(lat.n), 2):
                 proper.update(v for v in meet_join(lat, x, y) if v not in (x, y))
-            degrees = poset._cover_degrees(lat.digraph)
-            assert poset._reducibles(*degrees) == sorted(proper), lat.covers
+            rows = poset._cover_rows(lat.digraph)
+            assert poset._reducibles(*rows) == sorted(proper), lat.covers
 
     def test_dual_preserves_red_set(self):
         for l in (m2(), f1(), f3(), f4()):
@@ -420,15 +430,63 @@ def test_repeated_cover_raises_redundant_cover(read, digraph, message):
         (CoverDigraph(3, ((-1, 1), (0, 1))), "cover (-1, 1) outside 0..2"),
         (CoverDigraph(3, ((0, 1), (1, 3))), "cover (1, 3) outside 0..2"),
         (CoverDigraph(4, ((0, 1), (1, -2), (1, 3))), "cover (1, -2) outside 0..3"),
+        (CoverDigraph(3, ((2, 1), (-1, 1))), "cover (-1, 1) outside 0..2"),
+        (CoverDigraph(3, ((0, 1), (0, 10**12))), "cover (0, 1000000000000) outside 0..2"),
+        (CoverDigraph(3, ((-(10**12), 1),)), "cover (-1000000000000, 1) outside 0..2"),
     ],
 )
 def test_cover_label_out_of_range_raises(read, digraph, message):
     """The readers of an unchecked digraph reject a cover label outside
     0..n-1, naming the first such cover as ``as_lattice`` does: read as
     given, -1 would index element n-1, so that element 1 of the first
-    three-element digraph would be reducible and its nullity 0."""
+    three-element digraph would be reducible and its nullity 0.  A label
+    is checked before a row reads it: -1, read as 2, would repeat the cover
+    (2, 1), and 10**12 would size a shift."""
     with pytest.raises(LabelOutOfRange, match=re.escape(message)):
         read(digraph)
+
+
+# Each public function that reads the covers of a ``CoverDigraph``, with
+# every other argument valid.
+COVER_READERS = {
+    "nullity": nullity,
+    "poset_classification": poset.poset_classification,
+    "lattice_document": lattice_document,
+    "canonical_certificate": canonical_certificate,
+    "canonical_labeling": canonical_labeling,
+    "dot_digraph": lambda p: dot_digraph(p, "g"),
+    "basic_retract": basic_retract,
+    "basic_block_of": basic_block_of,
+    "is_retractible": lambda p: is_retractible(p, 0),
+    "induced_subposet": lambda p: induced_subposet(p, [0, 1]),
+    "direct_sum_below": lambda p: direct_sum(p, CoverDigraph(1, ())),
+    "direct_sum_above": lambda p: direct_sum(CoverDigraph(1, ()), p),
+    "dual": dual,
+    "relabel": lambda p: relabel(p, range(p.n)),
+    "as_lattice": as_lattice,
+}
+
+# A bad digraph of each kind, with the error and message that name its
+# first bad cover.  Read as given, -1 indexes element n-1, so the second
+# digraph made element 1 look reducible; the self-loop gave nullity 1.
+BAD_DIGRAPHS = {
+    "label_past_n": (CoverDigraph(2, ((0, 5),)), LabelOutOfRange, "cover (0, 5) outside 0..1"),
+    "negative_label": (
+        CoverDigraph(3, ((-1, 1), (0, 1))), LabelOutOfRange, "cover (-1, 1) outside 0..2"
+    ),
+    "self_loop": (CoverDigraph(2, ((0, 0),)), CycleDetected, "self-loop at 0"),
+    "repeat": (CoverDigraph(2, ((0, 1), (0, 1))), RedundantCover, "cover (0, 1) listed twice"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_DIGRAPHS))
+@pytest.mark.parametrize("reader", sorted(COVER_READERS))
+def test_every_cover_reader_names_the_first_bad_cover(reader, bad):
+    """Every public function that reads a digraph's covers rejects a bad
+    one with the same error and message."""
+    digraph, error, message = BAD_DIGRAPHS[bad]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        COVER_READERS[reader](digraph)
 
 
 class TestDismantlableAndCrown:
