@@ -12,11 +12,12 @@ linear extension.  A refinement round signs only the vertices of colour
 cells with two or more members: a vertex alone in its cell cannot split,
 and its new colour is the next index in colour order.
 
-Two shortcuts skip work that cannot change a result.  A seed colouring
-that refines to a discrete one is the search's only leaf: its rows and
-order are returned at once, with no automorphism, since refined colours
-are invariant under automorphisms, so a discrete colouring admits none but
-the identity (and no chain swap).  An individualization whose vertex has
+Three shortcuts skip work that cannot change a result; the third is told
+after the pruning it rests on.  A seed colouring that refines to a discrete
+one is the search's only leaf: its rows and order are returned at once,
+with no automorphism, since refined colours are invariant under
+automorphisms, so a discrete colouring admits none but the identity (and
+no chain swap).  An individualization whose vertex has
 every cover alone in its cell is ranked without a refinement round: only
 the covers of the vertex see its new colour, and a singleton cannot split,
 while every other signature changes by the same monotone map of colours,
@@ -39,6 +40,22 @@ attains them, lie outside every skipped subtree: certificates and canonical
 labelings are exactly those of the unpruned search.  The argument needs only
 that each is an automorphism, not how it became known, so the swaps read off
 before the search prune as soundly as the automorphisms found at leaves.
+
+The third shortcut reads a bundle's one leaf off its swaps
+(:func:`_swap_leaf`).  When every colour cell of the refined seed colouring
+with two or more vertices is one orbit of the chain swaps, each such cell is
+the set of vertices at one position of the equal chains of one bundle, and
+the search visits a single leaf.  Colour order is height-major, so each cell
+the search individualizes in holds the bottoms of a bundle's chains; it
+descends into the smallest label of the cell, the bottom of the first chain
+in the order :func:`_chain_swaps` collects them, and the swaps of the
+chains not yet individualized fix every earlier vertex and move that bottom
+onto every other, so the rest of the cell is pruned.  Refinement puts the
+individualized chain first in every cell it meets, and splits no other
+cell: its vertices see the chain only through the bundle's two ends, each
+alone in its cell.  So the leaf orders each cell by chain rank, with the
+bottoms in ascending label, and its rows, its labeling and the swaps, with
+no automorphism found at a second leaf, are what the search returns.
 """
 
 from __future__ import annotations
@@ -135,8 +152,12 @@ def padded_certificate(cert: Certificate, below: int, above: int) -> Certificate
     search visits the same leaves in the same order.  In each leaf the rows
     of ``L`` shift left by ``below`` bits, and its top, always last, gains
     the first chain-above vertex; shifts and that fixed row keep the order
-    of leaves, so the smallest rows are those of ``L``, padded.
+    of leaves, so the smallest rows are those of ``L``, padded.  A negative
+    ``below`` or ``above`` raises :class:`ValueError`.
     """
+    if below < 0 or above < 0:
+        name, size = ("below", below) if below < 0 else ("above", above)
+        raise ValueError(f"{name} must be non-negative, got {size}")
     m, rows = _decode(cert)
     n = below + m + above
     padded = [1 << (i + 1) for i in range(below)] + [row << below for row in rows]
@@ -151,6 +172,8 @@ def _canonical(
 ) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
     """The smallest rows, the first labeling that attains them, and the
     chain swaps followed by the automorphisms found between equal leaves."""
+    if n == 0:
+        return (), (), []  # the empty digraph: one empty leaf
     ups, dns = _neighbours(up)
     height, depth = _height_depth(n, ups, dns)
     # height-major seeds make every canonical labeling a linear extension
@@ -164,9 +187,15 @@ def _canonical(
             order[c] = v
         return _rows(ups, order, colors), tuple(order), []
 
+    automorphisms = _chain_swaps(n, ups, dns)
+    leaf = _swap_leaf(n, dns, colors, automorphisms)
+    if leaf is not None:
+        # the swaps prune every branch but one: no second leaf is reached
+        order, pos = leaf
+        return _rows(ups, order, pos), tuple(order), automorphisms
+
     best_rows: tuple[int, ...] | None = None
     best_perm: tuple[int, ...] | None = None
-    automorphisms = _chain_swaps(n, ups, dns)
 
     def descend(colors: list[int], fixed: tuple[int, ...]) -> None:
         nonlocal best_rows, best_perm
@@ -277,9 +306,37 @@ def _chain_swaps(n: int, ups, dns) -> list[list[int]]:
     return swaps
 
 
-def _orbit_min(v: int, generators: list[list[int]]) -> int:
-    """Smallest vertex in the orbit of ``v`` under the group the
-    ``generators`` generate."""
+def _swap_leaf(
+    n: int, dns, colors: list[int], swaps: list[list[int]]
+) -> tuple[list[int], list[int]] | None:
+    """The search's one leaf, as the order of its vertices and their
+    positions, when every colour cell of ``colors`` with two or more
+    vertices is one orbit of the chain ``swaps``; otherwise ``None``.
+
+    Such a cell holds the vertices at one position of the equal chains of
+    one bundle.  The leaf puts each such cell in chain rank: the bottoms in
+    ascending label, which is the order :func:`_chain_swaps` collects the
+    chains in, and every other vertex in the order of its lower cover.
+    """
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    order: list[int] = []
+    pos = [0] * n
+    for cell in cells:
+        if len(cell) > 1:
+            if len(_orbit(cell[0], swaps)) < len(cell):
+                return None
+            # a lower cover lies lower in colour order, so it has a position
+            cell.sort(key=lambda x: (pos[dns[x][0]], x))
+        for v in cell:
+            pos[v] = len(order)
+            order.append(v)
+    return order, pos
+
+
+def _orbit(v: int, generators: list[list[int]]) -> set[int]:
+    """The orbit of ``v`` under the group the ``generators`` generate."""
     orbit = {v}
     stack = [v]
     while stack:
@@ -288,7 +345,12 @@ def _orbit_min(v: int, generators: list[list[int]]) -> int:
             if g[x] not in orbit:
                 orbit.add(g[x])
                 stack.append(g[x])
-    return min(orbit)
+    return orbit
+
+
+def _orbit_min(v: int, generators: list[list[int]]) -> int:
+    """Smallest vertex in the orbit of ``v``."""
+    return min(_orbit(v, generators))
 
 
 def _refine(n: int, ups, dns, colors: list[int]) -> list[int]:

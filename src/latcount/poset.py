@@ -252,6 +252,13 @@ def as_lattice(p: CoverDigraph) -> Lattice:
     has a unique minimal element exactly when it is the up-set of that first
     element.  Dually for the common lower bounds and their last element.  So
     the verdict, witness and kind are the same for every linear extension.
+
+    When the first element of the linear extension lies below every
+    element, joins alone are tested: in a finite poset with a bottom where
+    every pair has a join, the meet of two elements is the join of their
+    common lower bounds, a set the bottom makes non-empty.  Where a join is
+    missing, or there is no bottom, joins and meets are tested pair by pair
+    as above, so the witness and kind are those of the full test.
     """
     n = p.n
     topo, strict = _checked_order(p)
@@ -260,25 +267,45 @@ def as_lattice(p: CoverDigraph) -> Lattice:
     for i, v in enumerate(topo):
         pos[v] = i
     down = [0] * n
-    ups, downs = [0] * n, [0] * n  # up- and down-sets over positions
+    ups = [0] * n  # up-sets over positions
     for i in range(n):
+        row = 0
         for j in _bits(up[i]):
             down[j] |= 1 << i
-            ups[pos[i]] |= 1 << pos[j]
-            downs[pos[j]] |= 1 << pos[i]
+            row |= 1 << pos[j]
+        ups[pos[i]] = row
     full = (1 << n) - 1
-    for x in range(n):
-        up_x, down_x = ups[pos[x]], downs[pos[x]]
-        # a comparable pair has a join and a meet: test only the later
-        # labels incomparable with x
-        for y in _bits(full >> (x + 1) << (x + 1) & ~(up[x] | down[x])):
+    # a comparable pair has a join and a meet: x is tested only with the
+    # later labels incomparable with it
+    later = [full >> (x + 1) << (x + 1) & ~(up[x] | down[x]) for x in range(n)]
+    if up[topo[0]] != full or not _has_joins(ups, pos, later):
+        downs = [0] * n  # down-sets over positions
+        for j in range(n):
+            for i in _bits(down[j]):
+                downs[pos[j]] |= 1 << pos[i]
+        for x in range(n):
+            up_x, down_x = ups[pos[x]], downs[pos[x]]
+            for y in _bits(later[x]):
+                above = up_x & ups[pos[y]]
+                if not above or ups[(above & -above).bit_length() - 1] != above:
+                    raise NotALattice((x, y), "join")
+                below = down_x & downs[pos[y]]
+                if not below or downs[below.bit_length() - 1] != below:
+                    raise NotALattice((x, y), "meet")
+    return Lattice(p, up, tuple(down), topo[0], topo[-1])
+
+
+def _has_joins(ups: list[int], pos: list[int], later: list[int]) -> bool:
+    """Whether each label ``x`` has a join with every label of the mask
+    ``later[x]``, read off the up-sets ``ups`` over the positions ``pos``
+    of a linear extension."""
+    for x, others in enumerate(later):
+        up_x = ups[pos[x]]
+        for y in _bits(others):
             above = up_x & ups[pos[y]]
             if not above or ups[(above & -above).bit_length() - 1] != above:
-                raise NotALattice((x, y), "join")
-            below = down_x & downs[pos[y]]
-            if not below or downs[below.bit_length() - 1] != below:
-                raise NotALattice((x, y), "meet")
-    return Lattice(p, up, tuple(down), topo[0], topo[-1])
+                return False
+    return True
 
 
 def meet_join(l: Lattice, x: int, y: int) -> tuple[int, int]:

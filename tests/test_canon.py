@@ -20,6 +20,7 @@ from latcount.canon import (
     padded_certificate,
 )
 from latcount.poset import (
+    CoverDigraph,
     _bits,
     as_lattice,
     build_poset,
@@ -183,11 +184,19 @@ def test_canonical_form_is_linear_extension():
         as_lattice(canon)  # stays a valid lattice
 
 
+def swap_leaf_off(monkeypatch):
+    """Switch off the shortcut that reads a bundle's one leaf off its chain
+    swaps, so that every non-discrete colouring is searched."""
+    monkeypatch.setattr(canon, "_swap_leaf", lambda n, dns, colors, swaps: None)
+
+
 def test_pruning_skips_symmetric_branches(monkeypatch):
     """Without pruning the search on M_6 visits 6! leaves, one per order of
     its atoms, and more nodes still.  Nodes are counted as
     individualizations: each atom's one cover is alone in its cell, so
-    none of them refines."""
+    none of them refines.  The atoms are one bundle, whose one leaf the
+    swaps give without a search, so the shortcut is off."""
+    swap_leaf_off(monkeypatch)
     nodes = 0
     individualize = canon._individualize
 
@@ -532,9 +541,12 @@ def test_seeded_search_matches_unseeded(monkeypatch):
 
 def test_chain_swaps_cut_the_block_table_search(monkeypatch, fresh_tables):
     """Building the r = 3 block tables for m <= 10 from scratch refines
-    441 colourings (521 without the chain swaps) in 385 canonicalizations,
-    one per block, which the swaps do not change.  Before the canonizer's
-    two shortcuts these were 1,060 and 2,822."""
+    385 colourings in 385 canonicalizations, one per block, which the swaps
+    do not change: each block's seed colouring, and no individualization,
+    since every block that is not discrete at its seed has its one leaf
+    read off the swaps.  Before that shortcut these were 441 refinements
+    (521 without the chain swaps, which switches the shortcut off too), and
+    before the canonizer's first two shortcuts 1,060 and 2,822."""
     calls = {"_refine": 0, "_canonical": 0}
     for name in calls:
         original = getattr(canon, name)
@@ -546,7 +558,7 @@ def test_chain_swaps_cut_the_block_table_search(monkeypatch, fresh_tables):
         monkeypatch.setattr(canon, name, counted)
     for m in range(1, 11):
         oracle._block_table(m, 3)
-    assert calls == {"_refine": 441, "_canonical": 385}
+    assert calls == {"_refine": 385, "_canonical": 385}
 
 
 def _search_children(top):
@@ -612,8 +624,11 @@ def test_split_free_individualization_is_refinement(monkeypatch):
     """Every lower cover of an individualized vertex is alone in its cell.
     Wherever every upper cover is too, the colouring ranked without a round
     of refinement is the one ``_refine`` reaches from the split colouring;
-    so is every other individualization, which refines."""
+    so is every other individualization, which refines.  The search
+    individualizes only where no leaf is read off the chain swaps, so that
+    shortcut is off."""
     inputs = _shortcut_inputs()  # built before the count starts
+    swap_leaf_off(monkeypatch)
     individualize = canon._individualize
     refine = canon._refine
     applied = 0
@@ -656,3 +671,108 @@ def test_decode_round_trips_across_row_widths(n):
         assert list(rebuilt.covers) == sorted(rebuilt.covers)
         assert rebuilt == relabel(d, canonical_rank(d)), d.covers
         assert canonical_certificate(rebuilt) == cert
+
+
+def _recipe_inputs(sizes):
+    """Every recipe of ``oracle._block_reps(m, r)`` for r = 2..5 and m in
+    ``sizes``, realized, as (name, n, up-cover rows): as built, named
+    ``(r, m, i)`` for the i-th recipe, and under a seeded relabeling, named
+    ``(r, m, i, "relabeled")``."""
+    rng = random.Random(20261022)
+    inputs = []
+    for r in range(2, 6):
+        for m in sizes:
+            for i, (rep, _) in enumerate(oracle._block_reps(m, r)):
+                d = realize(rep).digraph
+                up = d.up_adjacency()
+                perm = list(range(d.n))
+                rng.shuffle(perm)
+                inputs.append(((r, m, i), d.n, up))
+                inputs.append(((r, m, i, "relabeled"), d.n, _relabeled(d.n, up, perm)))
+    return inputs
+
+
+def swap_leaf_mismatches(inputs):
+    """The names of the ``inputs`` whose rows, labeling or list of
+    automorphisms change when the shortcut that reads a bundle's one leaf
+    off its chain swaps is switched off."""
+    found = [canon._canonical(n, up) for _, n, up in inputs]
+    with pytest.MonkeyPatch.context() as mp:
+        swap_leaf_off(mp)
+        return [
+            name
+            for (name, n, up), triple in zip(inputs, found)
+            if canon._canonical(n, up) != triple
+        ]
+
+
+def test_swap_leaf_is_the_search_leaf():
+    """Every recipe for r = 2..5 with m <= 10, as built and relabeled: the
+    leaf read off the chain swaps is the one the search reaches, and the
+    rows and the automorphisms are the search's too."""
+    inputs = _recipe_inputs(range(1, 11))
+    assert len(inputs) == 2 * (58 + 385 + 1105 + 803)
+    assert swap_leaf_mismatches(inputs) == []
+
+
+@pytest.mark.slow
+def test_swap_leaf_is_the_search_leaf_at_eleven_and_twelve():
+    inputs = _recipe_inputs((11, 12))
+    assert len(inputs) == 2 * (29 + 41 + 507 + 1021 + 2625 + 7585 + 3866 + 17481)
+    assert swap_leaf_mismatches(inputs) == []
+
+
+def test_swap_leaf_reach(monkeypatch):
+    """The one leaf is read off the swaps for every block with m <= 12 that
+    is not discrete at its seed: 96 of the 128 blocks with r = 2 and 1,640
+    of the 1,913 with r = 3.  Of the 1,403 children that building search
+    levels 2..8 canonicalizes, 862 are not discrete at their seed, and 773
+    of those have their leaf read off."""
+    children = _search_children(8)  # built before the count starts
+    read = []  # per colouring that is not discrete: was its leaf read off?
+    leaf = canon._swap_leaf
+
+    def counted(*args):
+        out = leaf(*args)
+        read.append(out is not None)
+        return out
+
+    monkeypatch.setattr(canon, "_swap_leaf", counted)
+    for r, blocks, hits in ((2, 128, 96), (3, 1913, 1640)):
+        read.clear()
+        digraphs = [
+            realize(rep).digraph for m in range(1, 13) for rep, _ in oracle._block_reps(m, r)
+        ]
+        for d in digraphs:
+            canon._canonical(d.n, d.up_adjacency())
+        assert (len(digraphs), len(read), sum(read)) == (blocks, hits, hits), r
+    read.clear()
+    for n, up in children:
+        canon._canonical(n, up)
+    assert (len(children), len(read), sum(read)) == (1403, 862, 773)
+
+
+def test_empty_digraph_round_trips():
+    empty = CoverDigraph(0, ())
+    cert = canonical_certificate(empty)
+    assert cert == Certificate(b"\x00\x00")
+    assert canonical_labeling(empty) == canonical_rank(empty) == ()
+    assert decode_certificate(cert) == canonical_digraph(empty) == empty
+
+
+@pytest.mark.parametrize(
+    "below, above, message",
+    [
+        (0, -1, "above must be non-negative, got -1"),
+        (0, -2, "above must be non-negative, got -2"),
+        (-1, 0, "below must be non-negative, got -1"),
+        (-1, -1, "below must be non-negative, got -1"),
+    ],
+)
+def test_padded_certificate_rejects_negative_padding(monkeypatch, below, above, message):
+    """Raised before the certificate is read: ``(0, -1)`` on the 2-chain
+    returned a certificate of a one-element digraph with a cover."""
+    cert = canonical_certificate(chain(2).digraph)
+    monkeypatch.setattr(canon, "_decode", None)
+    with pytest.raises(ValueError, match=message):
+        padded_certificate(cert, below, above)

@@ -8,10 +8,13 @@ back after it."""
 
 import pytest
 
-from latcount import adjunct, documents, formulas, oracle, reduction, search
+from latcount import adjunct, canon, documents, formulas, oracle, reduction, search
+from latcount.adjunct import realize
+from latcount.canon import canonical_certificate
 from latcount.poset import as_lattice, build_poset
-from latcount.reduction import FbbClass
+from latcount.reduction import FbbClass, m2
 from test_adjunct import normal_forms
+from test_canon import _recipe_inputs, swap_leaf_mismatches
 from test_oracle import A006966
 
 SWAP = {FbbClass.F3: FbbClass.F4, FbbClass.F4: FbbClass.F3}
@@ -185,3 +188,29 @@ def test_reader_ignoring_the_pairs_that_skip_a_b_fails_the_normal_form_check(mon
             assert len(normal_forms(members, seed=n * r)) == len(members), (n, r)
     members = oracle.reducible_class(7, 3)
     assert (len(members), len(normal_forms(members, seed=21))) == (15, 10)
+
+
+def test_swap_leaf_in_descending_chain_rank_fails_on_the_diamond(monkeypatch):
+    """The leaf read off the chain swaps with each bundle's chains in
+    descending rank.  Trading chains is an automorphism, so its rows, and
+    every certificate, stay as they were; the labeling is not the first
+    leaf the search reaches, and the check of the shortcut against the
+    search names the diamond, the first recipe with two equal chains, as
+    built and relabeled."""
+    leaf = canon._swap_leaf
+
+    def mutant(n, dns, colors, swaps):
+        found = leaf(n, dns, colors, swaps)
+        if found is None:
+            return None
+        order, pos = found
+        order = sorted(order, key=lambda v: (colors[v], -pos[v]))
+        for i, v in enumerate(order):
+            pos[v] = i
+        return order, pos
+
+    monkeypatch.setattr(canon, "_swap_leaf", mutant)
+    (rep, _), *_ = oracle._block_reps(4, 2)
+    assert canonical_certificate(realize(rep).digraph) == canonical_certificate(m2().digraph)
+    inputs = _recipe_inputs(range(1, 6))
+    assert swap_leaf_mismatches(inputs)[:2] == [(2, 4, 0), (2, 4, 0, "relabeled")]

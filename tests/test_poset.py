@@ -314,6 +314,45 @@ class TestAsLatticeMatchesPairwiseScan:
         assert 100 < sum(outcomes) < 2900
 
 
+class TestAsLatticeJoinsFirst:
+    """With a bottom, ``as_lattice`` tests joins alone and, where a join is
+    missing, runs the pairwise join-then-meet test, whose witness and kind
+    it reports; without a bottom it runs that test at once."""
+
+    def test_meet_failure_before_the_first_join_failure(self):
+        # 1 and 2 have the join 5 and the common lower bounds 0, 3 and 4;
+        # the later pair 3, 4 is the first without a join
+        p = build_poset(6, [(0, 3), (0, 4), (3, 1), (3, 2), (4, 1), (4, 2), (1, 5), (2, 5)])
+        with pytest.raises(NotALattice) as exc:
+            as_lattice(p)
+        assert (exc.value.witness, exc.value.kind) == ((1, 2), "meet")
+        assert _pairwise_as_lattice(p) == ((1, 2), "meet")
+
+    def test_bottomless_poset_with_every_join(self):
+        # 0 and 1 join at 2 and have no common lower bound
+        with pytest.raises(NotALattice) as exc:
+            as_lattice(build_poset(3, [(0, 2), (1, 2)]))
+        assert (exc.value.witness, exc.value.kind) == ((0, 1), "meet")
+
+    def test_random_posets_take_every_way(self, monkeypatch):
+        """The random posets of ``TestAsLatticeMatchesPairwiseScan`` take
+        each way through ``as_lattice``: a bottom and every join, a bottom
+        and a missing join, and no bottom."""
+        verdicts = []
+        has_joins = poset._has_joins
+
+        def recorded(*args):
+            verdicts.append(has_joins(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(poset, "_has_joins", recorded)
+        rng = random.Random(11)
+        for _ in range(3000):
+            _same_as_pairwise(_random_poset(rng))
+        ways = (verdicts.count(True), verdicts.count(False), 3000 - len(verdicts))
+        assert min(ways) > 100, ways
+
+
 class TestMeetJoin:
     def test_comparable_pair(self):
         l = chain(4)
